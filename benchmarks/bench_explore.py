@@ -1,6 +1,6 @@
 """Indexed wave engine vs the reference exact-exploration oracle.
 
-Runs ``explore`` with ``backend="index"`` and ``backend="reference"``
+Runs ``explore`` and its tuple-of-nodes oracle (``tests/oracles/``)
 over two scaling families with genuinely exponential wave spaces —
 dining philosophers (deadlocking) and barrier synchronization
 (deadlock-free) — plus the bundled paper corpus, asserting bit-exact
@@ -39,6 +39,7 @@ from repro.waves.guide import guide_for
 from repro.waves.witness import find_anomaly_witness, search_anomaly_witness
 from repro.workloads.corpus import paper_corpus
 from repro.workloads.patterns import barrier, corridor, dining_philosophers
+from tests import oracles
 
 SMOKE = os.environ.get("REPRO_PERF_SMOKE") == "1"
 DINING_SIZES = (3, 4) if SMOKE else (3, 4, 5, 6)
@@ -92,10 +93,10 @@ def test_explore_engine_speedup(benchmark):
         def run_index():
             # Engine construction is charged to the index side: the
             # comparison is end-to-end per exploration.
-            return explore(graph, STATE_LIMIT, backend="index")
+            return explore(graph, STATE_LIMIT)
 
         def run_reference():
-            return explore(graph, STATE_LIMIT, backend="reference")
+            return oracles.explore(graph, STATE_LIMIT)
 
         index_s, index_result = _best_of(run_index)
         ref_s, ref_result = _best_of(run_reference)
@@ -152,12 +153,10 @@ def test_explore_engine_speedup(benchmark):
     for n in DINING_SIZES:
         graph = _graph(dining_philosophers(n, True))
         index_w = find_anomaly_witness(
-            graph, kind="deadlock", state_limit=STATE_LIMIT,
-            backend="index",
+            graph, kind="deadlock", state_limit=STATE_LIMIT
         )
-        ref_w = find_anomaly_witness(
-            graph, kind="deadlock", state_limit=STATE_LIMIT,
-            backend="reference",
+        ref_w = oracles.find_anomaly_witness(
+            graph, kind="deadlock", state_limit=STATE_LIMIT
         )
         assert index_w is not None and ref_w is not None
         assert index_w.schedule == ref_w.schedule
@@ -168,8 +167,8 @@ def test_explore_engine_speedup(benchmark):
     corpus_cases = 0
     for entry in paper_corpus().values():
         graph = _graph(entry.program)
-        index_result = explore(graph, STATE_LIMIT, backend="index")
-        ref_result = explore(graph, STATE_LIMIT, backend="reference")
+        index_result = explore(graph, STATE_LIMIT)
+        ref_result = oracles.explore(graph, STATE_LIMIT)
         assert _fingerprint(index_result) == _fingerprint(ref_result), (
             entry.name
         )
@@ -266,7 +265,7 @@ def test_explore_engine_speedup(benchmark):
         # as a long-lived caller would hold it).
         graph = _graph(dining_philosophers(DINING_SIZES[-1], True))
         engine = WaveIndex(graph)
-        return explore(graph, STATE_LIMIT, backend="index", engine=engine)
+        return explore(graph, STATE_LIMIT, engine=engine)
 
     benchmark.pedantic(timed_scenario, rounds=1, iterations=1)
 

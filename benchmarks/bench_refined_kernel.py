@@ -1,13 +1,14 @@
 """Indexed bitset kernel vs the reference set-based refined algorithm.
 
-Runs ``refined_deadlock_analysis`` with ``backend="index"`` and
-``backend="reference"`` over the two deadlock-free scaling families of
-``bench_scaling.py`` — pipelines and handshake chains — plus the
-bundled paper corpus, asserting identical verdicts and evidence
-everywhere.  The shape to reproduce: the indexed backend wins at every
-size, by at least 3x at the largest size of each family (the per-head
-rooted Tarjan + bitset marking removes the per-edge Python closures
-and the full SCC enumeration the reference pays for per hypothesis).
+Runs ``refined_deadlock_analysis`` and its set-based oracle
+(``tests/oracles/refined.py``) over the two deadlock-free scaling
+families of ``bench_scaling.py`` — pipelines and handshake chains —
+plus the bundled paper corpus, asserting identical verdicts and
+evidence everywhere.  The shape to reproduce: the indexed kernel wins
+at every size, by at least 3x at the largest size of each family (the
+per-head rooted Tarjan + bitset marking removes the per-edge Python
+closures and the full SCC enumeration the reference pays for per
+hypothesis).
 Headline numbers land in ``BENCH_refined.json``.
 
 Setting ``REPRO_PERF_SMOKE=1`` (the CI perf-smoke job) shrinks the
@@ -31,6 +32,7 @@ from repro.syncgraph.clg import build_clg
 from repro.transforms.unroll import remove_loops
 from repro.workloads.corpus import paper_corpus
 from repro.workloads.patterns import handshake_chain, pipeline
+from tests import oracles
 
 SMOKE = os.environ.get("REPRO_PERF_SMOKE") == "1"
 PIPELINE_STAGES = (4, 8) if SMOKE else (4, 8, 16, 32)
@@ -64,7 +66,7 @@ def test_refined_kernel_speedup(benchmark):
     rows = []
     results = []
     for family, size, graph in _families():
-        # Shared precompute: both backends receive the same CLG,
+        # Shared precompute: both sides receive the same CLG,
         # orderings and coexec, so the timings isolate the marking +
         # SCC kernels (index build time is charged to the index side).
         clg = build_clg(graph)
@@ -73,14 +75,12 @@ def test_refined_kernel_speedup(benchmark):
 
         def run_index():
             return refined_deadlock_analysis(
-                graph, clg=clg, orderings=orderings, coexec=coexec,
-                backend="index",
+                graph, clg=clg, orderings=orderings, coexec=coexec
             )
 
         def run_reference():
-            return refined_deadlock_analysis(
-                graph, clg=clg, orderings=orderings, coexec=coexec,
-                backend="reference",
+            return oracles.refined_deadlock_analysis(
+                graph, clg=clg, orderings=orderings, coexec=coexec
             )
 
         index_s, index_report = _best_of(run_index)
@@ -114,12 +114,12 @@ def test_refined_kernel_speedup(benchmark):
         )
 
     print_table(
-        "Refined kernel: indexed bitset backend vs reference sets",
+        "Refined kernel: indexed bitset kernel vs reference sets",
         ["case", "CLG nodes", "index ms", "reference ms", "speedup"],
         rows,
     )
 
-    # The indexed backend must never lose; at the largest size of each
+    # The indexed kernel must never lose; at the largest size of each
     # family it must clear the acceptance floor.
     for entry in results:
         assert entry["speedup"] >= 1.0, entry
@@ -140,8 +140,8 @@ def test_refined_kernel_speedup(benchmark):
     for entry in paper_corpus().values():
         transformed, _ = remove_loops(entry.program)
         graph = build_sync_graph(transformed)
-        index_report = refined_deadlock_analysis(graph, backend="index")
-        ref_report = refined_deadlock_analysis(graph, backend="reference")
+        index_report = refined_deadlock_analysis(graph)
+        ref_report = oracles.refined_deadlock_analysis(graph)
         assert index_report.verdict == ref_report.verdict, entry.name
         assert index_report.evidence == ref_report.evidence, entry.name
         corpus_cases += 1
@@ -150,7 +150,7 @@ def test_refined_kernel_speedup(benchmark):
         # One representative case under pytest-benchmark so the run
         # shows up in --benchmark-only output.
         graph = build_sync_graph(pipeline(PIPELINE_STAGES[-1], 2))
-        return refined_deadlock_analysis(graph, backend="index")
+        return refined_deadlock_analysis(graph)
 
     benchmark.pedantic(timed_scenario, rounds=1, iterations=1)
 

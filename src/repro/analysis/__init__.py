@@ -17,15 +17,10 @@ from .extensions import (
     head_tail_analysis,
     k_pairs_analysis,
 )
-from .index import AnalysisIndex
+from .index import AnalysisIndex, coaccept_of
 from .naive import naive_deadlock_analysis, project_component
 from .orderings import OrderingInfo, compute_orderings
-from .refined import (
-    coaccept_of,
-    component_for_head,
-    possible_heads,
-    refined_deadlock_analysis,
-)
+from .refined import possible_heads, refined_deadlock_analysis
 from .results import (
     DeadlockEvidence,
     DeadlockReport,
@@ -57,7 +52,6 @@ __all__ = [
     "coaccept_of",
     "constraint4_deadlock_analysis",
     "combined_pairs_analysis",
-    "component_for_head",
     "compute_coexec",
     "confirm_deadlock_report",
     "compute_orderings",

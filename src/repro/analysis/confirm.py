@@ -14,8 +14,8 @@ real-world-sized programs:
   CONFIRMED (budget-faithful search keeps partial findings instead of
   discarding them).
 
-The search runs on the indexed wave engine by default
-(``backend="index"``; see :mod:`repro.waves.engine`).
+The search runs on the indexed wave engine (see
+:mod:`repro.waves.engine`).
 
 This is a practical layer on top of the paper: it composes the paper's
 cheap certification with its own exact semantics as an escalation path.
@@ -81,7 +81,6 @@ def confirm_deadlock_report(
     graph: SyncGraph,
     report: DeadlockReport,
     state_limit: int = 100_000,
-    backend: str = "index",
     loop_faithful: Optional[bool] = None,
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
@@ -89,8 +88,7 @@ def confirm_deadlock_report(
     """Attempt to confirm or refute a possible-deadlock report.
 
     Does nothing when the report already certifies the program.
-    ``backend`` selects the wave-search kernel (bit-exact either way);
-    ``strategy`` the expansion order (``"bfs"``, ``"astar"``, or
+    ``strategy`` selects the expansion order (``"bfs"``, ``"astar"``, or
     ``"beam"`` with ``beam_width`` — see :mod:`repro.waves.guide`).
     Strategy never changes the outcome grading: a CONFIRMED witness is
     a real schedule whatever order found it, and REFUTED requires an
@@ -115,7 +113,7 @@ def confirm_deadlock_report(
         )
     outcome = search_anomaly_witness(
         graph, kind="deadlock", state_limit=state_limit,
-        backend=backend, strategy=strategy, beam_width=beam_width,
+        strategy=strategy, beam_width=beam_width,
     )
     if outcome.witness is not None:
         return ConfirmedReport(
@@ -144,7 +142,6 @@ def confirm_deadlock_report(
 def confirm_analysis(
     result: "AnalysisResult",
     state_limit: int = 100_000,
-    backend: str = "index",
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
 ) -> ConfirmedReport:
@@ -168,7 +165,6 @@ def confirm_analysis(
         graph,
         result.deadlock,
         state_limit=state_limit,
-        backend=backend,
         loop_faithful=True,
         strategy=strategy,
         beam_width=beam_width,

@@ -82,14 +82,13 @@ def constraint4_deadlock_analysis(
     graph: SyncGraph,
     orderings: Optional[OrderingInfo] = None,
     coexec: Optional[CoExecInfo] = None,
-    backend: str = "index",
     index: Optional[AnalysisIndex] = None,
 ) -> DeadlockReport:
     """Refined analysis strengthened with constraint-4 breaker marks.
 
     Every breakable node loses head-entry sync edges in every head
     hypothesis, so cycles that can only be completed through a
-    breakable head disappear.  ``backend``/``index`` pass through to
+    breakable head disappear.  ``index`` passes through to
     :func:`refined_deadlock_analysis`.
     """
     if index is not None:
@@ -102,7 +101,6 @@ def constraint4_deadlock_analysis(
         orderings=orderings,
         coexec=coexec,
         global_no_sync=breakable,
-        backend=backend,
         index=index,
     )
     report.algorithm = "refined+constraint4"

@@ -19,30 +19,27 @@ hypotheses:
 Each function certifies deadlock-freedom when no hypothesis survives;
 any surviving hypothesis is conservatively reported.
 
-All four analyses run against a small marking/search engine with two
-interchangeable implementations: :class:`_IndexOps` (the default
-``backend="index"``) drives the bitset kernels of
+Each analysis is a private loop over a small marking/search engine,
+:class:`_IndexOps`, which drives the bitset kernels of
 :class:`~repro.analysis.index.AnalysisIndex` — one shared index, mark
 vectors memoized across the O(N²)–O(N^k) combination loops, rooted
-early-exit Tarjan — while :class:`_SetOps` (``backend="reference"``)
-keeps the original per-hypothesis set marking over hashed CLG nodes as
-the differential oracle.
+early-exit Tarjan.  The differential tests run the same loops on a
+set-based engine (``tests/oracles/extensions.py``).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .. import obs
 from ..errors import AnalysisError
-from ..syncgraph.clg import CLG, CLGEdge, CLGNode, EdgeKind, build_clg
+from ..syncgraph.clg import CLG
 from ..syncgraph.model import SyncGraph, SyncNode
-from .coexec import CoExecInfo, compute_coexec
-from .index import AnalysisIndex
-from .naive import project_component
-from .orderings import OrderingInfo, compute_orderings
-from .refined import BACKENDS, coaccept_of, possible_heads
+from .coexec import CoExecInfo
+from .index import AnalysisIndex, coaccept_of
+from .orderings import OrderingInfo
+from .refined import possible_heads
 from .results import DeadlockEvidence, DeadlockReport, Verdict
 
 __all__ = [
@@ -52,78 +49,6 @@ __all__ = [
     "k_pairs_analysis",
     "k_pairs_3_analysis",
 ]
-
-
-class _SetOps:
-    """Reference marking/search engine over hashed CLG node sets."""
-
-    empty: FrozenSet[CLGNode] = frozenset()
-
-    def __init__(
-        self,
-        graph: SyncGraph,
-        clg: CLG,
-        orderings: OrderingInfo,
-        coexec: CoExecInfo,
-    ) -> None:
-        self.graph = graph
-        self.clg = clg
-        self.orderings = orderings
-        self.coexec = coexec
-
-    def in_ref(self, node: SyncNode) -> CLGNode:
-        return self.clg.in_node(node)
-
-    def out_ref(self, node: SyncNode) -> CLGNode:
-        return self.clg.out_node(node)
-
-    def head_marks(
-        self, head: SyncNode, use_coaccept: bool = True
-    ) -> Tuple[Set[CLGNode], Set[CLGNode]]:
-        return _head_marks(
-            self.graph, self.clg, head, self.orderings, self.coexec,
-            use_coaccept,
-        )
-
-    def tail_marks(self, tail: SyncNode) -> Set[CLGNode]:
-        """DO-NOT-ENTER marks for nodes not co-executable with ``tail``."""
-        clg = self.clg
-        marks: Set[CLGNode] = set()
-        for k in self.coexec.not_coexec_with(tail):
-            marks.add(clg.in_node(k))
-            marks.add(clg.out_node(k))
-        return marks
-
-    def task_restriction(self, tasks: Set[str]) -> Set[CLGNode]:
-        """DO-NOT-ENTER marks removing split nodes outside ``tasks``."""
-        return {
-            n
-            for n in self.clg.nodes
-            if n.sync is not None and n.sync.task not in tasks
-        }
-
-    def search(
-        self,
-        required: Tuple[CLGNode, ...],
-        no_sync: Set[CLGNode],
-        do_not_enter: Set[CLGNode],
-    ) -> Optional[FrozenSet[SyncNode]]:
-        """Cyclic component containing all ``required``, projected."""
-        if any(n in do_not_enter or n in no_sync for n in required):
-            return None
-
-        def edge_ok(edge: CLGEdge) -> bool:
-            if edge.kind != EdgeKind.SYNC:
-                return True
-            return edge.src not in no_sync and edge.dst not in no_sync
-
-        def node_ok(node: CLGNode) -> bool:
-            return node not in do_not_enter
-
-        for component in self.clg.cyclic_components(edge_ok, node_ok):
-            if all(n in component for n in required):
-                return project_component(component)
-        return None
 
 
 class _IndexOps:
@@ -176,72 +101,23 @@ class _IndexOps:
         return self.index.project_ids(ids)
 
 
-_Ops = Union[_SetOps, _IndexOps]
-
-
-def _make_ops(
+def _index_ops(
     graph: SyncGraph,
     clg: Optional[CLG],
     orderings: Optional[OrderingInfo],
     coexec: Optional[CoExecInfo],
-    backend: str,
     index: Optional[AnalysisIndex],
-) -> _Ops:
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
+) -> _IndexOps:
     if graph.has_control_cycle():
         raise AnalysisError(
             "extension analyses require acyclic control flow; apply "
             "repro.transforms.unroll.remove_loops first"
         )
     if index is None:
-        if clg is None:
-            clg = build_clg(graph)
-        if orderings is None:
-            orderings = compute_orderings(graph)
-        if coexec is None:
-            coexec = compute_coexec(graph)
-        if backend == "index":
-            index = AnalysisIndex(
-                graph, clg=clg, orderings=orderings, coexec=coexec
-            )
-    if backend == "index":
-        assert index is not None
-        return _IndexOps(index)
-    if index is not None:
-        return _SetOps(graph, index.clg, index.orderings, index.coexec)
-    assert clg is not None and orderings is not None and coexec is not None
-    return _SetOps(graph, clg, orderings, coexec)
-
-
-def _head_marks(
-    graph: SyncGraph,
-    clg: CLG,
-    head: SyncNode,
-    orderings: OrderingInfo,
-    coexec: CoExecInfo,
-    use_coaccept: bool = True,
-) -> Tuple[Set[CLGNode], Set[CLGNode]]:
-    """(no_sync, do_not_enter) marks for one hypothesized head."""
-    no_sync: Set[CLGNode] = set()
-    do_not_enter: Set[CLGNode] = set()
-    for k in orderings.sequenceable_with(head):
-        no_sync.add(clg.in_node(k))
-    for k in graph.nodes_of_task(head.task):  # constraint 1c
-        if k is not head:
-            no_sync.add(clg.in_node(k))
-    for k in graph.sync_neighbors(head):  # constraint 2
-        no_sync.add(clg.in_node(k))
-    if use_coaccept:
-        for k in coaccept_of(graph, head):
-            no_sync.add(clg.in_node(k))
-            no_sync.add(clg.out_node(k))
-    for k in coexec.not_coexec_with(head):
-        do_not_enter.add(clg.in_node(k))
-        do_not_enter.add(clg.out_node(k))
-    return no_sync, do_not_enter
+        index = AnalysisIndex(
+            graph, clg=clg, orderings=orderings, coexec=coexec
+        )
+    return _IndexOps(index)
 
 
 def head_pairs_analysis(
@@ -249,7 +125,6 @@ def head_pairs_analysis(
     clg: Optional[CLG] = None,
     orderings: Optional[OrderingInfo] = None,
     coexec: Optional[CoExecInfo] = None,
-    backend: str = "index",
     index: Optional[AnalysisIndex] = None,
 ) -> DeadlockReport:
     """Extension 1: hypothesize pairs of head nodes.
@@ -259,7 +134,12 @@ def head_pairs_analysis(
     other (constraint 2 — co-heads joined by a sync edge would let the
     wave advance).
     """
-    ops = _make_ops(graph, clg, orderings, coexec, backend, index)
+    return _head_pairs(
+        graph, _index_ops(graph, clg, orderings, coexec, index)
+    )
+
+
+def _head_pairs(graph: SyncGraph, ops: _IndexOps) -> DeadlockReport:
     orderings, coexec = ops.orderings, ops.coexec
     heads = possible_heads(graph)
     evidence: List[DeadlockEvidence] = []
@@ -331,7 +211,6 @@ def head_tail_analysis(
     clg: Optional[CLG] = None,
     orderings: Optional[OrderingInfo] = None,
     coexec: Optional[CoExecInfo] = None,
-    backend: str = "index",
     index: Optional[AnalysisIndex] = None,
 ) -> DeadlockReport:
     """Extension 2: hypothesize (head, tail) pairs within one task.
@@ -341,7 +220,12 @@ def head_tail_analysis(
     and COACCEPT marking is unnecessary (the exit node is fixed).  A
     head with no viable tail cannot head any cycle.
     """
-    ops = _make_ops(graph, clg, orderings, coexec, backend, index)
+    return _head_tail(
+        graph, _index_ops(graph, clg, orderings, coexec, index)
+    )
+
+
+def _head_tail(graph: SyncGraph, ops: _IndexOps) -> DeadlockReport:
     coexec = ops.coexec
     heads = possible_heads(graph)
     evidence: List[DeadlockEvidence] = []
@@ -388,7 +272,6 @@ def combined_pairs_analysis(
     orderings: Optional[OrderingInfo] = None,
     coexec: Optional[CoExecInfo] = None,
     max_hypotheses: int = 250_000,
-    backend: str = "index",
     index: Optional[AnalysisIndex] = None,
 ) -> DeadlockReport:
     """Extensions 3/4 (k=2): pairs of head–tail pairs.
@@ -401,12 +284,12 @@ def combined_pairs_analysis(
     the hypothesis space exceeds ``max_hypotheses`` — this extension is
     the expensive end of the paper's accuracy/cost spectrum.
     """
-    ops = _make_ops(graph, clg, orderings, coexec, backend, index)
+    ops = _index_ops(graph, clg, orderings, coexec, index)
     return _combined_pairs(graph, ops, max_hypotheses)
 
 
 def _combined_pairs(
-    graph: SyncGraph, ops: _Ops, max_hypotheses: int
+    graph: SyncGraph, ops: _IndexOps, max_hypotheses: int
 ) -> DeadlockReport:
     orderings, coexec = ops.orderings, ops.coexec
     evidence: List[DeadlockEvidence] = []
@@ -469,7 +352,7 @@ def _combined_pairs(
 
 
 def _restricted_two_task_search(
-    graph: SyncGraph, ops: _Ops
+    graph: SyncGraph, ops: _IndexOps
 ) -> List[DeadlockEvidence]:
     """Exhaustive search for cycles spanning exactly two tasks.
 
@@ -506,7 +389,6 @@ def k_pairs_analysis(
     orderings: Optional[OrderingInfo] = None,
     coexec: Optional[CoExecInfo] = None,
     max_hypotheses: int = 500_000,
-    backend: str = "index",
     index: Optional[AnalysisIndex] = None,
 ) -> DeadlockReport:
     """Extension 4 for general ``k``: hypothesize ``k`` head–tail pairs.
@@ -524,12 +406,12 @@ def k_pairs_analysis(
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    ops = _make_ops(graph, clg, orderings, coexec, backend, index)
+    ops = _index_ops(graph, clg, orderings, coexec, index)
     return _k_pairs(graph, ops, k, max_hypotheses)
 
 
 def _k_pairs(
-    graph: SyncGraph, ops: _Ops, k: int, max_hypotheses: int
+    graph: SyncGraph, ops: _IndexOps, k: int, max_hypotheses: int
 ) -> DeadlockReport:
     if k == 2:
         report = _combined_pairs(graph, ops, max_hypotheses)
@@ -612,13 +494,11 @@ def _k_pairs(
     )
 
 
-def k_pairs_3_analysis(
-    graph: SyncGraph, backend: str = "index"
-) -> DeadlockReport:
+def k_pairs_3_analysis(graph: SyncGraph) -> DeadlockReport:
     """:func:`k_pairs_analysis` fixed at ``k = 3``.
 
     A named, picklable registry entry for ``repro.api.ALGORITHMS`` — a
     lambda there would make the registry unpicklable and leak into any
     state that captures an algorithm callable (farm workers, caches).
     """
-    return k_pairs_analysis(graph, k=3, backend=backend)
+    return k_pairs_analysis(graph, k=3)

@@ -1,11 +1,12 @@
 """Integer-indexed bitset kernels for the refined algorithm family.
 
-The reference implementations in :mod:`repro.analysis.refined` and
-:mod:`repro.analysis.extensions` run each head hypothesis through
+A literal reading of the paper runs each head hypothesis through
 per-edge Python closures over hashed :class:`CLGNode` sets and
-re-enumerate *every* SCC of the pruned CLG.  That is faithful to the
-paper but leaves large constant factors on the table.  This module
-provides :class:`AnalysisIndex`: built once per sync graph, it
+re-enumerates *every* SCC of the pruned CLG.  That leaves large
+constant factors on the table.  This module provides
+:class:`AnalysisIndex`, the one implementation behind
+:mod:`repro.analysis.refined` and :mod:`repro.analysis.extensions`:
+built once per sync graph, it
 
 * assigns dense integer ids to CLG nodes (``clg.node_index`` order) and
   stores the CLG as CSR-style int adjacency arrays, split into sync
@@ -25,10 +26,10 @@ Mark vectors are memoized per ``(head, use_coaccept)`` so the
 extension analyses stop recomputing them inside their O(N²)–O(N^k)
 combination loops.
 
-Everything here must be observationally equivalent to the reference
-set-based paths (same verdicts, same evidence, same ``stats`` —
-including the per-rule pruning counters); the hypothesis differential
-tests in ``tests/test_index.py`` enforce that.
+Everything here must be observationally equivalent to the set-based
+oracles in ``tests/oracles/`` (same verdicts, same evidence, same
+``stats`` — including the per-rule pruning counters); the hypothesis
+differential tests in ``tests/test_index.py`` enforce that.
 """
 
 from __future__ import annotations
@@ -41,12 +42,14 @@ from ..syncgraph.model import SyncGraph, SyncNode
 from .coexec import CoExecInfo, compute_coexec
 from .orderings import OrderingInfo, compute_orderings
 
-__all__ = ["AnalysisIndex"]
+__all__ = ["AnalysisIndex", "coaccept_of"]
 
 
-def _coaccept(graph: SyncGraph, node: SyncNode) -> Tuple[SyncNode, ...]:
-    # Same semantics as refined.coaccept_of; duplicated locally because
-    # refined imports this module for its indexed backend.
+def coaccept_of(graph: SyncGraph, node: SyncNode) -> Tuple[SyncNode, ...]:
+    """``COACCEPT[node]``: other accepts of the same signal type.
+
+    Empty for signaling (send) nodes, per the paper.
+    """
     if node.kind != "accept":
         return ()
     assert node.signal is not None
@@ -61,8 +64,8 @@ class AnalysisIndex:
     Construct once and share across ``refined_deadlock_analysis``,
     ``constraint4`` and all four extension analyses via their
     ``index=`` parameter.  The precomputed ``clg`` / ``orderings`` /
-    ``coexec`` are exposed so callers can hand the same objects to the
-    reference path for differential runs.
+    ``coexec`` are exposed so the differential tests can hand the same
+    objects to the set-based oracles.
     """
 
     def __init__(
@@ -159,7 +162,7 @@ class AnalysisIndex:
                 m |= 1 << in_id[k]
             partner_bits[s] = m
             m = 0
-            for k in _coaccept(graph, s):
+            for k in coaccept_of(graph, s):
                 m |= (1 << in_id[k]) | (1 << out_id[k])
             coaccept_bits[s] = m
             m = 0
@@ -333,14 +336,15 @@ class AnalysisIndex:
         do_not_enter: int,
         counts: Dict[str, int],
     ) -> None:
-        """Bitset replication of ``refined._count_pruning``.
+        """Bitset replication of the set-based oracle's pruning counts
+        (``tests/oracles/refined.py``).
 
         Same attribution rules: first-match claiming in PRUNE_RULES
         order for node marks; sync edges attributed src-first (the src
         of a sync edge is always an out-node, claimable only by
         COACCEPT); DO-NOT-ENTER removals claim all incident edges.
         ``<rule>_nodes`` keys are always written, edge keys only when
-        non-zero — matching the reference's incremental dict writes.
+        non-zero — matching the oracle's incremental dict writes.
         """
         rule_marks = (
             ("sequenceable", self.seq_bits[head]),

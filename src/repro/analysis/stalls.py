@@ -226,10 +226,10 @@ def stall_analysis(
 
 
 def exact_stall_analysis(
-    program: Program, state_limit: int = 200_000, backend: str = "index"
+    program: Program, state_limit: int = 200_000
 ) -> StallReport:
     """Ground-truth stall check by exhaustive wave exploration."""
-    result = explore(build_sync_graph(program), state_limit, backend=backend)
+    result = explore(build_sync_graph(program), state_limit)
     if result.has_stall:
         stalled = sorted(
             {str(n) for c in result.stall_waves for n in c.stalls}

@@ -53,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - farm imports api at runtime
 
 __all__ = [
     "ALGORITHMS",
-    "BACKEND_AWARE",
     "INDEX_AWARE",
     "AnalysisResult",
     "PreparedProgram",
@@ -77,17 +76,11 @@ ALGORITHMS: Dict[str, Callable[[SyncGraph], DeadlockReport]] = {
     "k-pairs-3": k_pairs_3_analysis,
 }
 
-# Algorithms whose runner accepts the backend= kernel selector (the
-# bitset "index" backend vs the set-based "reference" oracle; see
-# docs/PERFORMANCE.md).  "naive" and "exact" have a single
-# implementation each.
-BACKEND_AWARE = frozenset(ALGORITHMS) - {"naive"}
-
-# Algorithms whose runner additionally accepts a prebuilt
-# AnalysisIndex via index= ("k-pairs-3" builds its own per k).  Long-
-# lived callers (repro.server) share one index per program across
-# repeated analyses instead of rebuilding the bitset mirrors each run.
-INDEX_AWARE = BACKEND_AWARE - {"k-pairs-3"}
+# Algorithms whose runner accepts a prebuilt AnalysisIndex via index=
+# ("naive" uses none, "k-pairs-3" builds its own per k).  Long-lived
+# callers (repro.server) share one index per program across repeated
+# analyses instead of rebuilding the bitset mirrors each run.
+INDEX_AWARE = frozenset(ALGORITHMS) - {"naive", "k-pairs-3"}
 
 
 @dataclass
@@ -134,8 +127,8 @@ class PreparedProgram:
 
     The front half of the pipeline — parse, inline, validate, Lemma-1
     unroll, sync-graph build — depends only on the program, not on the
-    algorithm/backend/budget of a particular request.  Long-lived
-    callers (:mod:`repro.server`) prepare once per document and run
+    algorithm/budget of a particular request.  Long-lived callers
+    (:mod:`repro.server`) prepare once per document and run
     :func:`analyze_prepared` per request, so repeated analyses of the
     same source never re-pay the front half.
     """
@@ -201,7 +194,6 @@ def _finish(
     algorithm: str,
     exact: bool,
     state_limit: int,
-    backend: str,
     index=None,
     engine=None,
     uri: Optional[str] = None,
@@ -215,7 +207,6 @@ def _finish(
             result = explore(
                 prep.exact_graph,
                 state_limit=state_limit,
-                backend=backend,
                 engine=engine,
                 on_limit="partial",
                 strategy=strategy,
@@ -262,9 +253,7 @@ def _finish(
                     f"{sorted(ALGORITHMS)} or 'exact'"
                 ) from None
             if algorithm in INDEX_AWARE and index is not None:
-                deadlock = runner(graph, backend=backend, index=index)
-            elif algorithm in BACKEND_AWARE:
-                deadlock = runner(graph, backend=backend)
+                deadlock = runner(graph, index=index)
             else:
                 deadlock = runner(graph)
     deadlock.loops_transformed = prep.transformed
@@ -306,7 +295,6 @@ def analyze_prepared(
     algorithm: str = "refined",
     exact: bool = False,
     state_limit: int = 200_000,
-    backend: str = "index",
     index=None,
     engine=None,
     uri: Optional[str] = None,
@@ -331,7 +319,6 @@ def analyze_prepared(
             algorithm=algorithm,
             exact=exact,
             state_limit=state_limit,
-            backend=backend,
             index=index,
             engine=engine,
             uri=uri,
@@ -345,7 +332,6 @@ def analyze(
     algorithm: str = "refined",
     exact: bool = False,
     state_limit: int = 200_000,
-    backend: str = "index",
     uri: Optional[str] = None,
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
@@ -357,12 +343,6 @@ def analyze(
     exponential, for small programs only).  Loops are removed by the
     Lemma-1 double-unroll transform automatically; the report records
     whether that happened.
-
-    ``backend`` selects the analysis kernel for the refined algorithm
-    family (:data:`BACKEND_AWARE`) **and** for exact exploration:
-    ``"index"`` (default) runs the integer bitset / packed-wave
-    kernels, ``"reference"`` the original set-based oracles.  Verdicts,
-    evidence and stats are identical; it is ignored for ``"naive"``.
 
     The exact path is budget-faithful: exhausting ``state_limit`` no
     longer raises — the report conservatively stays
@@ -388,7 +368,6 @@ def analyze(
             algorithm=algorithm,
             exact=exact,
             state_limit=state_limit,
-            backend=backend,
             uri=uri,
             strategy=strategy,
             beam_width=beam_width,
@@ -403,7 +382,6 @@ def analyze_many(
     jobs: int = 1,
     timeout: Optional[float] = None,
     cache: Union["ResultCache", str, Path, bool, None] = None,
-    backend: str = "index",
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
 ) -> "BatchReport":
@@ -433,7 +411,6 @@ def analyze_many(
         jobs=jobs,
         timeout=timeout,
         cache=cache,
-        backend=backend,
         strategy=strategy,
         beam_width=beam_width,
     )
@@ -442,16 +419,13 @@ def analyze_many(
 def certify_deadlock_free(
     program: Union[str, Program],
     algorithm: str = "refined",
-    backend: str = "index",
 ) -> bool:
     """True iff the chosen algorithm certifies the program deadlock-free.
 
     False means *possible* deadlock (the analyses are conservative:
     real deadlocks are never missed, but false alarms can occur).
     """
-    return analyze(
-        program, algorithm=algorithm, backend=backend
-    ).deadlock.deadlock_free
+    return analyze(program, algorithm=algorithm).deadlock.deadlock_free
 
 
 def certify_stall_free(program: Union[str, Program]) -> bool:

@@ -139,16 +139,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--backend",
-        default="index",
-        choices=["index", "reference"],
-        help=(
-            "analysis kernel: the indexed bitset/packed-wave engines "
-            "(default) or the set-based reference oracles; verdicts "
-            "are bit-exact either way"
-        ),
-    )
-    parser.add_argument(
         "--strategy",
         default="bfs",
         choices=["bfs", "astar", "beam"],
@@ -158,7 +148,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "(default), astar guided by the admissible future-cost "
             "table, or beam (see --beam-width); guided strategies "
             "never change exhaustive verdicts, only how far a state "
-            "budget reaches (needs --backend index)"
+            "budget reaches"
         ),
     )
     parser.add_argument(
@@ -304,13 +294,13 @@ def _report_json(
 
 
 def _check_strategy(args) -> Optional[str]:
-    """Strategy/beam-width/backend combo error, or None when valid.
+    """Strategy/beam-width combo error, or None when valid.
 
     Checked once up front so every mode (one-shot, --confirm, batch)
     rejects a bad combination with exit code 2 before any work runs.
     """
     try:
-        validate_strategy(args.strategy, args.beam_width, args.backend)
+        validate_strategy(args.strategy, args.beam_width)
     except ValueError as exc:
         return str(exc)
     return None
@@ -343,7 +333,6 @@ def _suggest_fixes(args, source: str, result=None):
             algorithm=(
                 args.algorithm if args.algorithm != "exact" else "refined"
             ),
-            backend=args.backend,
             state_limit=args.state_limit,
             max_fixes=args.max_fixes,
             result=result,
@@ -448,7 +437,6 @@ def _batch_main(args) -> int:
             jobs=args.jobs,
             timeout=args.timeout,
             cache=False if args.no_cache else (args.cache_dir or True),
-            backend=args.backend,
             lint=args.lint,
             strategy=args.strategy,
             beam_width=args.beam_width,
@@ -530,7 +518,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             source,
             algorithm=args.algorithm,
             state_limit=args.state_limit,
-            backend=args.backend,
             strategy=args.strategy,
             beam_width=args.beam_width,
         )
@@ -543,8 +530,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             confirm_analysis(
                 result,
                 state_limit=args.state_limit,
-                backend=args.backend,
-                strategy=args.strategy,
+                    strategy=args.strategy,
                 beam_width=args.beam_width,
             )
             if args.confirm

@@ -109,8 +109,7 @@ def cache_key(
     rather than shadowing plain analysis results.  ``strategy`` and
     ``beam_width`` are part of the key because a *budget-limited* exact
     run's verdict legitimately depends on expansion order (an
-    exhaustive run does not, but the stats payload still differs);
-    ``backend`` stays out — both kernels are bit-exact.
+    exhaustive run does not, but the stats payload still differs).
     """
     stamp = "\n".join(
         (

@@ -80,7 +80,6 @@ class WorkItem:
     algorithm: str = "refined"
     exact: bool = False
     state_limit: int = 200_000
-    backend: str = "index"
     lint: bool = False
     strategy: str = "bfs"
     beam_width: Optional[int] = None
@@ -141,7 +140,6 @@ def analyze_item(item: WorkItem) -> WorkOutcome:
             algorithm=item.algorithm,
             exact=item.exact,
             state_limit=item.state_limit,
-            backend=item.backend,
             strategy=item.strategy,
             beam_width=item.beam_width,
         )

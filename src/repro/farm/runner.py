@@ -253,7 +253,6 @@ def run_batch(
     jobs: int = 1,
     timeout: Optional[float] = None,
     cache: Union[ResultCache, str, Path, bool, None] = None,
-    backend: str = "index",
     lint: bool = False,
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
@@ -269,12 +268,9 @@ def run_batch(
     :func:`repro.api.analyze` per program — the farm only changes how
     the work is scheduled and memoised.
 
-    ``backend`` picks the analysis kernel (see
-    :data:`repro.api.BACKEND_AWARE`).  It is deliberately *not* part of
-    the cache key: both kernels are bit-exact, so their results are
-    interchangeable cache entries.  ``strategy``/``beam_width`` steer
-    exact exploration (see :mod:`repro.waves.guide`) and *are* keyed —
-    a budget-limited run's findings depend on expansion order.
+    ``strategy``/``beam_width`` steer exact exploration (see
+    :mod:`repro.waves.guide`) and are part of the cache key — a
+    budget-limited run's findings depend on expansion order.
 
     ``lint`` additionally runs the lint rules over every item; each
     :class:`ItemReport` then carries ``lint_counts`` (rule id ->
@@ -327,7 +323,6 @@ def run_batch(
                         algorithm=algorithm,
                         exact=exact,
                         state_limit=state_limit,
-                        backend=backend,
                         lint=lint,
                         strategy=strategy,
                         beam_width=beam_width,

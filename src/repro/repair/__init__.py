@@ -65,7 +65,6 @@ __all__ = [
 def suggest_repairs(
     program: Union[str, Program, None] = None,
     algorithm: str = "refined",
-    backend: str = "index",
     state_limit: int = 200_000,
     exact_budget: int = 50_000,
     max_candidates: int = 64,
@@ -102,7 +101,6 @@ def suggest_repairs(
             program,
             algorithm=algorithm,
             state_limit=state_limit,
-            backend=backend,
         )
 
     started = time.perf_counter()
@@ -125,7 +123,6 @@ def suggest_repairs(
             result,
             candidates,
             algorithm=algorithm,
-            backend=backend,
             state_limit=state_limit,
             exact_budget=exact_budget,
             jobs=jobs,

@@ -12,8 +12,8 @@ reuses the production analysis stack wholesale:
    under the requested polynomial detector is certified by that
    detector.
 3. A candidate the detector still convicts gets one escalation: exact
-   wave exploration (``repro.analyze(..., exact=True)``, WaveIndex
-   backend) under ``exact_budget`` states, optionally guided
+   wave exploration (``repro.analyze(..., exact=True)`` on the
+   WaveIndex engine) under ``exact_budget`` states, optionally guided
    (``strategy="astar"``/``"beam"`` — see :mod:`repro.waves.guide`).
    The polynomial analyses are conservative, so this rescues
    candidates that are actually free but trip a residual false alarm.
@@ -64,7 +64,6 @@ _INCONCLUSIVE = "inconclusive"
 def _exact_escalation(
     candidate: RepairCandidate,
     exact_budget: int,
-    backend: str,
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
 ) -> Tuple[Optional["AnalysisResult"], str]:
@@ -86,7 +85,6 @@ def _exact_escalation(
             candidate.program,
             exact=True,
             state_limit=exact_budget,
-            backend=backend,
             strategy=strategy,
             beam_width=beam_width,
         )
@@ -105,7 +103,6 @@ def verify_candidates(
     original: "AnalysisResult",
     candidates: Sequence[RepairCandidate],
     algorithm: str = "refined",
-    backend: str = "index",
     state_limit: int = 200_000,
     exact_budget: int = 50_000,
     jobs: int = 1,
@@ -139,7 +136,6 @@ def verify_candidates(
         jobs=jobs,
         timeout=timeout,
         cache=cache,
-        backend=backend,
     )
 
     original_stall_free = original.stall.stall_free
@@ -156,7 +152,7 @@ def verify_candidates(
             stats["certified_static"] += 1
         else:
             rescued, disposition = _exact_escalation(
-                cand, exact_budget, backend,
+                cand, exact_budget,
                 strategy=strategy, beam_width=beam_width,
             )
             if rescued is not None:

@@ -204,7 +204,6 @@ class AnalysisServer:
             algorithm=params.get("algorithm", "refined"),
             exact=bool(params.get("exact", False)),
             state_limit=int(params.get("state_limit", 200_000)),
-            backend=params.get("backend", "index"),
             timeout=params.get("timeout"),
             strategy=params.get("strategy", "bfs"),
             beam_width=int(beam_width) if beam_width is not None else None,
@@ -236,7 +235,6 @@ class AnalysisServer:
             uri=params.get("uri"),
             text=params.get("text"),
             algorithm=params.get("algorithm", "refined"),
-            backend=params.get("backend", "index"),
             state_limit=int(params.get("state_limit", 200_000)),
             max_fixes=int(params.get("max_fixes", 5)),
             strategy=params.get("strategy", "bfs"),
@@ -256,7 +254,6 @@ class AnalysisServer:
                 state_limit=int(params.get("state_limit", 200_000)),
                 jobs=int(params.get("jobs", 1)),
                 timeout=params.get("timeout"),
-                backend=params.get("backend", "index"),
                 lint=bool(params.get("lint", False)),
             )
         }

@@ -464,7 +464,6 @@ class Session:
         algorithm: str = "refined",
         exact: bool = False,
         state_limit: int = 200_000,
-        backend: str = "index",
         timeout: Optional[float] = None,
         strategy: str = "bfs",
         beam_width: Optional[int] = None,
@@ -486,7 +485,6 @@ class Session:
             algorithm=algorithm,
             exact=exact,
             state_limit=state_limit,
-            backend=backend,
             timeout=timeout,
             strategy=strategy,
             beam_width=beam_width,
@@ -499,7 +497,6 @@ class Session:
         algorithm: str,
         exact: bool,
         state_limit: int,
-        backend: str,
         timeout: Optional[float] = None,
         strategy: str = "bfs",
         beam_width: Optional[int] = None,
@@ -538,7 +535,7 @@ class Session:
                 # — for every algorithm, not just exact exploration (a
                 # refined-only timeout used to be silently dropped).
                 result = self._analyze_pooled(
-                    doc, algorithm, exact, state_limit, backend, timeout,
+                    doc, algorithm, exact, state_limit, timeout,
                     strategy=strategy, beam_width=beam_width,
                 )
             elif self.compute is not None and not doc.artifacts()["prepared"]:
@@ -548,7 +545,7 @@ class Session:
                 # contending for the GIL.  Warm documents stay
                 # in-process where their resident kernels live.
                 result = self._analyze_offloaded(
-                    doc, algorithm, exact, state_limit, backend,
+                    doc, algorithm, exact, state_limit,
                     strategy=strategy, beam_width=beam_width,
                 )
             if result is None:
@@ -556,22 +553,15 @@ class Session:
                 prep = doc.prepared()
                 index = (
                     doc.index()
-                    if backend == "index"
-                    and not is_exact
-                    and algorithm in INDEX_AWARE
+                    if not is_exact and algorithm in INDEX_AWARE
                     else None
                 )
-                engine = (
-                    doc.engine()
-                    if backend == "index" and is_exact
-                    else None
-                )
+                engine = doc.engine() if is_exact else None
                 result = analyze_prepared(
                     prep,
                     algorithm=algorithm,
                     exact=exact,
                     state_limit=state_limit,
-                    backend=backend,
                     index=index,
                     engine=engine,
                     uri=doc.uri,
@@ -592,7 +582,6 @@ class Session:
         algorithm: str,
         exact: bool,
         state_limit: int,
-        backend: str,
         strategy: str = "bfs",
         beam_width: Optional[int] = None,
     ) -> Optional[AnalysisResult]:
@@ -610,7 +599,6 @@ class Session:
                 algorithm=algorithm,
                 exact=exact,
                 state_limit=state_limit,
-                backend=backend,
                 strategy=strategy,
                 beam_width=beam_width,
             )
@@ -626,7 +614,6 @@ class Session:
         algorithm: str,
         exact: bool,
         state_limit: int,
-        backend: str,
         timeout: float,
         strategy: str = "bfs",
         beam_width: Optional[int] = None,
@@ -643,7 +630,6 @@ class Session:
             algorithm=algorithm,
             exact=exact,
             state_limit=state_limit,
-            backend=backend,
             strategy=strategy,
             beam_width=beam_width,
         )
@@ -709,7 +695,6 @@ class Session:
         uri: Optional[str] = None,
         text: Optional[str] = None,
         algorithm: str = "refined",
-        backend: str = "index",
         state_limit: int = 200_000,
         max_fixes: int = 5,
         strategy: str = "bfs",
@@ -733,7 +718,6 @@ class Session:
                 algorithm=algorithm,
                 exact=False,
                 state_limit=state_limit,
-                backend=backend,
             )
             repair_key = "repair:" + cache_key(
                 doc.program(),
@@ -749,7 +733,6 @@ class Session:
             report = suggest_repairs(
                 result=result,
                 algorithm=repair_algorithm,
-                backend=backend,
                 state_limit=state_limit,
                 max_fixes=max_fixes,
                 strategy=strategy,
@@ -773,7 +756,6 @@ class Session:
         state_limit: int = 200_000,
         jobs: int = 1,
         timeout: Optional[float] = None,
-        backend: str = "index",
         lint: bool = False,
     ) -> Dict[str, Any]:
         """One ``batch`` request through the farm runner.
@@ -804,7 +786,6 @@ class Session:
             jobs=jobs,
             timeout=timeout,
             cache=self.store if self.store is not None else False,
-            backend=backend,
             lint=lint,
         )
         return report.to_dict()

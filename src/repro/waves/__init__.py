@@ -9,7 +9,7 @@ from .anomaly import (
 )
 from .coupling import coupled_to, coupling_graph, transitively_coupled_sets
 from .dot import wave_graph_to_dot
-from .engine import BACKENDS, WaveIndex
+from .engine import WaveIndex
 from .explore import (
     DEFAULT_STATE_LIMIT,
     ExplorationResult,
@@ -42,7 +42,6 @@ from .witness import (
 )
 
 __all__ = [
-    "BACKENDS",
     "DEFAULT_BEAM_WIDTH",
     "DEFAULT_STATE_LIMIT",
     "STRATEGIES",

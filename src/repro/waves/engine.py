@@ -1,12 +1,11 @@
 """Indexed exact-exploration engine: packed-integer wave kernels.
 
-The reference kernels in :mod:`repro.waves.explore` and
-:mod:`repro.waves.witness` traverse the wave space over tuples of
+A literal search over the wave space walks tuples of
 :class:`~repro.syncgraph.model.SyncNode` — every step allocates `Wave`
 objects, hashes node tuples, and re-queries sync adjacency through
-per-node dict lookups.  That is the right shape for an oracle but pays
-large constant factors in the innermost loop of what is already an
-exponential search.
+per-node dict lookups.  That is the right shape for an oracle (the
+tests keep one in ``tests/oracles/``) but pays large constant factors
+in the innermost loop of what is already an exponential search.
 
 :class:`WaveIndex` is the wave-space analogue of
 :class:`repro.analysis.index.AnalysisIndex`: built once per sync graph,
@@ -23,7 +22,7 @@ it
   the partner task currently stands) and the control-successor table as
   ``(key_delta, occupancy_delta)`` pairs;
 * runs BFS kernels for exhaustive exploration and shortest-witness
-  search that are **bit-exact** with the reference kernels: identical
+  search that are **bit-exact** with the oracle kernels: identical
   seeding order (the cross product of per-task initial options),
   identical ready-pair order (``(i, j)`` with ``i < j``), identical
   successor order (``graph.control_successors`` order), and therefore
@@ -55,12 +54,7 @@ from ..syncgraph.model import SyncGraph, SyncNode
 from .anomaly import WaveClassification, classify_wave
 from .wave import Wave
 
-__all__ = ["BACKENDS", "WaveIndex"]
-
-# Kernel selector shared by explore/exact_deadlock/exact_anomaly/
-# find_anomaly_witness: "index" is the packed-int engine, "reference"
-# the original tuple-of-nodes oracle.
-BACKENDS = ("index", "reference")
+__all__ = ["WaveIndex"]
 
 Rendezvous = Tuple[SyncNode, SyncNode]
 WitnessData = Tuple[Wave, Tuple[Rendezvous, ...], Tuple[Wave, ...],

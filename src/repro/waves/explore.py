@@ -11,14 +11,11 @@ exponential comparator in the scaling benchmarks.
 Waves are memoized, so exploration terminates even when the sync graph
 has control cycles (source loops): the wave vector space is finite.
 
-Two kernels run the same search (see :data:`repro.waves.engine.BACKENDS`):
-
-* ``backend="index"`` (default) — the packed-integer
-  :class:`~repro.waves.engine.WaveIndex` engine;
-* ``backend="reference"`` — the original tuple-of-nodes oracle below.
-
-Both are bit-exact: same ``visited_count``, ``can_terminate``, anomaly
-classifications (in the same order), and budget behavior.
+The search runs on the packed-integer
+:class:`~repro.waves.engine.WaveIndex` engine.  It is bit-exact with
+the tuple-of-nodes oracle in ``tests/oracles/explore.py``: same
+``visited_count``, ``can_terminate``, anomaly classifications (in the
+same order), and budget behavior.
 
 Exploration is *budget-faithful*: ``state_limit`` is enforced during
 seeding (the initial cross product can be exponentially wide on its
@@ -31,20 +28,17 @@ already discovered is still classified — the partial
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set
 
 from .. import obs
 from ..errors import ExplorationLimitError
 from ..syncgraph.model import SyncGraph, SyncNode
-from .anomaly import WaveClassification, classify_wave
-from .engine import BACKENDS, WaveIndex
+from .anomaly import WaveClassification
+from .engine import WaveIndex
 from .guide import STRATEGIES, guide_for, validate_strategy
-from .wave import Wave, _advance_options, iter_initial_waves, ready_pairs
 
 __all__ = [
-    "BACKENDS",
     "STRATEGIES",
     "ExplorationResult",
     "explore",
@@ -125,7 +119,6 @@ class ExplorationResult:
 def explore(
     graph: SyncGraph,
     state_limit: int = DEFAULT_STATE_LIMIT,
-    backend: str = "index",
     engine: Optional[WaveIndex] = None,
     on_limit: str = "raise",
     strategy: str = "bfs",
@@ -133,12 +126,10 @@ def explore(
 ) -> ExplorationResult:
     """Enumerate ``NextWavesSet*(W_INIT)`` and classify anomalies.
 
-    ``backend`` selects the search kernel (``"index"`` packed-int
-    engine, ``"reference"`` oracle; bit-exact either way).  ``engine``
-    optionally reuses a prebuilt :class:`WaveIndex`.
+    ``engine`` optionally reuses a prebuilt :class:`WaveIndex`.
 
     ``strategy`` selects the expansion order: ``"bfs"`` (default,
-    bit-exact with the reference oracle), ``"astar"`` best-first on
+    bit-exact with the tuple-of-nodes oracle), ``"astar"`` best-first on
     the admissible future-cost table of :mod:`repro.waves.guide`, or
     ``"beam"`` (with ``beam_width``) keeping only the most promising
     states per depth layer.  An exhaustive bfs/astar run visits the
@@ -153,53 +144,34 @@ def explore(
     returns the partial :class:`ExplorationResult` (``limited=True``).
     The budget contract is identical for every strategy.
     """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose one of {BACKENDS}"
-        )
     if on_limit not in ON_LIMIT_MODES:
         raise ValueError(
             f"unknown on_limit mode {on_limit!r}; "
             f"choose one of {ON_LIMIT_MODES}"
         )
-    effective_width = validate_strategy(strategy, beam_width, backend)
+    effective_width = validate_strategy(strategy, beam_width)
     with obs.span(
-        "explore", state_limit=state_limit, backend=backend,
-        strategy=strategy,
+        "explore", state_limit=state_limit, strategy=strategy,
     ) as span:
         truncated = False
-        if backend == "index":
-            if engine is None:
-                engine = WaveIndex(graph)
-            if strategy == "bfs":
-                (
-                    visited_count,
-                    can_terminate,
-                    anomalous,
-                    limited,
-                    frontier_peak,
-                ) = engine.explore(state_limit)
-            elif strategy == "astar":
-                (
-                    visited_count,
-                    can_terminate,
-                    anomalous,
-                    limited,
-                    frontier_peak,
-                ) = engine.explore_astar(
-                    state_limit, guide_for(engine).estimate
-                )
-            else:
-                (
-                    visited_count,
-                    can_terminate,
-                    anomalous,
-                    limited,
-                    frontier_peak,
-                    truncated,
-                ) = engine.explore_beam(
-                    state_limit, guide_for(engine).estimate, effective_width
-                )
+        if engine is None:
+            engine = WaveIndex(graph)
+        if strategy == "bfs":
+            (
+                visited_count,
+                can_terminate,
+                anomalous,
+                limited,
+                frontier_peak,
+            ) = engine.explore(state_limit)
+        elif strategy == "astar":
+            (
+                visited_count,
+                can_terminate,
+                anomalous,
+                limited,
+                frontier_peak,
+            ) = engine.explore_astar(state_limit, guide_for(engine).estimate)
         else:
             (
                 visited_count,
@@ -207,7 +179,10 @@ def explore(
                 anomalous,
                 limited,
                 frontier_peak,
-            ) = _explore_reference(graph, state_limit)
+                truncated,
+            ) = engine.explore_beam(
+                state_limit, guide_for(engine).estimate, effective_width
+            )
         result = ExplorationResult(
             graph=graph,
             visited_count=visited_count,
@@ -222,57 +197,6 @@ def explore(
     if result.limited and on_limit == "raise":
         raise ExplorationLimitError(state_limit, result)
     return result
-
-
-def _explore_reference(
-    graph: SyncGraph, state_limit: int
-) -> Tuple[int, bool, List[WaveClassification], bool, int]:
-    """The tuple-of-nodes oracle kernel (same contract as
-    :meth:`WaveIndex.explore`)."""
-    visited: Set[Wave] = set()
-    queue: deque = deque()
-    limited = False
-    for wave in iter_initial_waves(graph):
-        if wave in visited:
-            continue
-        if len(visited) >= state_limit:
-            limited = True
-            break
-        visited.add(wave)
-        queue.append(wave)
-    can_terminate = False
-    anomalous: List[WaveClassification] = []
-    frontier_peak = 0
-    while queue:
-        if len(queue) > frontier_peak:
-            frontier_peak = len(queue)
-        wave = queue.popleft()
-        if wave.is_terminal(graph):
-            can_terminate = True
-            continue
-        pairs = ready_pairs(graph, wave)
-        if not pairs:
-            if wave.real_nodes():
-                anomalous.append(classify_wave(graph, wave))
-            continue
-        if limited:
-            continue  # budget spent: classify what we have, no growth
-        for i, j in pairs:
-            for succ_i in _advance_options(graph, wave.positions[i]):
-                for succ_j in _advance_options(graph, wave.positions[j]):
-                    nxt = wave.replace(i, succ_i).replace(j, succ_j)
-                    if nxt in visited:
-                        continue
-                    if len(visited) >= state_limit:
-                        limited = True
-                        break
-                    visited.add(nxt)
-                    queue.append(nxt)
-                if limited:
-                    break
-            if limited:
-                break
-    return len(visited), can_terminate, anomalous, limited, frontier_peak
 
 
 def _record_exploration(
@@ -293,26 +217,22 @@ def _record_exploration(
 def exact_deadlock(
     graph: SyncGraph,
     state_limit: int = DEFAULT_STATE_LIMIT,
-    backend: str = "index",
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
 ) -> bool:
     """True iff some feasible wave exhibits a deadlock anomaly."""
     return explore(
-        graph, state_limit, backend=backend,
-        strategy=strategy, beam_width=beam_width,
+        graph, state_limit, strategy=strategy, beam_width=beam_width
     ).has_deadlock
 
 
 def exact_anomaly(
     graph: SyncGraph,
     state_limit: int = DEFAULT_STATE_LIMIT,
-    backend: str = "index",
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
 ) -> bool:
     """True iff some feasible wave is anomalous (stall or deadlock)."""
     return explore(
-        graph, state_limit, backend=backend,
-        strategy=strategy, beam_width=beam_width,
+        graph, state_limit, strategy=strategy, beam_width=beam_width
     ).has_anomaly

@@ -112,18 +112,12 @@ SATURATED = 1 << 30
 _Group = Tuple[int, int, Tuple[int, ...], Tuple[Tuple[int, int, Tuple[int, ...]], ...]]
 
 
-def validate_strategy(
-    strategy: str,
-    beam_width: Optional[int],
-    backend: str = "index",
-) -> int:
-    """Validate the (strategy, beam_width, backend) combination.
+def validate_strategy(strategy: str, beam_width: Optional[int]) -> int:
+    """Validate the (strategy, beam_width) combination.
 
     Returns the effective beam width (:data:`DEFAULT_BEAM_WIDTH` when
     unset).  Raises ``ValueError`` on an unknown strategy, a
-    ``beam_width`` without ``strategy="beam"``, a non-positive width,
-    or a guided strategy on the reference backend (the guided kernels
-    live in the packed-int engine only).
+    ``beam_width`` without ``strategy="beam"``, or a non-positive width.
     """
     if strategy not in STRATEGIES:
         raise ValueError(
@@ -139,11 +133,6 @@ def validate_strategy(
             raise ValueError(
                 f"beam_width must be a positive integer (got {beam_width})"
             )
-    if strategy != "bfs" and backend != "index":
-        raise ValueError(
-            f"strategy {strategy!r} requires backend='index'; the "
-            "reference oracle only runs blind BFS"
-        )
     return beam_width if beam_width is not None else DEFAULT_BEAM_WIDTH
 
 

@@ -7,9 +7,9 @@ Witnesses are found by breadth-first search over the wave space (so the
 schedule is shortest) with parent tracking — exponential like all exact
 analyses, bounded by a state budget.
 
-Like :mod:`repro.waves.explore`, the search runs on either kernel
-(``backend="index"`` packed-int engine, ``backend="reference"``
-oracle) with bit-exact witnesses, and is budget-faithful: the state
+Like :mod:`repro.waves.explore`, the search runs on the packed-int
+engine (its witnesses are bit-exact with the oracle in
+``tests/oracles/witness.py``) and is budget-faithful: the state
 budget is enforced during seeding, and when it runs out the queue is
 still drained — an anomalous wave discovered *before* exhaustion still
 yields its witness, so downstream confirmation can answer CONFIRMED
@@ -20,17 +20,16 @@ matches does a limited search raise
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .. import obs
 from ..errors import ExplorationLimitError
 from ..syncgraph.model import SyncGraph, SyncNode
-from .anomaly import WaveClassification, classify_wave, is_anomalous
-from .engine import BACKENDS, WaveIndex
+from .anomaly import WaveClassification
+from .engine import WaveIndex
 from .guide import guide_for, validate_strategy
-from .wave import Wave, iter_initial_waves, next_waves_with_events
+from .wave import Wave
 
 __all__ = [
     "AnomalyWitness",
@@ -109,7 +108,6 @@ def find_anomaly_witness(
     graph: SyncGraph,
     kind: str = "deadlock",
     state_limit: int = 200_000,
-    backend: str = "index",
     engine: Optional[WaveIndex] = None,
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
@@ -128,8 +126,8 @@ def find_anomaly_witness(
     truncated beam forfeits shortest-ness and counts as limited.
     """
     outcome = search_anomaly_witness(
-        graph, kind=kind, state_limit=state_limit, backend=backend,
-        engine=engine, strategy=strategy, beam_width=beam_width,
+        graph, kind=kind, state_limit=state_limit, engine=engine,
+        strategy=strategy, beam_width=beam_width,
     )
     if outcome.witness is not None:
         return outcome.witness
@@ -142,7 +140,6 @@ def search_anomaly_witness(
     graph: SyncGraph,
     kind: str = "deadlock",
     state_limit: int = 200_000,
-    backend: str = "index",
     engine: Optional[WaveIndex] = None,
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
@@ -154,11 +151,7 @@ def search_anomaly_witness(
     themselves."""
     if kind not in ("deadlock", "stall", "any"):
         raise ValueError(f"unknown anomaly kind {kind!r}")
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose one of {BACKENDS}"
-        )
-    effective_width = validate_strategy(strategy, beam_width, backend)
+    effective_width = validate_strategy(strategy, beam_width)
 
     def matches(classification: WaveClassification) -> bool:
         if kind == "deadlock":
@@ -169,40 +162,31 @@ def search_anomaly_witness(
 
     with obs.span(
         "witness.search", kind=kind, state_limit=state_limit,
-        backend=backend, strategy=strategy,
+        strategy=strategy,
     ) as sp:
         truncated = False
-        if backend == "index":
-            if engine is None:
-                engine = WaveIndex(graph)
-            if strategy == "bfs":
-                data, states, limited = engine.find_witness(
-                    matches, state_limit
+        if engine is None:
+            engine = WaveIndex(graph)
+        if strategy == "bfs":
+            data, states, limited = engine.find_witness(matches, state_limit)
+        else:
+            # The deadlock estimate adds the evidence-group term;
+            # stall/any goals use the quiescence term alone (both
+            # admissible for their goal set — see waves.guide).
+            guide = guide_for(engine)
+            if kind == "deadlock":
+                estimate = guide.estimate
+            else:
+                estimate = guide.estimate_anomaly
+            if strategy == "astar":
+                data, states, limited = engine.find_witness_astar(
+                    matches, state_limit, estimate
                 )
             else:
-                # The deadlock estimate adds the evidence-group term;
-                # stall/any goals use the quiescence term alone (both
-                # admissible for their goal set — see waves.guide).
-                guide = guide_for(engine)
-                if kind == "deadlock":
-                    estimate = guide.estimate
-                else:
-                    estimate = guide.estimate_anomaly
-                if strategy == "astar":
-                    data, states, limited = engine.find_witness_astar(
-                        matches, state_limit, estimate
-                    )
-                else:
-                    data, states, limited, truncated = (
-                        engine.find_witness_beam(
-                            matches, state_limit, estimate, effective_width
-                        )
-                    )
-                    limited = limited or truncated
-        else:
-            data, states, limited = _find_witness_reference(
-                graph, matches, state_limit
-            )
+                data, states, limited, truncated = engine.find_witness_beam(
+                    matches, state_limit, estimate, effective_width
+                )
+                limited = limited or truncated
         obs.counter("witness.states_visited").inc(states)
         sp.set_attribute("states", states)
         if limited:
@@ -225,64 +209,3 @@ def search_anomaly_witness(
         truncated=truncated,
         strategy=strategy,
     )
-
-
-def _find_witness_reference(
-    graph: SyncGraph,
-    matches,
-    state_limit: int,
-) -> Tuple[
-    Optional[Tuple[Wave, Tuple[Rendezvous, ...], Tuple[Wave, ...],
-                   WaveClassification]],
-    int,
-    bool,
-]:
-    """Oracle BFS kernel (same contract as
-    :meth:`WaveIndex.find_witness`)."""
-    parents: Dict[Wave, Optional[Tuple[Wave, Rendezvous]]] = {}
-    queue: deque = deque()
-    limited = False
-    for wave in iter_initial_waves(graph):
-        if wave in parents:
-            continue
-        if len(parents) >= state_limit:
-            limited = True
-            break
-        parents[wave] = None
-        queue.append(wave)
-    while queue:
-        wave = queue.popleft()
-        if wave.is_terminal(graph):
-            continue
-        if is_anomalous(graph, wave):
-            classification = classify_wave(graph, wave)
-            if not matches(classification):
-                continue
-            schedule: List[Rendezvous] = []
-            chain: List[Wave] = [wave]
-            cursor = wave
-            while True:
-                parent = parents[cursor]
-                if parent is None:
-                    break
-                cursor, event = parent
-                schedule.append(event)
-                chain.append(cursor)
-            schedule.reverse()
-            chain.reverse()
-            return (
-                (cursor, tuple(schedule), tuple(chain), classification),
-                len(parents),
-                limited,
-            )
-        if limited:
-            continue
-        for event, nxt in next_waves_with_events(graph, wave):
-            if nxt in parents:
-                continue
-            if len(parents) >= state_limit:
-                limited = True
-                break
-            parents[nxt] = (wave, event)
-            queue.append(nxt)
-    return None, len(parents), limited

@@ -1,0 +1,45 @@
+"""Set-based oracles for the product's indexed kernels.
+
+Each analysis has one implementation in ``src/``; these are the simple,
+literal implementations the differential tests compare it against:
+
+* ``refined`` — the per-head loop over hashed CLG node sets
+  (vs the :class:`~repro.analysis.index.AnalysisIndex` bitset kernels
+  in :mod:`repro.analysis.refined`);
+* ``extensions`` — the set-based marking/search engine, plugged into
+  the product's own extension loops;
+* ``explore`` / ``witness`` — breadth-first search over tuple-of-nodes
+  waves (vs the packed-integer :class:`~repro.waves.engine.WaveIndex`).
+
+Every entry point takes the product's arguments and returns the
+product's result type, so a test can swap one for the other.  The
+comparing tests are ``tests/test_index.py`` and ``tests/test_engine.py``;
+``benchmarks/bench_refined_kernel.py`` and ``benchmarks/bench_explore.py``
+time the same pairs.
+"""
+
+from .explore import explore
+from .extensions import (
+    combined_pairs_analysis,
+    head_pairs_analysis,
+    head_tail_analysis,
+    k_pairs_analysis,
+)
+from .refined import (
+    component_for_head,
+    constraint4_deadlock_analysis,
+    refined_deadlock_analysis,
+)
+from .witness import find_anomaly_witness
+
+__all__ = [
+    "combined_pairs_analysis",
+    "component_for_head",
+    "constraint4_deadlock_analysis",
+    "explore",
+    "find_anomaly_witness",
+    "head_pairs_analysis",
+    "head_tail_analysis",
+    "k_pairs_analysis",
+    "refined_deadlock_analysis",
+]

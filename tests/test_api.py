@@ -87,13 +87,13 @@ class TestPreparedPipeline:
     """The split front half powering repro.server's resident state."""
 
     def test_prepare_plus_finish_matches_analyze(self, corpus):
-        from repro.api import BACKEND_AWARE, analyze_prepared, prepare
+        from repro.api import ALGORITHMS, analyze_prepared, prepare
         from repro.reporting import analysis_result_to_dict
 
         for name, entry in corpus.items():
             source = entry.program
             prep = prepare(source)
-            for algorithm in sorted(BACKEND_AWARE):
+            for algorithm in sorted(set(ALGORITHMS) - {"naive"}):
                 direct = analysis_result_to_dict(
                     analyze(source, algorithm=algorithm)
                 )
@@ -117,9 +117,9 @@ class TestPreparedPipeline:
         assert exact.deadlock.verdict == "possible-deadlock"
 
     def test_index_aware_excludes_k_pairs(self):
-        from repro.api import BACKEND_AWARE, INDEX_AWARE
+        from repro.api import ALGORITHMS, INDEX_AWARE
 
-        assert INDEX_AWARE == BACKEND_AWARE - {"k-pairs-3"}
+        assert INDEX_AWARE == frozenset(ALGORITHMS) - {"naive", "k-pairs-3"}
 
     def test_uri_is_provenance_only(self):
         from repro.reporting import analysis_result_to_dict

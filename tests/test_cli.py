@@ -68,35 +68,6 @@ class TestOutput:
         assert payload["simulation"]["runs"] == 5
         assert payload["simulation"]["deadlock_runs"] == 5
 
-    def test_backend_flag_is_bit_exact(self, crossed_file, capsys):
-        payloads = {}
-        for backend in ("index", "reference"):
-            main(
-                [
-                    str(crossed_file),
-                    "--algorithm",
-                    "exact",
-                    "--confirm",
-                    "--backend",
-                    backend,
-                    "--json",
-                ]
-            )
-            payloads[backend] = json.loads(capsys.readouterr().out)
-        assert payloads["index"] == payloads["reference"]
-        assert (
-            payloads["index"]["deadlock"]["verdict"] == "possible-deadlock"
-        )
-        assert (
-            payloads["index"]["confirmation"]["outcome"]
-            == "confirmed-deadlock"
-        )
-
-    def test_unknown_backend_rejected(self, crossed_file, capsys):
-        with pytest.raises(SystemExit):
-            main([str(crossed_file), "--backend", "turbo"])
-        assert "invalid choice" in capsys.readouterr().err
-
 
 class TestArtifacts:
     def test_dot_outputs(self, handshake_file, tmp_path):

@@ -1,11 +1,11 @@
-"""Differential and regression tests for the indexed wave engine (PR 5).
+"""Differential and regression tests for the indexed wave engine.
 
-The ``backend="index"`` wave kernels (:class:`repro.waves.engine.WaveIndex`)
-must be observationally indistinguishable from the ``backend="reference"``
-tuple-of-nodes oracles: same ``visited_count``, ``can_terminate``,
-anomaly classifications *in the same order*, witness schedules, and
-budget behavior.  Hypothesis drives both backends over random programs;
-the bundled paper corpus pins the real workloads.
+The packed-integer wave kernels (:class:`repro.waves.engine.WaveIndex`)
+must be observationally indistinguishable from the tuple-of-nodes
+oracles in ``tests/oracles/``: same ``visited_count``,
+``can_terminate``, anomaly classifications *in the same order*, witness
+schedules, and budget behavior.  Hypothesis drives both over random
+programs; the bundled paper corpus pins the real workloads.
 
 Also covers the bugfix satellites that ride along:
 
@@ -34,7 +34,7 @@ from repro.errors import ExplorationLimitError, UnknownTaskError
 from repro.lang.ast_nodes import Signal
 from repro.lang.parser import parse_program
 from repro.syncgraph.model import SyncGraph
-from repro.waves.engine import BACKENDS, WaveIndex
+from repro.waves.engine import WaveIndex
 from repro.waves.explore import ExplorationResult, explore
 from repro.waves.wave import (
     Wave,
@@ -44,8 +44,19 @@ from repro.waves.wave import (
 )
 from repro.waves.witness import find_anomaly_witness
 from repro.workloads.patterns import dining_philosophers
+from tests import oracles
 from tests.conftest import graph_of
 from tests.test_properties import FAST, small_programs
+
+# The budget tests run against the product search and its oracle.
+EXPLORERS = [
+    pytest.param(explore, id="index"),
+    pytest.param(oracles.explore, id="reference"),
+]
+WITNESS_FINDERS = [
+    pytest.param(find_anomaly_witness, id="index"),
+    pytest.param(oracles.find_anomaly_witness, id="reference"),
+]
 
 
 def _classification_fingerprint(classification):
@@ -65,11 +76,8 @@ def _explore_fingerprint(result):
     )
 
 
-def _both_backends(graph, **kwargs):
-    return (
-        explore(graph, backend="index", **kwargs),
-        explore(graph, backend="reference", **kwargs),
-    )
+def _product_and_oracle(graph, **kwargs):
+    return explore(graph, **kwargs), oracles.explore(graph, **kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -82,7 +90,7 @@ class TestDifferentialEquivalence:
     @given(small_programs())
     def test_explore_parity(self, program):
         graph = graph_of(program)
-        indexed, reference = _both_backends(graph, state_limit=60_000)
+        indexed, reference = _product_and_oracle(graph, state_limit=60_000)
         assert _explore_fingerprint(indexed) == _explore_fingerprint(
             reference
         )
@@ -93,7 +101,7 @@ class TestDifferentialEquivalence:
         # The budget-faithful paths must also agree: same limited flag,
         # same visited_count, same partial anomaly list.
         graph = graph_of(program)
-        indexed, reference = _both_backends(
+        indexed, reference = _product_and_oracle(
             graph, state_limit=7, on_limit="partial"
         )
         assert _explore_fingerprint(indexed) == _explore_fingerprint(
@@ -104,15 +112,13 @@ class TestDifferentialEquivalence:
     @given(small_programs())
     def test_witness_parity(self, program):
         graph = graph_of(program)
-        witnesses = {}
-        for backend in BACKENDS:
+        witnesses = []
+        for find in (find_anomaly_witness, oracles.find_anomaly_witness):
             try:
-                witnesses[backend] = find_anomaly_witness(
-                    graph, kind="any", state_limit=60_000, backend=backend
-                )
+                witnesses.append(find(graph, kind="any", state_limit=60_000))
             except ExplorationLimitError:
-                witnesses[backend] = "limited"
-        index_w, ref_w = witnesses["index"], witnesses["reference"]
+                witnesses.append("limited")
+        index_w, ref_w = witnesses
         if index_w is None or index_w == "limited":
             assert ref_w == index_w
             return
@@ -127,7 +133,7 @@ class TestDifferentialEquivalence:
     def test_corpus_parity(self, corpus):
         for name, entry in corpus.items():
             graph = graph_of(entry.program)
-            indexed, reference = _both_backends(graph, state_limit=60_000)
+            indexed, reference = _product_and_oracle(graph, state_limit=60_000)
             assert _explore_fingerprint(indexed) == _explore_fingerprint(
                 reference
             ), f"explore parity broke on corpus program {name!r}"
@@ -135,13 +141,12 @@ class TestDifferentialEquivalence:
     def test_corpus_witness_parity(self, corpus):
         for name, entry in corpus.items():
             graph = graph_of(entry.program)
-            per_backend = {}
-            for backend in BACKENDS:
-                per_backend[backend] = find_anomaly_witness(
-                    graph, kind="any", state_limit=60_000, backend=backend
-                )
-            index_w = per_backend["index"]
-            ref_w = per_backend["reference"]
+            index_w = find_anomaly_witness(
+                graph, kind="any", state_limit=60_000
+            )
+            ref_w = oracles.find_anomaly_witness(
+                graph, kind="any", state_limit=60_000
+            )
             if index_w is None:
                 assert ref_w is None, name
                 continue
@@ -152,11 +157,11 @@ class TestDifferentialEquivalence:
     def test_prebuilt_engine_is_reusable(self):
         graph = graph_of(dining_philosophers(4, True))
         engine = WaveIndex(graph)
-        first = explore(graph, backend="index", engine=engine)
-        second = explore(graph, backend="index", engine=engine)
+        first = explore(graph, engine=engine)
+        second = explore(graph, engine=engine)
         assert _explore_fingerprint(first) == _explore_fingerprint(second)
         assert find_anomaly_witness(
-            graph, kind="deadlock", backend="index", engine=engine
+            graph, kind="deadlock", engine=engine
         ) is not None
 
     def test_unpack_roundtrip(self):
@@ -164,13 +169,6 @@ class TestDifferentialEquivalence:
         engine = WaveIndex(graph)
         for key, _occ in engine._seed():
             assert engine.unpack(key) in initial_waves(graph)
-
-    def test_unknown_backend_rejected(self, handshake):
-        graph = graph_of(handshake)
-        with pytest.raises(ValueError, match="unknown backend"):
-            explore(graph, backend="turbo")
-        with pytest.raises(ValueError, match="unknown backend"):
-            find_anomaly_witness(graph, backend="turbo")
 
     def test_unknown_on_limit_mode_rejected(self, handshake):
         graph = graph_of(handshake)
@@ -199,22 +197,18 @@ class TestSeedingBudget:
     def test_initial_cross_product_is_wide(self, wide_graph):
         assert len(initial_waves(wide_graph)) == 8
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_seeding_respects_state_limit(self, wide_graph, backend):
+    @pytest.mark.parametrize("explore_fn", EXPLORERS)
+    def test_seeding_respects_state_limit(self, wide_graph, explore_fn):
         # Regression: seeding used to materialize the whole initial
         # cross product regardless of state_limit.
-        result = explore(
-            wide_graph, state_limit=4, backend=backend, on_limit="partial"
-        )
+        result = explore_fn(wide_graph, state_limit=4, on_limit="partial")
         assert result.limited
         assert result.visited_count == 4
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_witness_seeding_respects_state_limit(self, wide_graph, backend):
+    @pytest.mark.parametrize("find", WITNESS_FINDERS)
+    def test_witness_seeding_respects_state_limit(self, wide_graph, find):
         with pytest.raises(ExplorationLimitError):
-            find_anomaly_witness(
-                wide_graph, kind="deadlock", state_limit=4, backend=backend
-            )
+            find(wide_graph, kind="deadlock", state_limit=4)
 
 
 # --------------------------------------------------------------------------
@@ -237,12 +231,9 @@ class TestBudgetFaithfulness:
         assert partial.visited_count == 50
         assert partial.state_limit == 50
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_on_limit_partial_returns_result(self, dining_graph, backend):
-        result = explore(
-            dining_graph, state_limit=50, backend=backend,
-            on_limit="partial",
-        )
+    @pytest.mark.parametrize("explore_fn", EXPLORERS)
+    def test_on_limit_partial_returns_result(self, dining_graph, explore_fn):
+        result = explore_fn(dining_graph, state_limit=50, on_limit="partial")
         assert result.limited
         assert result.visited_count == 50
 
@@ -252,22 +243,19 @@ class TestBudgetFaithfulness:
         assert not result.limited
         assert result.has_deadlock
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("find", WITNESS_FINDERS)
     def test_witness_found_within_budget_is_returned(
-        self, dining_graph, backend
+        self, dining_graph, find
     ):
         # The full space has 321 waves; a budget of 50 is exhausted, but
         # a deadlock wave is discovered first — the witness must be
         # returned, not thrown away with an ExplorationLimitError.
-        witness = find_anomaly_witness(
-            dining_graph, kind="deadlock", state_limit=50, backend=backend
-        )
+        witness = find(dining_graph, kind="deadlock", state_limit=50)
         assert witness is not None
         assert witness.is_deadlock
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_confirm_upgrades_to_confirmed_despite_budget(
-        self, dining_graph, backend
+        self, dining_graph
     ):
         # Regression: confirm_deadlock_report used to answer
         # INCONCLUSIVE whenever the budget ran out, even with a deadlock
@@ -275,7 +263,7 @@ class TestBudgetFaithfulness:
         report = refined_deadlock_analysis(dining_graph)
         assert not report.deadlock_free
         confirmed = confirm_deadlock_report(
-            dining_graph, report, state_limit=50, backend=backend
+            dining_graph, report, state_limit=50
         )
         assert confirmed.outcome == ConfirmationOutcome.CONFIRMED
         assert confirmed.witness is not None

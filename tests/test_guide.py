@@ -197,12 +197,6 @@ class TestValidateStrategy:
         with pytest.raises(ValueError, match="positive"):
             validate_strategy("beam", 0)
 
-    def test_guided_requires_index_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            validate_strategy("astar", None, backend="reference")
-        # BFS runs on either kernel.
-        validate_strategy("bfs", None, backend="reference")
-
 
 # --------------------------------------------------------------------------
 # differential parity: bfs vs astar vs wide beam
@@ -436,21 +430,6 @@ class TestCLI:
 
         assert main([str(crossed_file), "--beam-width", "8"]) == 2
         assert "beam_width" in capsys.readouterr().err
-
-    def test_guided_reference_backend_exits_two(self, crossed_file, capsys):
-        from repro.cli import main
-
-        code = main(
-            [
-                str(crossed_file),
-                "--strategy",
-                "astar",
-                "--backend",
-                "reference",
-            ]
-        )
-        assert code == 2
-        assert "backend" in capsys.readouterr().err
 
     def test_confirm_with_guided_strategy(self, crossed_file, capsys):
         from repro.cli import main

@@ -1,13 +1,14 @@
-"""Differential tests: indexed bitset kernels vs the reference sets.
+"""Differential tests: indexed bitset kernels vs the set-based oracles.
 
-The ``backend="index"`` paths of the refined algorithm family must be
-observationally indistinguishable from the ``backend="reference"``
-oracle — same verdicts, same evidence components, same stats (down to
-the per-rule pruning counters).  Hypothesis drives both backends over
-random programs; the bundled paper corpus pins the real workloads.
-Also covers the early-exit property of the rooted Tarjan kernel and
-the satellite behaviors added alongside it (``sequenceable_with``
-memoization, the ``compute_orderings`` convergence warning).
+The refined algorithm family runs on :class:`AnalysisIndex` bitsets;
+its reports must be observationally indistinguishable from the
+set-based oracles in ``tests/oracles/`` — same verdicts, same evidence
+components, same stats (down to the per-rule pruning counters).
+Hypothesis drives both over random programs; the bundled paper corpus
+pins the real workloads.  Also covers the early-exit property of the
+rooted Tarjan kernel and the satellite behaviors added alongside it
+(``sequenceable_with`` memoization, the ``compute_orderings``
+convergence warning).
 """
 
 from __future__ import annotations
@@ -27,23 +28,21 @@ from repro.analysis.extensions import (
 )
 from repro.analysis.index import AnalysisIndex
 from repro.analysis.orderings import compute_orderings
-from repro.analysis.refined import (
-    component_for_head,
-    possible_heads,
-    refined_deadlock_analysis,
-)
+from repro.analysis.refined import possible_heads, refined_deadlock_analysis
 from repro.lang.parser import parse_program
 from repro.syncgraph.build import build_sync_graph
 from repro.transforms.unroll import remove_loops
+from tests import oracles
 from tests.conftest import graph_of
 from tests.test_properties import FAST, small_programs
 
-BACKEND_AWARE_DETECTORS = [
-    refined_deadlock_analysis,
-    constraint4_deadlock_analysis,
-    head_pairs_analysis,
-    head_tail_analysis,
-    combined_pairs_analysis,
+# Each product detector with its oracle.
+DETECTOR_PAIRS = [
+    (refined_deadlock_analysis, oracles.refined_deadlock_analysis),
+    (constraint4_deadlock_analysis, oracles.constraint4_deadlock_analysis),
+    (head_pairs_analysis, oracles.head_pairs_analysis),
+    (head_tail_analysis, oracles.head_tail_analysis),
+    (combined_pairs_analysis, oracles.combined_pairs_analysis),
 ]
 
 
@@ -65,9 +64,9 @@ class TestDifferentialEquivalence:
         which only appear under observability — must match exactly."""
         graph = graph_of(program)
         with obs.observed():
-            indexed = refined_deadlock_analysis(graph, backend="index")
+            indexed = refined_deadlock_analysis(graph)
         with obs.observed():
-            reference = refined_deadlock_analysis(graph, backend="reference")
+            reference = oracles.refined_deadlock_analysis(graph)
         assert "pruning" in indexed.stats
         assert _report_fingerprint(indexed) == _report_fingerprint(reference)
 
@@ -76,9 +75,9 @@ class TestDifferentialEquivalence:
     def test_extensions_and_constraint4_backends_agree(self, program):
         graph = graph_of(program)
         index = AnalysisIndex(graph)
-        for detector in BACKEND_AWARE_DETECTORS[1:]:
-            indexed = detector(graph, backend="index", index=index)
-            reference = detector(graph, backend="reference", index=index)
+        for detector, oracle in DETECTOR_PAIRS[1:]:
+            indexed = detector(graph, index=index)
+            reference = oracle(graph, index=index)
             assert _report_fingerprint(indexed) == _report_fingerprint(
                 reference
             ), detector.__name__
@@ -87,8 +86,8 @@ class TestDifferentialEquivalence:
     @given(small_programs())
     def test_k_pairs_backends_agree(self, program):
         graph = graph_of(program)
-        indexed = k_pairs_analysis(graph, k=3, backend="index")
-        reference = k_pairs_analysis(graph, k=3, backend="reference")
+        indexed = k_pairs_analysis(graph, k=3)
+        reference = oracles.k_pairs_analysis(graph, k=3)
         assert _report_fingerprint(indexed) == _report_fingerprint(reference)
 
     def test_corpus_backend_parity(self, corpus):
@@ -96,13 +95,11 @@ class TestDifferentialEquivalence:
         for name, entry in corpus.items():
             graph = graph_of(entry.program)
             index = AnalysisIndex(graph)
-            for detector in BACKEND_AWARE_DETECTORS:
+            for detector, oracle in DETECTOR_PAIRS:
                 with obs.observed():
-                    indexed = detector(graph, backend="index", index=index)
+                    indexed = detector(graph, index=index)
                 with obs.observed():
-                    reference = detector(
-                        graph, backend="reference", index=index
-                    )
+                    reference = oracle(graph, index=index)
                 assert _report_fingerprint(indexed) == _report_fingerprint(
                     reference
                 ), f"{name}/{detector.__name__}"
@@ -157,7 +154,7 @@ class TestEarlyExitTarjan:
         index = AnalysisIndex(graph)
         orderings, coexec = index.orderings, index.coexec
         for head in possible_heads(graph):
-            reference = component_for_head(
+            reference = oracles.component_for_head(
                 graph, index.clg, head, orderings, coexec
             )
             no_sync, do_not_enter = index.head_marks(head)

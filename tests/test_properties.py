@@ -627,24 +627,6 @@ def test_theorem3_matches_dpll(seed):
 
 
 # --------------------------------------------------------------------------
-# ordering backends agree
-# --------------------------------------------------------------------------
-
-
-@FAST
-@given(small_programs())
-def test_matrix_orderings_equivalent(program):
-    from repro.analysis.orderings_matrix import compute_orderings_matrix
-
-    transformed, _ = remove_loops(program)
-    graph = build_sync_graph(transformed)
-    assert (
-        compute_orderings(graph).precedes
-        == compute_orderings_matrix(graph).precedes
-    )
-
-
-# --------------------------------------------------------------------------
 # witnesses agree with exploration; traces respect the §2 invariants
 # --------------------------------------------------------------------------
 

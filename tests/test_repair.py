@@ -5,8 +5,7 @@ The acceptance contract for the repair pipeline:
 * over the convicted showcase corpus (plus the convicted analysis- and
   lint-corpus programs), at least 70% of programs get >= 1 certified
   fix;
-* every certified fix re-parses and re-analyzes deadlock-free on the
-  indexed backend;
+* every certified fix re-parses and re-analyzes deadlock-free;
 * fixes round-trip the SARIF shape validator when attached to the
   deadlock diagnostics;
 * the ``repair.candidates_rejected`` counter is non-zero on real
@@ -297,11 +296,9 @@ class TestAcceptance:
         for name, (_, _, report) in convicted_reports.items():
             for fix in report.fixes:
                 repaired = parse_program(fix.source)
-                check = repro.analyze(repaired, backend="index")
+                check = repro.analyze(repaired)
                 if fix.certified_by == "exact-waves":
-                    check = repro.analyze(
-                        repaired, exact=True, backend="index"
-                    )
+                    check = repro.analyze(repaired, exact=True)
                 assert check.deadlock.deadlock_free, (name, fix.kind)
 
     def test_every_rejection_is_counted(self, convicted_reports):

@@ -323,7 +323,6 @@ class TestSession:
             algorithm="refined",
             exact=False,
             state_limit=200_000,
-            backend="index",
         )
         assert result.uri == "untitled:buf"
 
@@ -521,6 +520,17 @@ class TestDaemonDispatch:
         assert reply["result"]["cache"] == "computed"
         report = reply["result"]["report"]
         assert report["deadlock"]["verdict"] == "possible-deadlock"
+
+    def test_retired_backend_param_is_ignored(self):
+        # Clients that still send the removed "backend" param keep
+        # working: the daemon ignores params it does not know.
+        params = {"uri": "mem:a", "text": CROSSED_SRC}
+        plain = rpc(make_server(), "analyze", params)
+        legacy = rpc(
+            make_server(), "analyze", {**params, "backend": "reference"}
+        )
+        assert "error" not in legacy
+        assert normalize(legacy["result"]) == normalize(plain["result"])
 
     def test_queue_size_default(self):
         assert make_server().scheduler.max_pending == DEFAULT_QUEUE_SIZE
