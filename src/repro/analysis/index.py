@@ -91,15 +91,20 @@ class AnalysisIndex:
             node.sync for node in nodes
         ]
 
+        rendezvous = graph.rendezvous_nodes
         self.in_id: Dict[SyncNode, int] = {}
         self.out_id: Dict[SyncNode, int] = {}
+        # in_of[p]: CLG in-node id of the rendezvous node at position p
+        # (the positions the ordering rows are indexed by).
+        in_of: List[int] = []
         in_bits = 0
         out_bits = 0
-        for s in graph.rendezvous_nodes:
+        for s in rendezvous:
             i = node_index[clg.in_node(s)]
             o = node_index[clg.out_node(s)]
             self.in_id[s] = i
             self.out_id[s] = o
+            in_of.append(i)
             in_bits |= 1 << i
             out_bits |= 1 << o
         self.in_bits = in_bits
@@ -152,10 +157,12 @@ class AnalysisIndex:
         task_bits: Dict[str, int] = {}
         in_id = self.in_id
         out_id = self.out_id
-        for s in graph.rendezvous_nodes:
+        for s, row in zip(rendezvous, self.orderings.sequenceable_rows):
             m = 0
-            for k in self.orderings.sequenceable_with(s):
-                m |= 1 << in_id[k]
+            while row:
+                k = (row & -row).bit_length() - 1
+                row &= row - 1
+                m |= 1 << in_of[k]
             seq_bits[s] = m
             m = 0
             for k in graph.sync_neighbors(s):

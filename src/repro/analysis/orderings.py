@@ -31,9 +31,11 @@ prefix-sound closure of the same two ideas:
 * ``precedes(h, k)`` ≡ *"k is not reached until h has completed"* ≡
   ``REL(d, h)`` for some strict dominator ``d`` of ``k``.
 
-Two sound strengthenings are applied on acyclic control flow:
+The closure is **transitive** — ``REL(x, y)`` and ``REL(y, z)`` give
+``REL(x, z)`` — on every control-flow shape, without a clause of its
+own (see :func:`compute_orderings`).  One sound strengthening is
+applied on acyclic control flow only:
 
-* **transitivity** — ``REL(x, y)`` and ``REL(y, z)`` give ``REL(x, z)``;
 * **counting** — when every accept node of a signal lies in one task in
   a domination chain and the signal has equally many send nodes,
   completing the *last* accept forces completion of every send (each
@@ -46,15 +48,19 @@ Two sound strengthenings are applied on acyclic control flow:
 If ``precedes(h, k)`` or ``precedes(k, h)`` holds, the two nodes can
 never be simultaneously waiting on an execution wave — exactly the
 property the NO-SYNC marking needs.
+
+Everything is computed over dense ids: a rendezvous node's *position*
+is its index in ``graph.rendezvous_nodes``, and every set of nodes is an
+int bitset over positions.  :class:`SyncNode` objects appear only at
+the API boundary (the :class:`OrderingInfo` query methods and
+:func:`strict_dominators`' return value).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..syncgraph.model import SyncGraph, SyncNode
@@ -62,66 +68,140 @@ from ..syncgraph.model import SyncGraph, SyncNode
 __all__ = ["OrderingInfo", "compute_orderings"]
 
 
+def _positions(nodes: Sequence[SyncNode]) -> List[int]:
+    """``uid`` → position in ``nodes`` (``-1`` for ``b`` and ``e``,
+    whose uids come first)."""
+    position = [-1] * (max((node.uid for node in nodes), default=-1) + 1)
+    for i, node in enumerate(nodes):
+        position[node.uid] = i
+    return position
+
+
+def _members(nodes: Sequence[SyncNode], row: int) -> FrozenSet[SyncNode]:
+    out = []
+    while row:
+        k = (row & -row).bit_length() - 1
+        row &= row - 1
+        out.append(nodes[k])
+    return frozenset(out)
+
+
 @dataclass
 class OrderingInfo:
     """Prefix-sound must-ordering facts over rendezvous nodes.
 
-    ``precedes[a]`` is the set of nodes ``b`` such that ``b`` cannot be
-    reached before ``a`` has completed its rendezvous.
+    ``precedes_rows[h]`` is an int bitset over positions in ``nodes``
+    (the graph's ``rendezvous_nodes``): bit ``k`` is set when
+    ``nodes[k]`` cannot be reached before ``nodes[h]`` has completed
+    its rendezvous.  ``sequenceable_rows`` is its symmetric closure.
     """
 
-    precedes: Dict[SyncNode, FrozenSet[SyncNode]]
-    # Lazily built symmetric closure (forward ∪ backward per node); the
-    # refined algorithm queries sequenceable_with once per head per
-    # analysis, so the reverse map is materialized once instead of
-    # re-scanning all of ``precedes`` per query.
-    _seq_with: Optional[Dict[SyncNode, FrozenSet[SyncNode]]] = field(
-        default=None, compare=False, repr=False
+    nodes: Tuple[SyncNode, ...]
+    precedes_rows: List[int]
+    sequenceable_rows: List[int]
+    # uid -> position, and the node-set views built on first access.
+    _position: List[int] = field(
+        default_factory=list, init=False, compare=False, repr=False
+    )
+    _precedes: Optional[Dict[SyncNode, FrozenSet[SyncNode]]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _seq_sets: Optional[List[FrozenSet[SyncNode]]] = field(
+        default=None, init=False, compare=False, repr=False
     )
 
+    def __post_init__(self) -> None:
+        self._position = _positions(self.nodes)
+
+    def _index(self, node: SyncNode) -> int:
+        position = self._position
+        uid = node.uid
+        if uid < len(position):
+            i = position[uid]
+            if i >= 0 and (self.nodes[i] is node or self.nodes[i] == node):
+                return i
+        return -1
+
+    @property
+    def precedes(self) -> Dict[SyncNode, FrozenSet[SyncNode]]:
+        """``precedes[a]``: the nodes that cannot be reached before
+        ``a`` has completed its rendezvous."""
+        if self._precedes is None:
+            nodes = self.nodes
+            self._precedes = {
+                node: _members(nodes, row)
+                for node, row in zip(nodes, self.precedes_rows)
+            }
+        return self._precedes
+
     def must_precede(self, a: SyncNode, b: SyncNode) -> bool:
-        return b in self.precedes.get(a, frozenset())
+        i = self._index(a)
+        j = self._index(b)
+        return i >= 0 and j >= 0 and bool((self.precedes_rows[i] >> j) & 1)
 
     def sequenceable(self, a: SyncNode, b: SyncNode) -> bool:
-        return self.must_precede(a, b) or self.must_precede(b, a)
+        i = self._index(a)
+        j = self._index(b)
+        return i >= 0 and j >= 0 and bool((self.sequenceable_rows[i] >> j) & 1)
 
     def sequenceable_with(self, a: SyncNode) -> FrozenSet[SyncNode]:
-        cache = self._seq_with
-        if cache is None:
-            backward: Dict[SyncNode, Set[SyncNode]] = {}
-            for b, targets in self.precedes.items():
-                for t in targets:
-                    backward.setdefault(t, set()).add(b)
-            cache = {
-                node: frozenset(
-                    self.precedes.get(node, frozenset())
-                    | backward.get(node, set())
-                )
-                for node in set(self.precedes) | set(backward)
-            }
-            self._seq_with = cache
-        return cache.get(a, frozenset())
+        i = self._index(a)
+        if i < 0:
+            return frozenset()
+        if self._seq_sets is None:
+            nodes = self.nodes
+            self._seq_sets = [
+                _members(nodes, row) for row in self.sequenceable_rows
+            ]
+        return self._seq_sets[i]
 
     @property
     def pair_count(self) -> int:
         """Number of ordered pairs (for reporting/benchmarks)."""
-        return sum(len(v) for v in self.precedes.values())
+        return sum(row.bit_count() for row in self.precedes_rows)
 
 
-def _task_control_graph(graph: SyncGraph, task: str) -> "nx.DiGraph":
-    """Per-task control graph rooted at ``b``: the task's rendezvous
-    nodes plus ``b``/``e`` with the control edges among them."""
-    g = nx.DiGraph()
-    nodes = set(graph.nodes_of_task(task))
-    g.add_node(graph.b)
-    g.add_node(graph.e)
-    g.add_nodes_from(nodes)
+def _strict_dominator_rows(
+    graph: SyncGraph, nodes: Sequence[SyncNode], position: List[int]
+) -> List[int]:
+    """Strict dominator bitsets of every rendezvous node within its
+    task; ``0`` for nodes unreachable from ``b``.
+
+    The iterative dataflow ``dom(v) = {v} ∪ ⋂ dom(p)`` over the control
+    predecessors ``p`` of ``v`` in its own task, swept in position
+    (program) order until stable from the top ``-1`` (all ones).  ``b``
+    contributes the empty set (it is no rendezvous), so a node entered
+    from ``b`` has no strict dominator.
+    """
+    b = graph.b
+    entry = 0  # nodes with a control edge from b
+    preds: List[List[int]] = [[] for _ in nodes]
     for src, dst in graph.control_edges():
-        src_ok = src is graph.b or src in nodes
-        dst_ok = dst is graph.e or dst in nodes
-        if src_ok and dst_ok:
-            g.add_edge(src, dst)
-    return g
+        j = position[dst.uid]
+        if j < 0:
+            continue
+        if src is b:
+            entry |= 1 << j
+            continue
+        i = position[src.uid]
+        if i >= 0 and src.task == dst.task:
+            preds[j].append(i)
+
+    # A node keeps the top -1 exactly when no predecessor ever leaves it,
+    # i.e. when it is unreachable from b.
+    dom = [-1] * len(nodes)
+    changed = True
+    while changed:
+        changed = False
+        for v, vpreds in enumerate(preds):
+            acc = 0 if (entry >> v) & 1 else -1
+            for p in vpreds:
+                acc &= dom[p]
+            new = acc | (1 << v)
+            if new != dom[v]:
+                dom[v] = new
+                changed = True
+    return [row & ~(1 << v) if row != -1 else 0 for v, row in enumerate(dom)]
 
 
 def strict_dominators(graph: SyncGraph) -> Dict[SyncNode, FrozenSet[SyncNode]]:
@@ -129,32 +209,21 @@ def strict_dominators(graph: SyncGraph) -> Dict[SyncNode, FrozenSet[SyncNode]]:
 
     ``d ∈ strict_dominators[x]`` means every control path from program
     start to ``x`` in ``x``'s task passes through (and therefore
-    completes) ``d`` first.
+    completes) ``d`` first.  Nodes unreachable from ``b`` get the empty
+    set.
     """
-    result: Dict[SyncNode, FrozenSet[SyncNode]] = {}
-    for task in graph.tasks:
-        g = _task_control_graph(graph, task)
-        task_nodes = [n for n in g.nodes if n.is_rendezvous]
-        if not task_nodes:
-            continue
-        idom = nx.immediate_dominators(g, graph.b)
-        for node in task_nodes:
-            doms: Set[SyncNode] = set()
-            walker = node
-            while walker in idom and idom[walker] is not walker:
-                walker = idom[walker]
-                if walker.is_rendezvous:
-                    doms.add(walker)
-            result[node] = frozenset(doms)
-    for node in graph.rendezvous_nodes:
-        result.setdefault(node, frozenset())
-    return result
+    nodes = graph.rendezvous_nodes
+    if not nodes:
+        return {}
+    rows = _strict_dominator_rows(graph, nodes, _positions(nodes))
+    return {node: _members(nodes, row) for node, row in zip(nodes, rows)}
 
 
 def _counting_seeds(
-    graph: SyncGraph, doms: Dict[SyncNode, FrozenSet[SyncNode]]
-) -> List[Tuple[SyncNode, SyncNode]]:
-    """Counting-rule seed facts ``REL(last, other_side_node)``.
+    graph: SyncGraph, position: List[int], dom_bits: List[int]
+) -> List[Tuple[int, int]]:
+    """Counting-rule seed facts ``REL(last, other_side)`` as
+    ``(position, bitset)`` pairs.
 
     For a signal whose accept (resp. send) nodes all sit in one task in
     a strict domination chain, with equally many nodes on the other
@@ -162,26 +231,33 @@ def _counting_seeds(
     node on the other side.  Only sound when nodes fire at most once,
     i.e. acyclic control flow — the caller checks that.
     """
-    seeds: List[Tuple[SyncNode, SyncNode]] = []
+    seeds: List[Tuple[int, int]] = []
     for signal in graph.signals:
         senders = graph.senders_of(signal)
         accepters = graph.accepters_of(signal)
         if not senders or not accepters or len(senders) != len(accepters):
             continue
         for side, other in ((accepters, senders), (senders, accepters)):
-            tasks = {n.task for n in side}
-            if len(tasks) != 1:
+            if len({node.task for node in side}) != 1:
                 continue
+            ids = [position[node.uid] for node in side]
+            side_bits = 0
+            for i in ids:
+                side_bits |= 1 << i
+            # In a chain the k-th node has k side dominators, so sorting
+            # by that count gives the chain order.
             chain = sorted(
-                side, key=lambda n: sum(1 for m in side if m in doms[n])
+                ids, key=lambda i: (dom_bits[i] & side_bits).bit_count()
             )
-            ok = all(
-                chain[i] in doms[chain[i + 1]] for i in range(len(chain) - 1)
-            )
-            if not ok:
+            if not all(
+                (dom_bits[chain[i + 1]] >> chain[i]) & 1
+                for i in range(len(chain) - 1)
+            ):
                 continue
-            last = chain[-1]
-            seeds.extend((last, o) for o in other)
+            other_bits = 0
+            for node in other:
+                other_bits |= 1 << position[node.uid]
+            seeds.append((chain[-1], other_bits))
     return seeds
 
 
@@ -191,66 +267,73 @@ def compute_orderings(
     """Least fixpoint of the prefix-sound REL closure; see module docs.
 
     Works for cyclic control flow too (every clause reads "has
-    completed at least once"), but the counting and transitivity
-    strengthenings assume each node fires at most once and are only
-    applied on acyclic control subgraphs.
+    completed at least once"), but the counting seeds assume each node
+    fires at most once and are only added on acyclic control flow.
 
-    The fixpoint is solved with a reverse-dependency worklist over
-    integer bitsets: a node is re-evaluated only when a fact it reads —
-    a dominator's or sync partner's REL row, or (for the transitive
-    clause) the row of a current member — actually grew, instead of the
-    reference round-robin Gauss–Seidel sweeps that re-visit every node
-    per round.  The work budget is ``max_iterations × |nodes|``
-    evaluations (the sweep equivalent); exhausting it returns the
-    partial fixpoint, which is sound (a subset of the derivable facts,
-    so strictly less pruning) but imprecise, and warns.
+    The fixpoint is solved semi-naively over int bitsets.  ``rel[x]``
+    is the row of ``h`` with ``REL(x, h)``.  Node ``x`` folds the rows
+    of its *direct* members — its strict dominators, plus its counting
+    seed targets — and the meet of its sync partners' rows.
+    ``pending[x]`` holds the direct rows that grew since ``x`` last
+    folded them, and one evaluation folds only those.  When ``rel[y]``
+    grows, every node that reads it directly and lacks part of the
+    growth gets bit ``y`` in ``pending`` and is queued, as is every
+    node whose sync partner is ``y``.  Folding only direct rows still
+    yields a transitive closure: every member a row gains comes from a
+    row that is itself closed at the fixpoint, so by induction on the
+    order facts are derived, ``REL(x, y)`` implies
+    ``rel[y] ⊆ rel[x]``.  The clauses are monotone, so the closure has
+    one least fixpoint and neither the evaluation order nor the choice
+    of rows folded can change it.
+
+    The work budget is ``max_iterations × |nodes|`` evaluations (the
+    round-robin sweep equivalent); exhausting it returns the partial
+    fixpoint, which is sound (a subset of the derivable facts, so
+    strictly less pruning) but imprecise, and warns.
     """
     nodes = graph.rendezvous_nodes
     n = len(nodes)
     if n == 0:
-        return OrderingInfo(precedes={})
-    rid = {node: i for i, node in enumerate(nodes)}
+        return OrderingInfo(nodes=(), precedes_rows=[], sequenceable_rows=[])
+    position = _positions(nodes)
+    # Through the public function (not its row helper), so a tracer
+    # that wraps it still times dominators as a layer of their own.
     doms = strict_dominators(graph)
     acyclic = not graph.has_control_cycle()
 
     dom_bits = [0] * n
-    for x in nodes:
-        xi = rid[x]
-        for d in doms[x]:
-            dom_bits[xi] |= 1 << rid[d]
+    for x, ds in doms.items():
+        row = 0
+        for d in ds:
+            row |= 1 << position[d.uid]
+        dom_bits[position[x.uid]] = row
     partner_ids: List[Tuple[int, ...]] = [
-        tuple(rid[p] for p in graph.sync_neighbors(x)) for x in nodes
+        tuple(position[p.uid] for p in graph.sync_neighbors(x)) for x in nodes
     ]
+    # partner_readers[y]: nodes whose all-partners clause reads rel[y].
+    partner_readers = [0] * n
+    for i, pids in enumerate(partner_ids):
+        for p in pids:
+            partner_readers[p] |= 1 << i
 
-    # rel[x] = bitset of h with REL(x, h): "x completed => h completed".
-    rel = [(1 << i) | dom_bits[i] for i in range(n)]
+    # direct[x]: the rows x folds into its own (see docstring).
+    direct = list(dom_bits)
     if acyclic:
-        for x, h in _counting_seeds(graph, doms):
-            rel[rid[x]] |= 1 << rid[h]
-
-    # Static reverse dependencies: when rel[y] grows, re-evaluate every
-    # x that reads rel[y] through the dominator or all-partners clause.
-    dep_static = [0] * n
+        for x, other in _counting_seeds(graph, position, dom_bits):
+            direct[x] |= other
+    # rel[x] = bitset of h with REL(x, h): "x completed => h completed".
+    rel = [(1 << i) | direct[i] for i in range(n)]
+    # readers[y]: nodes whose direct rows include y.
+    readers = [0] * n
     for i in range(n):
         bit = 1 << i
-        m = dom_bits[i]
-        while m:
-            d = (m & -m).bit_length() - 1
-            m &= m - 1
-            dep_static[d] |= bit
-        for p in partner_ids[i]:
-            dep_static[p] |= bit
-
-    # Dynamic reverse dependencies for the transitive clause:
-    # member_of[y] = bitset of x with y ∈ rel[x], maintained as rows grow.
-    member_of = [0] * n
-    for i in range(n):
-        bit = 1 << i
-        m = rel[i]
+        m = direct[i]
         while m:
             y = (m & -m).bit_length() - 1
             m &= m - 1
-            member_of[y] |= bit
+            readers[y] |= bit
+    # pending[x]: direct rows that grew since x last folded them.
+    pending = list(direct)
 
     budget = max_iterations * n
     steps = 0
@@ -265,11 +348,6 @@ def compute_orderings(
         steps += 1
         cur = rel[x]
         new = cur
-        m = dom_bits[x]
-        while m:
-            d = (m & -m).bit_length() - 1
-            m &= m - 1
-            new |= rel[d]
         pids = partner_ids[x]
         if pids:
             common = rel[pids[0]]
@@ -278,30 +356,24 @@ def compute_orderings(
                 if not common:
                     break
             new |= common
-        if acyclic:
-            # Transitive closure: x completed => y completed => ...
-            # One pass over the pre-clause members; re-enqueueing below
-            # covers anything the new members imply.
-            m = new
-            while m:
-                y = (m & -m).bit_length() - 1
-                m &= m - 1
-                new |= rel[y]
+        m = pending[x]
+        pending[x] = 0
+        while m:
+            y = (m & -m).bit_length() - 1
+            m &= m - 1
+            new |= rel[y]
         if new != cur:
-            delta = new & ~cur
             rel[x] = new
+            delta = new & ~cur
             bitx = 1 << x
-            m = delta
+            worklist |= partner_readers[x]
+            m = readers[x]
             while m:
                 y = (m & -m).bit_length() - 1
                 m &= m - 1
-                member_of[y] |= bitx
-            deps = dep_static[x]
-            if acyclic:
-                # Readers of rel[x] via transitivity, plus x itself:
-                # the rows of the members just gained are not folded in.
-                deps |= member_of[x] | bitx
-            worklist |= deps
+                if delta & ~rel[y]:  # a reader already holding delta is done
+                    pending[y] |= bitx
+                    worklist |= 1 << y
 
     if exhausted:
         warnings.warn(
@@ -317,7 +389,9 @@ def compute_orderings(
         if exhausted:
             obs.counter("orderings.max_iterations_exhausted").inc()
 
-    precedes_bits = [0] * n
+    # before[k]: the h that must precede k (REL(d, h) for a strict
+    # dominator d of k); its transpose is the precedes rows.
+    before = [0] * n
     for k in range(n):
         reached_implies = 0
         m = dom_bits[k]
@@ -325,18 +399,15 @@ def compute_orderings(
             d = (m & -m).bit_length() - 1
             m &= m - 1
             reached_implies |= rel[d]
-        m = reached_implies & ~(1 << k)
-        while m:
-            h = (m & -m).bit_length() - 1
-            m &= m - 1
-            precedes_bits[h] |= 1 << k
-    precedes: Dict[SyncNode, FrozenSet[SyncNode]] = {}
-    for h in range(n):
-        targets: Set[SyncNode] = set()
-        m = precedes_bits[h]
-        while m:
-            k = (m & -m).bit_length() - 1
-            m &= m - 1
-            targets.add(nodes[k])
-        precedes[nodes[h]] = frozenset(targets)
-    return OrderingInfo(precedes=precedes)
+        before[k] = reached_implies & ~(1 << k)
+    # Transpose as an n×n matrix of '0'/'1' characters.  Strings run
+    # before[n-1] .. before[0], so column i, read top-down, is bit
+    # n-1-i of every row from high k to low k: rows[n-1-i] in binary.
+    fmt = f"0{n}b"
+    columns = zip(*(format(row, fmt) for row in reversed(before)))
+    rows = [int("".join(column), 2) for column in columns][::-1]
+    return OrderingInfo(
+        nodes=nodes,
+        precedes_rows=rows,
+        sequenceable_rows=[rows[i] | before[i] for i in range(n)],
+    )

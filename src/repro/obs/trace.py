@@ -4,7 +4,8 @@ A :class:`Tracer` records a forest of :class:`Span` objects.  Spans are
 opened with the ``Tracer.span`` context manager and nest by dynamic
 scope — a span opened while another is active becomes its child, so
 ``api.analyze``'s phase spans naturally contain the spans opened inside
-the algorithms they call.
+the algorithms they call.  Each thread has its own stack of open spans:
+concurrent requests become separate roots of the one shared forest.
 
 Span names follow the same dotted convention as metric names
 (``analyze.parse``, ``refined.scc``); attributes carry small
@@ -13,6 +14,7 @@ per-span facts (node counts, algorithm names) — never large objects.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
@@ -61,7 +63,7 @@ class _SpanHandle:
 
     def __exit__(self, *exc_info: object) -> None:
         self._span.duration_s = time.perf_counter() - self._span.start_s
-        stack = self._tracer._stack
+        stack = self._tracer._open.stack
         if stack and stack[-1] is self._span:
             stack.pop()
 
@@ -87,22 +89,31 @@ _NULL_SPAN_OBJ = _NullSpan("null")
 NULL_SPAN = _NullSpanHandle()
 
 
+class _OpenSpans(threading.local):
+    """The calling thread's stack of open spans (``__init__`` runs once
+    per thread)."""
+
+    def __init__(self) -> None:
+        self.stack: List[Span] = []
+
+
 class Tracer:
     """Collects a forest of spans for one observed scope."""
 
     def __init__(self) -> None:
         self.roots: List[Span] = []
-        self._stack: List[Span] = []
+        self._open = _OpenSpans()
 
     def span(self, name: str, **attributes: Any) -> _SpanHandle:
         span = Span(
             name=name, attributes=dict(attributes), start_s=time.perf_counter()
         )
-        if self._stack:
-            self._stack[-1].children.append(span)
+        stack = self._open.stack
+        if stack:
+            stack[-1].children.append(span)
         else:
             self.roots.append(span)
-        self._stack.append(span)
+        stack.append(span)
         return _SpanHandle(self, span)
 
     def all_spans(self) -> Iterator[Span]:

@@ -281,10 +281,28 @@ class SyncGraph:
         return src is dst or dst in self.control_descendants(src)
 
     def has_control_cycle(self) -> bool:
-        g = nx.DiGraph()
-        g.add_nodes_from(self._nodes)
-        g.add_edges_from(self.control_edges())
-        return not nx.is_directed_acyclic_graph(g)
+        """True iff the control edges contain a directed cycle.
+
+        Kahn's algorithm over ``uid``s: the graph is acyclic iff
+        repeatedly removing nodes without incoming edges removes all.
+        """
+        indegree = [0] * len(self._nodes)
+        succ: List[List[int]] = [[] for _ in self._nodes]
+        for src, dsts in self._control_succ.items():
+            out = succ[src.uid]
+            for dst in dsts:
+                out.append(dst.uid)
+                indegree[dst.uid] += 1
+        ready = [u for u, d in enumerate(indegree) if d == 0]
+        removed = 0
+        while ready:
+            u = ready.pop()
+            removed += 1
+            for v in succ[u]:
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    ready.append(v)
+        return removed < len(indegree)
 
     # -- export ------------------------------------------------------------
 

@@ -176,13 +176,13 @@ class TestSatelliteBehaviors:
     def test_sequenceable_with_is_memoized(self, handshake):
         graph = graph_of(handshake)
         orderings = compute_orderings(graph)
-        assert orderings._seq_with is None
+        assert orderings._seq_sets is None
         node = graph.rendezvous_nodes[0]
         first = orderings.sequenceable_with(node)
-        cache = orderings._seq_with
+        cache = orderings._seq_sets
         assert cache is not None
         assert orderings.sequenceable_with(node) == first
-        assert orderings._seq_with is cache  # no rebuild on the second query
+        assert orderings._seq_sets is cache  # no rebuild on the second query
         # The symmetric closure is still correct.
         for a in graph.rendezvous_nodes:
             for b in graph.rendezvous_nodes:

@@ -2,6 +2,8 @@
 
 import json
 import re
+import sys
+import threading
 
 import pytest
 
@@ -88,6 +90,102 @@ class TestTracer:
         assert "phase" in lines[0] and "nodes=3" in lines[0]
         assert "child" in lines[1]
         assert lines[1].index("child") > lines[0].index("phase")
+
+
+def _interleave(tracer, steps):
+    """Run ``steps`` — ``(thread, action, span_name)`` with action
+    ``"open"`` or ``"close"`` — in exactly this global order, each on its
+    own named thread.  Returns each thread's stack after its last step."""
+    threads = sorted({thread for thread, _, _ in steps})
+    turns = [threading.Event() for _ in steps]
+    stacks = {}
+
+    def worker(me):
+        handles = {}
+        for i, (thread, action, name) in enumerate(steps):
+            if thread != me:
+                continue
+            turns[i].wait(timeout=10)
+            if action == "open":
+                handles[name] = tracer.span(name)
+                handles[name].__enter__()
+            else:
+                handles.pop(name).__exit__(None, None, None)
+            if i + 1 < len(steps):
+                turns[i + 1].set()
+        stacks[me] = list(tracer._open.stack)
+
+    workers = [threading.Thread(target=worker, args=(t,)) for t in threads]
+    for w in workers:
+        w.start()
+    turns[0].set()
+    for w in workers:
+        w.join(timeout=10)
+    assert not any(w.is_alive() for w in workers)
+    return stacks
+
+
+class TestTracerThreads:
+    def test_concurrent_spans_are_separate_roots(self):
+        tracer = Tracer()
+        _interleave(tracer, [
+            ("A", "open", "req.A"),
+            ("B", "open", "req.B"),
+            ("A", "open", "child.A"),
+            ("B", "open", "child.B"),
+            ("A", "close", "child.A"),
+            ("B", "close", "child.B"),
+            ("B", "close", "req.B"),
+            ("A", "close", "req.A"),
+        ])
+        roots = {root.name: root for root in tracer.roots}
+        assert sorted(roots) == ["req.A", "req.B"]
+        assert [c.name for c in roots["req.A"].children] == ["child.A"]
+        assert [c.name for c in roots["req.B"].children] == ["child.B"]
+
+    def test_out_of_order_close_leaves_no_open_span(self):
+        tracer = Tracer()
+        stacks = _interleave(tracer, [
+            ("A", "open", "req.A"),
+            ("B", "open", "req.B"),
+            ("A", "close", "req.A"),  # while B's span is still open
+            ("B", "close", "req.B"),
+        ])
+        assert stacks == {"A": [], "B": []}
+        assert tracer._open.stack == []
+        with tracer.span("later"):
+            pass
+        assert [r.name for r in tracer.roots] == ["req.A", "req.B", "later"]
+        assert all(not r.children for r in tracer.roots)
+
+    def test_many_threads_keep_their_own_nesting(self):
+        tracer = Tracer()
+        start = threading.Barrier(8)
+
+        def work(t):
+            start.wait(timeout=10)
+            for _ in range(300):
+                with tracer.span(f"req.{t}"):
+                    with tracer.span(f"child.{t}"):
+                        pass
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=work, args=(t,)) for t in range(8)
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(w.is_alive() for w in workers)
+        assert len(tracer.roots) == 8 * 300
+        for root in tracer.roots:
+            t = root.name.split(".")[1]
+            assert [c.name for c in root.children] == [f"child.{t}"]
 
 
 class TestRegistry:

@@ -1,10 +1,22 @@
 """Ordering framework tests (paper §4.1 / SEQUENCEABLE)."""
 
+import networkx as nx
 import pytest
+from hypothesis import given
 
 from repro.analysis.orderings import compute_orderings, strict_dominators
 from repro.lang.parser import parse_program
 from repro.syncgraph.build import build_sync_graph
+from repro.transforms.inline import inline_procedures
+from repro.workloads.adl_corpus import adl_corpus, repair_corpus
+from repro.workloads.corpus import paper_corpus
+from repro.workloads.random_programs import (
+    inject_deadlock,
+    random_serializable_program,
+)
+from tests.conftest import graph_of
+from tests.oracles import orderings as oracle
+from tests.test_properties import FAST, rich_programs, small_programs
 
 
 def setup(src):
@@ -134,3 +146,77 @@ class TestSequenceableWith:
         sg = build_sync_graph(crossed)
         info = compute_orderings(sg)
         assert info.pair_count >= 0
+
+
+# -- differential tests against tests/oracles/orderings.py ---------------
+
+
+def _nx_has_control_cycle(sg):
+    g = nx.DiGraph()
+    g.add_nodes_from(sg.nodes)
+    g.add_edges_from(sg.control_edges())
+    return not nx.is_directed_acyclic_graph(g)
+
+
+def assert_matches_oracle(sg):
+    """Same facts as the networkx/worklist oracle, pair by pair."""
+    info = compute_orderings(sg)
+    expected = oracle.compute_orderings(sg)
+    nodes = sg.rendezvous_nodes
+    for a in nodes:
+        for b in nodes:
+            assert info.must_precede(a, b) == (b in expected[a]), (a, b)
+            assert info.sequenceable(a, b) == (
+                b in expected[a] or a in expected[b]
+            )
+    assert info.precedes == expected
+    assert info.pair_count == sum(len(t) for t in expected.values())
+    assert strict_dominators(sg) == oracle.strict_dominators(sg)
+    assert sg.has_control_cycle() == _nx_has_control_cycle(sg)
+
+
+class TestOracleDifferential:
+    @FAST
+    @given(small_programs(with_loops=True))
+    def test_loop_programs_raw_and_unrolled(self, program):
+        assert_matches_oracle(build_sync_graph(program))  # cyclic
+        assert_matches_oracle(graph_of(program))
+
+    @FAST
+    @given(small_programs(with_loops=False))
+    def test_straight_programs(self, program):
+        assert_matches_oracle(build_sync_graph(program))
+
+    @FAST
+    @given(rich_programs())
+    def test_full_grammar_programs(self, program):
+        assert_matches_oracle(build_sync_graph(program))
+        assert_matches_oracle(graph_of(program))
+
+
+def _corpus_programs():
+    programs = [entry.program for entry in paper_corpus().values()]
+    for corpus in (adl_corpus(), repair_corpus()):
+        programs += [parse_program(e.source) for e in corpus.values()]
+    return programs
+
+
+def test_sweep_matches_oracle():
+    """Every shipped corpus program (raw and unrolled) and serializable
+    programs, with and without a planted deadlock, up to ~120 nodes."""
+    graphs = []
+    for program in _corpus_programs():
+        program, _ = inline_procedures(program)
+        graphs += [build_sync_graph(program), graph_of(program)]
+    for seed, tasks, steps in ((1, 2, 4), (2, 3, 12), (3, 4, 25),
+                               (4, 6, 40), (5, 8, 60)):
+        for unique in (False, True):
+            program = random_serializable_program(
+                tasks=tasks, rendezvous=steps, seed=seed,
+                unique_messages=unique,
+            )
+            graphs += [graph_of(program), graph_of(inject_deadlock(program))]
+    assert any(sg.has_control_cycle() for sg in graphs)
+    assert max(len(sg.rendezvous_nodes) for sg in graphs) >= 100
+    for sg in graphs:
+        assert_matches_oracle(sg)
