@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import obs
+from ..budget import CHECK_EVERY, checkpoint
 from ..syncgraph.model import SyncGraph, SyncNode
 
 __all__ = ["OrderingInfo", "compute_orderings"]
@@ -335,14 +336,20 @@ def compute_orderings(
     # pending[x]: direct rows that grew since x last folded them.
     pending = list(direct)
 
-    budget = max_iterations * n
+    max_steps = max_iterations * n
     steps = 0
     exhausted = False
+    budget = checkpoint()
+    countdown = CHECK_EVERY if budget is not None else -1
     worklist = (1 << n) - 1
     while worklist:
-        if steps >= budget:
+        if steps >= max_steps:
             exhausted = True
             break
+        countdown -= 1
+        if not countdown:
+            budget.check()
+            countdown = CHECK_EVERY
         x = (worklist & -worklist).bit_length() - 1
         worklist &= worklist - 1
         steps += 1

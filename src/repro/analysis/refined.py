@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .. import obs
+from ..budget import CHECK_EVERY, checkpoint
 from ..errors import AnalysisError
 from ..syncgraph.clg import CLG
 from ..syncgraph.model import SyncGraph, SyncNode
@@ -115,7 +116,13 @@ def refined_deadlock_analysis(
     visited_total = 0
     with obs.span("refined.heads", heads=len(heads)):
         global_mask = index.in_mask(global_no_sync)
+        budget = checkpoint()
+        countdown = CHECK_EVERY if budget is not None else -1
         for head in heads:
+            countdown -= 1
+            if not countdown:
+                budget.check()
+                countdown = CHECK_EVERY
             no_sync, do_not_enter = index.head_marks(head, use_coaccept)
             no_sync |= global_mask
             if prune_counts is not None:

@@ -92,3 +92,19 @@ class ExplorationLimitError(ReproError):
 
 class SimulationError(ReproError):
     """Raised when the runtime interpreter is misconfigured."""
+
+
+class RequestTimeout(ReproError):
+    """A request's wall-clock deadline passed while it was still working.
+
+    Raised by the loops that check the active
+    :class:`~repro.budget.Budget`; the daemon answers code 1001.
+    """
+
+
+class RequestCancelled(ReproError):
+    """A request was cancelled while it was still working.
+
+    Raised by the loops that check the active
+    :class:`~repro.budget.Budget`; the daemon answers code 1004.
+    """

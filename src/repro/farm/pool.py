@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import threading
 import time
 import traceback
@@ -45,7 +46,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .. import obs
+from .. import budget, obs
 
 __all__ = [
     "STATUS_OK",
@@ -124,12 +125,6 @@ def analyze_item(item: WorkItem) -> WorkOutcome:
     Module-level (hence picklable for spawn-based pools) and
     exception-total: every Python failure becomes a ``FAILED`` outcome.
     """
-    # Pool workers inherit the parent's obs session under fork; their
-    # copy is never exported, so don't pay for recording into it.  In
-    # the serial fallback this runs in the parent itself, whose session
-    # must survive.
-    if multiprocessing.parent_process() is not None:
-        obs.disable()
     _maybe_inject_fault(item.label)
     start = time.perf_counter()
     try:
@@ -167,6 +162,28 @@ def analyze_item(item: WorkItem) -> WorkOutcome:
         )
 
 
+def _init_worker() -> None:
+    """Start-up of every pool process: drop what a fork inherited.
+
+    A forked worker starts with the state of the thread that forked it:
+    the daemon's SIGTERM/SIGINT handlers (the pool's ``terminate()``
+    would print a traceback per worker), the request's cancel token and
+    budget that thread was running under (the worker would check them
+    again in every later item), and the obs session, whose copy is
+    never exported.
+    """
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, signal.SIG_DFL)
+    budget.clear()
+    obs.disable()
+
+
+def _new_executor(jobs: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(
+        max_workers=jobs, mp_context=_mp_context(), initializer=_init_worker
+    )
+
+
 def _mp_context() -> multiprocessing.context.BaseContext:
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
@@ -186,9 +203,9 @@ class SharedProcessPool:
 
     Deliberately *no* per-item preemptive timeout: killing the shared
     pool to stop one overrun would take every other client's in-flight
-    work with it.  Requests with a wall-clock budget keep going through
-    :func:`run_pool` (private pool, preemptive kill); everything here
-    is expected to finish.  A broken pool (worker death) is discarded
+    work with it.  Requests with a wall-clock budget stay in-process,
+    where the budget is checked; everything here is expected to
+    finish.  A broken pool (worker death) is discarded
     and lazily rebuilt; the poisoned call reports ``CRASHED`` so the
     caller can fall back to in-process execution.
     """
@@ -216,9 +233,7 @@ class SharedProcessPool:
         try:
             with self._lock:
                 if self._executor is None:
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=self.jobs, mp_context=_mp_context()
-                    )
+                    self._executor = _new_executor(self.jobs)
                 future = self._executor.submit(worker, item)
             return future.result()
         except BrokenProcessPool:
@@ -278,7 +293,6 @@ def _run_parallel(
     worker: Callable[[WorkItem], WorkOutcome],
     max_crash_retries: int,
 ) -> List[WorkOutcome]:
-    ctx = _mp_context()
     results: List[Optional[WorkOutcome]] = [None] * len(items)
     pending: deque = deque(enumerate(items))
     # Items poisoned by a pool breakage, re-run one at a time so the
@@ -292,9 +306,7 @@ def _run_parallel(
     def spin_up() -> ProcessPoolExecutor:
         nonlocal executor
         if executor is None:
-            executor = ProcessPoolExecutor(
-                max_workers=jobs, mp_context=ctx
-            )
+            executor = _new_executor(jobs)
         return executor
 
     def tear_down() -> None:

@@ -25,32 +25,41 @@ same-document requests serialized while different documents proceed in
 parallel, and cold analyses are offloaded to a shared process pool so
 concurrent clients use real cores instead of contending for the GIL.
 
+Each worker runs its request with the request's cancel event as its
+cancel token (:mod:`repro.budget`).  An in-process analysis checks
+that token, plus a deadline of ``params.timeout`` seconds from when
+the analysis starts, in its long-running loops (wave search, refined
+per-head loop, orderings fixpoint).  A timed-out request answers code
+1001 and a cancelled one 1004 as soon as the next check runs, and the
+worker is free for the next request.  Nothing an aborted request
+half-built is cached.
+
 Cancellation (``cancel`` method, ``params.id`` = the target request's
 id, same client namespace): a still-queued request is removed and
-answered with code 1004 immediately; an in-flight request is marked —
-its worker discards the handler result and answers 1004 when it
-returns (caches stay warm; the work is not torn down mid-flight).
-``cancel`` itself is handled on the transport thread, never queued —
-it cannot wait behind the very request it is cancelling.
+answered with code 1004 immediately; an in-flight request has its
+cancel event set.  Work that never checks it (lint, repair synthesis,
+batch, a phase outside the checked loops, an analysis offloaded to the
+shared pool) runs to completion and is cached as usual, and its worker
+then discards the result and answers 1004 all the same.  ``cancel``
+itself is handled on the transport thread, never queued — it cannot
+wait behind the very request it is cancelling.
 
 Shutdown is graceful from all three triggers — a ``shutdown`` request,
 SIGTERM, or SIGINT: transports stop accepting input, the workers drain
 every request already queued (each still gets its response), resident
 results are flushed to the disk store, and the process exits 0.
-Per-request wall-clock budgets (``params.timeout``) run in a farm
-worker process so an overrun is terminated preemptively; a timed-out
-request answers with code 1001 and the daemon keeps serving.
 """
 
 from __future__ import annotations
 
+import math
 import signal
 import sys
 import threading
 from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple
 
-from .. import obs
-from ..errors import ReproError
+from .. import budget, obs
+from ..errors import ReproError, RequestCancelled, RequestTimeout
 from ..farm.pool import SharedProcessPool
 from .protocol import (
     ANALYSIS_ERROR,
@@ -63,7 +72,6 @@ from .protocol import (
     SHUTTING_DOWN,
     ProtocolError,
     Request,
-    RequestTimeout,
     decode_request,
     dumps,
     error_response,
@@ -81,6 +89,23 @@ __all__ = [
 
 DEFAULT_QUEUE_SIZE = 64
 DEFAULT_WORKERS = 1
+
+
+def _timeout_param(params: Dict[str, Any]) -> Optional[float]:
+    """``params.timeout``: absent, or seconds as a finite number > 0."""
+    value = params.get("timeout")
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ValueError(
+            f"timeout must be a finite number of seconds > 0, got {value!r}"
+        )
+    return float(value)
 
 
 class _SignalStop(Exception):
@@ -177,6 +202,8 @@ class AnalysisServer:
             return response(request.id, handler(request.params, namespace))
         except RequestTimeout as exc:
             return error_response(request.id, REQUEST_TIMEOUT, str(exc))
+        except RequestCancelled as exc:
+            return error_response(request.id, REQUEST_CANCELLED, str(exc))
         except ReproError as exc:
             return error_response(
                 request.id,
@@ -204,7 +231,7 @@ class AnalysisServer:
             algorithm=params.get("algorithm", "refined"),
             exact=bool(params.get("exact", False)),
             state_limit=int(params.get("state_limit", 200_000)),
-            timeout=params.get("timeout"),
+            timeout=_timeout_param(params),
             strategy=params.get("strategy", "bfs"),
             beam_width=int(beam_width) if beam_width is not None else None,
             client=client,
@@ -253,7 +280,7 @@ class AnalysisServer:
                 algorithm=params.get("algorithm", "refined"),
                 state_limit=int(params.get("state_limit", 200_000)),
                 jobs=int(params.get("jobs", 1)),
-                timeout=params.get("timeout"),
+                timeout=_timeout_param(params),
                 lint=bool(params.get("lint", False)),
             )
         }
@@ -296,8 +323,9 @@ class AnalysisServer:
         """Cancel a queued or in-flight request of the same client.
 
         Queued: removed outright, answered ``REQUEST_CANCELLED`` here
-        and now.  In-flight: cooperatively marked; its worker answers
-        1004 when the handler returns.  Unknown ids (already answered,
+        and now.  In-flight: its cancel event is set, which the
+        request's budget checks; its worker answers 1004 when the
+        handler stops or returns.  Unknown ids (already answered,
         never seen) report ``cancelled: false``.
         """
         if "id" not in params:
@@ -443,7 +471,8 @@ class AnalysisServer:
                 busy = self._busy
             self._gauge_busy(busy)
             try:
-                reply = self.handle_request(request, client=entry.client)
+                with budget.request(entry.cancelled):
+                    reply = self.handle_request(request, client=entry.client)
             finally:
                 with self._state_lock:
                     self._inflight.pop(key, None)
@@ -451,9 +480,10 @@ class AnalysisServer:
                     busy = self._busy
                 self._gauge_busy(busy)
             if entry.cancelled.is_set():
-                # Cooperative in-flight cancel: the work completed and
-                # warmed the caches, but the caller asked us not to
-                # deliver it.
+                # In-flight cancel: the analysis stopped at a budget
+                # check, or the handler never checks and completed
+                # (warming the caches) — either way the caller asked
+                # for no result.
                 reply = error_response(
                     request.id,
                     REQUEST_CANCELLED,
@@ -486,8 +516,22 @@ class AnalysisServer:
         """Run the stdio loop until EOF, ``shutdown``, or a signal.
 
         Returns the process exit code (0 for every graceful path).
+        Without an explicit ``stdin`` the requests are read from a
+        private file object on fd 0, not ``sys.stdin``: the reader
+        holds the lock of the file it blocks on, and a process forked
+        for the compute pool closes ``sys.stdin`` on start-up — which
+        would wait forever on that copied, held lock.
         """
-        stdin = stdin if stdin is not None else sys.stdin
+        if stdin is None:
+            with open(
+                sys.stdin.fileno(),
+                encoding=sys.stdin.encoding,
+                errors=sys.stdin.errors,
+                closefd=False,
+            ) as private:
+                return self.serve(
+                    private, stdout, install_signal_handlers
+                )
         out = stdout if stdout is not None else sys.stdout
 
         previous: Dict[int, Any] = {}

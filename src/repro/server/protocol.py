@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..errors import ReproError
+from ..errors import RequestTimeout
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -97,10 +97,6 @@ class ProtocolError(Exception):
     def __init__(self, code: int, message: str) -> None:
         super().__init__(message)
         self.code = code
-
-
-class RequestTimeout(ReproError):
-    """A request exceeded its wall-clock budget (code 1001)."""
 
 
 @dataclass

@@ -53,7 +53,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .. import obs
+from .. import budget, obs
 from ..api import (
     ALGORITHMS,
     INDEX_AWARE,
@@ -64,19 +64,13 @@ from ..api import (
 )
 from ..errors import ReproError
 from ..farm.cache import LruFront, ResultCache, cache_key
-from ..farm.pool import (
-    STATUS_OK,
-    STATUS_TIMEOUT,
-    SharedProcessPool,
-    WorkItem,
-    run_pool,
-)
+from ..farm.pool import STATUS_OK, SharedProcessPool, WorkItem
 from ..lang.ast_nodes import Program
 from ..lang.parser import parse_program
 from ..lang.pretty import pretty
 from ..waves.guide import validate_strategy
 from ..reporting import analysis_result_to_dict, repair_report_to_dict
-from .protocol import PROTOCOL_VERSION, RequestTimeout
+from .protocol import PROTOCOL_VERSION
 from .scheduler import DEFAULT_CLIENT
 
 __all__ = ["Document", "Session", "INVALIDATION_KINDS"]
@@ -479,6 +473,12 @@ class Session:
         daemon run or batch), or ``"computed"``.  ``strategy`` /
         ``beam_width`` steer exact exploration exactly like
         :func:`repro.api.analyze`; they are part of the cache key.
+        The in-process computation runs under the request budget
+        (:mod:`repro.budget`): the daemon's cancel token plus a
+        ``timeout``-second deadline from when it starts.  A cache hit
+        answers regardless; an abort raises
+        :class:`~repro.errors.RequestTimeout` or
+        :class:`~repro.errors.RequestCancelled` with nothing cached.
         """
         result, payload, cache = self._analysis(
             self._resolve(uri, text, client),
@@ -529,45 +529,43 @@ class Session:
                     return result, payload, "store"
 
             result = None
-            if timeout is not None:
-                # Any request with a wall-clock budget runs in its own
-                # pool process so an overrun is terminated preemptively
-                # — for every algorithm, not just exact exploration (a
-                # refined-only timeout used to be silently dropped).
-                result = self._analyze_pooled(
-                    doc, algorithm, exact, state_limit, timeout,
-                    strategy=strategy, beam_width=beam_width,
-                )
-            elif self.compute is not None and not doc.artifacts()["prepared"]:
+            if (
+                self.compute is not None
+                and timeout is None
+                and not doc.artifacts()["prepared"]
+            ):
                 # Cold document + a shared compute pool (multi-worker
                 # daemon): offload the whole pipeline to a process so
                 # concurrent clients use real cores instead of
                 # contending for the GIL.  Warm documents stay
-                # in-process where their resident kernels live.
+                # in-process where their resident kernels live, and so
+                # do timed requests: only in-process loops see the
+                # deadline.
                 result = self._analyze_offloaded(
                     doc, algorithm, exact, state_limit,
                     strategy=strategy, beam_width=beam_width,
                 )
             if result is None:
-                is_exact = exact or algorithm == "exact"
-                prep = doc.prepared()
-                index = (
-                    doc.index()
-                    if not is_exact and algorithm in INDEX_AWARE
-                    else None
-                )
-                engine = doc.engine() if is_exact else None
-                result = analyze_prepared(
-                    prep,
-                    algorithm=algorithm,
-                    exact=exact,
-                    state_limit=state_limit,
-                    index=index,
-                    engine=engine,
-                    uri=doc.uri,
-                    strategy=strategy,
-                    beam_width=beam_width,
-                )
+                with budget.limit(timeout):
+                    is_exact = exact or algorithm == "exact"
+                    prep = doc.prepared()
+                    index = (
+                        doc.index()
+                        if not is_exact and algorithm in INDEX_AWARE
+                        else None
+                    )
+                    engine = doc.engine() if is_exact else None
+                    result = analyze_prepared(
+                        prep,
+                        algorithm=algorithm,
+                        exact=exact,
+                        state_limit=state_limit,
+                        index=index,
+                        engine=engine,
+                        uri=doc.uri,
+                        strategy=strategy,
+                        beam_width=beam_width,
+                    )
             payload = analysis_result_to_dict(result)
             self.lru.put(key, (result, payload))
             if self.store is not None:
@@ -606,42 +604,6 @@ class Session:
         if outcome.status != STATUS_OK:
             return None
         self._count("offloaded", "server.offloaded")
-        return outcome.result
-
-    def _analyze_pooled(
-        self,
-        doc: Document,
-        algorithm: str,
-        exact: bool,
-        state_limit: int,
-        timeout: float,
-        strategy: str = "bfs",
-        beam_width: Optional[int] = None,
-    ) -> AnalysisResult:
-        """Run one exact-exploration request under a preemptive budget.
-
-        Reuses the farm pool: a worker process runs the analysis, and
-        an overrun is terminated from outside — the only way to bound
-        an exponential search that ignores cooperative deadlines.
-        """
-        item = WorkItem(
-            label=doc.uri,
-            source=doc.source,
-            algorithm=algorithm,
-            exact=exact,
-            state_limit=state_limit,
-            strategy=strategy,
-            beam_width=beam_width,
-        )
-        outcome = run_pool([item], jobs=2, timeout=timeout)[0]
-        if outcome.status == STATUS_TIMEOUT:
-            raise RequestTimeout(
-                f"request exceeded its {timeout}s budget ({doc.uri})"
-            )
-        if outcome.status != STATUS_OK:
-            raise ReproError(
-                outcome.error or f"analysis {outcome.status} ({doc.uri})"
-            )
         return outcome.result
 
     # -- lint ------------------------------------------------------------

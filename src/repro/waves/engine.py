@@ -1,4 +1,4 @@
-"""Indexed exact-exploration engine: packed-integer wave kernels.
+"""Indexed exact-exploration engine: one packed-integer wave search.
 
 A literal search over the wave space walks tuples of
 :class:`~repro.syncgraph.model.SyncNode` — every step allocates `Wave`
@@ -14,51 +14,93 @@ it
 * assigns each task a *dense local position id* for every node that can
   appear as that task's wave entry (the task's rendezvous nodes plus the
   shared ``e``), and packs a whole wave into a single mixed-radix
-  integer (one bit-field per task) — the dedup set holds ints, the
+  integer (one bit-field per task) — the seen set holds ints, the
   terminal test is one equality, and successor keys are computed by
   adding precomputed deltas;
 * precomputes, per *slot* (task × local position), the ready-partner
   bitmask over all slots (who this node can rendezvous with, wherever
   the partner task currently stands) and the control-successor table as
   ``(key_delta, occupancy_delta)`` pairs;
-* runs BFS kernels for exhaustive exploration and shortest-witness
-  search that are **bit-exact** with the oracle kernels: identical
-  seeding order (the cross product of per-task initial options),
-  identical ready-pair order (``(i, j)`` with ``i < j``), identical
-  successor order (``graph.control_successors`` order), and therefore
-  identical ``visited_count``, ``can_terminate``, anomaly
-  classifications, and witness schedules — the hypothesis differential
-  tests in ``tests/test_engine.py`` enforce this.
+* runs every search in one loop, :meth:`WaveIndex.search`,
+  parametrized by frontier and goal.  The frontier is layered (BFS is
+  the layered frontier with no cut; beam cuts each layer to the
+  ``beam_width`` states with the lowest estimate) or an A\\* heap
+  ordered by ``(g + h, -g, seq)``.  The goal is to exhaust the space
+  and classify every anomalous wave, or to stop at the first matching
+  one with parent links kept for its witness; only the A\\* witness
+  goal reopens a key reached by a strictly shorter path.  BFS is
+  **bit-exact** with the oracle kernels: identical seeding order (the
+  cross product of per-task initial options), identical ready-pair
+  order (``(i, j)`` with ``i < j``), identical successor order
+  (``graph.control_successors`` order), and therefore identical
+  ``visited_count``, ``can_terminate``, anomaly classifications, and
+  witness schedules — the hypothesis differential tests in
+  ``tests/test_engine.py`` enforce this.
 
 Anomalous waves are rare relative to the space walked, so their
 classification is delegated to the reference
 :func:`~repro.waves.anomaly.classify_wave` on the unpacked wave —
 parity of stalls/deadlocks/coupling is inherited rather than re-proved.
 
-Both kernels are *budget-faithful*: the ``state_limit`` is enforced
+The search is *budget-faithful*: the ``state_limit`` is enforced
 during seeding as well as expansion, and once the budget is hit the
-kernel stops discovering states but still drains the queue, classifying
-every wave already in hand — partial anomalies survive exhaustion
-instead of being thrown away.
+search stops discovering states but still drains its frontier,
+classifying every wave already in hand — partial anomalies survive
+exhaustion instead of being thrown away.  A request's deadline and
+cancel token (:mod:`repro.budget`) abort it instead.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
+from functools import partial
+from heapq import heappop, heappush
 from itertools import product
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .. import obs
+from ..budget import CHECK_EVERY, checkpoint
 from ..syncgraph.model import SyncGraph, SyncNode
 from .anomaly import WaveClassification, classify_wave
+from .guide import DEFAULT_BEAM_WIDTH, guide_for
 from .wave import Wave
 
-__all__ = ["WaveIndex"]
+__all__ = ["GOALS", "SearchResult", "WaveIndex"]
 
 Rendezvous = Tuple[SyncNode, SyncNode]
 WitnessData = Tuple[Wave, Tuple[Rendezvous, ...], Tuple[Wave, ...],
                     WaveClassification]
+
+# Witness goals: which anomalous wave ends a witness search.
+GOALS: Dict[str, Callable[[WaveClassification], bool]] = {
+    "deadlock": lambda c: c.has_deadlock,
+    "stall": lambda c: c.has_stall,
+    "any": lambda c: True,
+}
+
+# Orders after every (f, -g, seq, key, occ) heap entry: f = g + h stays
+# far below it (h <= SATURATED, g <= the states discovered).
+_DRAINED = (1 << 62,)
+
+
+class SearchResult(NamedTuple):
+    """One :meth:`WaveIndex.search` run.
+
+    ``anomalous`` is filled by exhaustive runs, ``witness`` (``(initial,
+    schedule, waves, classification)``, ready to wrap into an
+    :class:`~repro.waves.witness.AnomalyWitness`) by witness searches
+    that found one.  ``limited`` covers both the state budget and a
+    beam cut (``truncated``).  ``frontier_peak`` is telemetry: the
+    widest depth layer before its cut (bfs, beam) or the largest heap
+    (astar).
+    """
+
+    states: int
+    can_terminate: bool
+    anomalous: List[WaveClassification]
+    witness: Optional[WitnessData]
+    limited: bool
+    truncated: bool
+    frontier_peak: int
 
 
 class WaveIndex:
@@ -66,7 +108,7 @@ class WaveIndex:
 
     Construct once and pass to :func:`repro.waves.explore.explore` /
     :func:`repro.waves.witness.find_anomaly_witness` via ``engine=`` to
-    amortize the build over several searches.
+    amortize the build (and the cached guide) over several searches.
     """
 
     def __init__(self, graph: SyncGraph) -> None:
@@ -213,574 +255,200 @@ class WaveIndex:
                     pairs.append((i, j))
         return pairs
 
-    # -- kernels -----------------------------------------------------------
+    # -- the search --------------------------------------------------------
 
-    def explore(
-        self, state_limit: int
-    ) -> Tuple[int, bool, List[WaveClassification], bool, int]:
-        """Exhaustive BFS over the packed wave space.
-
-        Returns ``(visited_count, can_terminate, anomalous, limited,
-        frontier_peak)`` — the raw material of an
-        :class:`~repro.waves.explore.ExplorationResult`.
-        """
-        graph = self.graph
-        terminal = self.terminal_key
-        rdv = self.rdv_mask
-        succ_deltas = self.succ_deltas
-        visited: set = set()
-        queue: deque = deque()
-        limited = False
-        for key, occ in self._seed():
-            if key in visited:
-                continue
-            if len(visited) >= state_limit:
-                limited = True
-                break
-            visited.add(key)
-            queue.append((key, occ))
-        can_terminate = False
-        anomalous: List[WaveClassification] = []
-        frontier_peak = 0
-        while queue:
-            if len(queue) > frontier_peak:
-                frontier_peak = len(queue)
-            key, occ = queue.popleft()
-            if key == terminal:
-                can_terminate = True
-                continue
-            slots = self._slots_of(key)
-            pairs = self._ready_pairs(slots, occ)
-            if not pairs:
-                if occ & rdv:
-                    anomalous.append(classify_wave(graph, self.unpack(key)))
-                continue
-            if limited:
-                continue  # budget spent: classify what we have, no growth
-            for i, j in pairs:
-                for kd_a, od_a in succ_deltas[slots[i]]:
-                    for kd_b, od_b in succ_deltas[slots[j]]:
-                        nk = key + kd_a + kd_b
-                        if nk in visited:
-                            continue
-                        if len(visited) >= state_limit:
-                            limited = True
-                            break
-                        visited.add(nk)
-                        queue.append((nk, occ ^ od_a ^ od_b))
-                    if limited:
-                        break
-                if limited:
-                    break
-        return len(visited), can_terminate, anomalous, limited, frontier_peak
-
-    def find_witness(
-        self,
-        matches: Callable[[WaveClassification], bool],
-        state_limit: int,
-    ) -> Tuple[Optional[WitnessData], int, bool]:
-        """Shortest-witness BFS with parent tracking.
-
-        Returns ``(witness_data, states_discovered, limited)`` where
-        ``witness_data`` is ``(initial, schedule, waves,
-        classification)`` ready to wrap into an
-        :class:`~repro.waves.witness.AnomalyWitness`, or ``None`` when
-        no discovered wave matched.
-        """
-        graph = self.graph
-        terminal = self.terminal_key
-        rdv = self.rdv_mask
-        node_of = self.node_of_slot
-        succ_deltas = self.succ_deltas
-        # key -> (parent_key, (fired_slot_a, fired_slot_b)) | None
-        parents: Dict[int, Optional[Tuple[int, Tuple[int, int]]]] = {}
-        queue: deque = deque()
-        limited = False
-        for key, occ in self._seed():
-            if key in parents:
-                continue
-            if len(parents) >= state_limit:
-                limited = True
-                break
-            parents[key] = None
-            queue.append((key, occ))
-        while queue:
-            key, occ = queue.popleft()
-            if key == terminal:
-                continue
-            slots = self._slots_of(key)
-            pairs = self._ready_pairs(slots, occ)
-            if not pairs:
-                if not occ & rdv:
-                    continue
-                classification = classify_wave(graph, self.unpack(key))
-                if not matches(classification):
-                    continue
-                schedule: List[Rendezvous] = []
-                chain: List[Wave] = [classification.wave]
-                cursor = key
-                while True:
-                    parent = parents[cursor]
-                    if parent is None:
-                        break
-                    cursor, (sa, sb) = parent
-                    schedule.append((node_of[sa], node_of[sb]))
-                    chain.append(self.unpack(cursor))
-                schedule.reverse()
-                chain.reverse()
-                return (
-                    (
-                        self.unpack(cursor),
-                        tuple(schedule),
-                        tuple(chain),
-                        classification,
-                    ),
-                    len(parents),
-                    limited,
-                )
-            if limited:
-                continue
-            for i, j in pairs:
-                fired = (slots[i], slots[j])
-                for kd_a, od_a in succ_deltas[slots[i]]:
-                    for kd_b, od_b in succ_deltas[slots[j]]:
-                        nk = key + kd_a + kd_b
-                        if nk in parents:
-                            continue
-                        if len(parents) >= state_limit:
-                            limited = True
-                            break
-                        parents[nk] = (key, fired)
-                        queue.append((nk, occ ^ od_a ^ od_b))
-                    if limited:
-                        break
-                if limited:
-                    break
-        return None, len(parents), limited
-
-    # -- guided kernels ----------------------------------------------------
-    #
-    # Same budget-faithful contract as the BFS kernels (state_limit
-    # enforced during seeding and expansion; once hit, what is already
-    # in hand is still processed, never grown), but expansion *order*
-    # follows an admissible future-cost estimate (see
-    # :mod:`repro.waves.guide`).  A* orders the open heap by
-    # ``(g + h, -g, seq)`` — the ``-g`` tie-break dives through
-    # plateaus of equal ``f`` instead of sweeping them breadth-first —
-    # and beam search processes depth layers truncated to the best
-    # ``beam_width`` states by ``h``.  Identical packed keys recombine
-    # for free exactly as in BFS; a key rediscovered at equal-or-worse
-    # cost is dropped and counted as ``guide.pruned_dominated``.
-
-    def explore_astar(
-        self, state_limit: int, estimate: Callable[[int], int]
-    ) -> Tuple[int, bool, List[WaveClassification], bool, int]:
-        """Exhaustive best-first exploration ordered by ``g + h``.
-
-        Same return shape as :meth:`explore`; an unlimited run visits
-        exactly the same state set, so verdicts cannot change — only
-        *which* states are in hand when a budget trips.
-        """
-        graph = self.graph
-        terminal = self.terminal_key
-        rdv = self.rdv_mask
-        succ_deltas = self.succ_deltas
-        visited: set = set()
-        heap: List[Tuple[int, int, int, int, int]] = []
-        seq = 0
-        limited = False
-        pushed = popped = dominated = 0
-        for key, occ in self._seed():
-            if key in visited:
-                dominated += 1
-                continue
-            if len(visited) >= state_limit:
-                limited = True
-                break
-            visited.add(key)
-            heapq.heappush(heap, (estimate(key), 0, seq, key, occ))
-            seq += 1
-            pushed += 1
-        can_terminate = False
-        anomalous: List[WaveClassification] = []
-        frontier_peak = 0
-        while heap:
-            if len(heap) > frontier_peak:
-                frontier_peak = len(heap)
-            _, neg_g, _, key, occ = heapq.heappop(heap)
-            popped += 1
-            if key == terminal:
-                can_terminate = True
-                continue
-            slots = self._slots_of(key)
-            pairs = self._ready_pairs(slots, occ)
-            if not pairs:
-                if occ & rdv:
-                    anomalous.append(classify_wave(graph, self.unpack(key)))
-                continue
-            if limited:
-                continue  # budget spent: classify what we have, no growth
-            g1 = 1 - neg_g
-            for i, j in pairs:
-                for kd_a, od_a in succ_deltas[slots[i]]:
-                    for kd_b, od_b in succ_deltas[slots[j]]:
-                        nk = key + kd_a + kd_b
-                        if nk in visited:
-                            dominated += 1
-                            continue
-                        if len(visited) >= state_limit:
-                            limited = True
-                            break
-                        visited.add(nk)
-                        heapq.heappush(
-                            heap,
-                            (g1 + estimate(nk), -g1, seq, nk,
-                             occ ^ od_a ^ od_b),
-                        )
-                        seq += 1
-                        pushed += 1
-                    if limited:
-                        break
-                if limited:
-                    break
-        if obs.is_enabled():
-            obs.counter("astar.pushed").inc(pushed)
-            obs.counter("astar.popped").inc(popped)
-            obs.counter("guide.pruned_dominated").inc(dominated)
-        return len(visited), can_terminate, anomalous, limited, frontier_peak
-
-    def explore_beam(
+    def search(
         self,
         state_limit: int,
-        estimate: Callable[[int], int],
-        beam_width: int,
-    ) -> Tuple[int, bool, List[WaveClassification], bool, int, bool]:
-        """Layered beam exploration: each depth layer keeps only the
-        ``beam_width`` best states by ``h``.
+        strategy: str = "bfs",
+        beam_width: int = DEFAULT_BEAM_WIDTH,
+        goal: Optional[str] = None,
+    ) -> SearchResult:
+        """Search the packed wave space under a state budget.
 
-        Returns ``(visited_count, can_terminate, anomalous, limited,
-        frontier_peak, truncated)``.  Any truncation makes the run
-        non-exhaustive (``truncated`` implies the caller must treat the
-        result as limited): absence of an anomaly in a truncated run
-        certifies nothing.  A beam wide enough never to truncate visits
-        exactly the BFS state set.
+        ``goal`` is ``None`` to exhaust the reachable space, classifying
+        every anomalous wave, or a kind of :data:`GOALS` to stop at the
+        first anomalous wave of that kind and return its witness
+        (parent links are kept only then).
+
+        ``strategy`` picks the frontier:
+
+        * ``"bfs"`` — layered, one depth layer after the other;
+        * ``"beam"`` — layered, each layer cut to the ``beam_width``
+          states with the lowest estimate (stable on ties) before it is
+          expanded.  Cut states leave the seen set, so a later layer may
+          rediscover them; any cut marks the run ``truncated``, which
+          implies ``limited``;
+        * ``"astar"`` — one heap ordered by ``(g + h, -g, seq)``.  Only
+          a witness search reopens a key reached by a strictly shorter
+          path, so its first matching wave popped is reached by a
+          shortest schedule; exhaustive A\\* never reopens.
+
+        The state budget is enforced during seeding and expansion.
+        Once it is hit the search discovers nothing new but still
+        classifies every wave already in hand.  ``states`` counts the
+        waves the search holds; a witness search stopped in the middle
+        of a cut layer does not count the part of the next layer built
+        so far, which has not passed its cut yet.  The active request
+        :mod:`~repro.budget` is checked on entry and every
+        :data:`~repro.budget.CHECK_EVERY` states.
         """
+        budget = checkpoint()
+        countdown = CHECK_EVERY if budget is not None else -1
         graph = self.graph
         terminal = self.terminal_key
         rdv = self.rdv_mask
         succ_deltas = self.succ_deltas
-        visited: set = set()
-        limited = False
-        truncated = False
-        dominated = dropped = 0
-        seed: List[Tuple[int, int]] = []
+        slots_of = self._slots_of
+        ready_pairs = self._ready_pairs
+        matches = None if goal is None else GOALS[goal]
+        witness = matches is not None
+        estimate: Optional[Callable[[int], int]] = None
+        if strategy != "bfs":
+            # Deadlock goals (and exhaustive runs) add the evidence-group
+            # term; stall/any goals use the quiescence term alone — both
+            # admissible for their goal set (see waves.guide).
+            guide = guide_for(self)
+            estimate = (
+                guide.estimate
+                if goal in (None, "deadlock")
+                else guide.estimate_anomaly
+            )
+        heap = strategy == "astar"
+        cut = beam_width if strategy == "beam" else None
+        reopen = heap and witness
+
+        # key -> (parent_key, (fired_slot_a, fired_slot_b)) for a witness
+        # goal, None otherwise (and for seeds).
+        seen: Dict[int, Optional[Tuple[int, Tuple[int, int]]]] = {}
+        g_of: Dict[int, int] = {}  # best known g, kept only to reopen
+        # The current depth layer of (key, occ), or the A* heap of
+        # (f, -g, seq, key, occ) over a sentinel that orders last.
+        frontier: list = [_DRAINED] if heap else []
+        nxt: List[Tuple[int, int]] = []
+        limited = truncated = can_terminate = False
+        anomalous: List[WaveClassification] = []
+        found: Optional[WitnessData] = None
+        dominated = dropped = popped = seq = peak = 0
         for key, occ in self._seed():
-            if key in visited:
+            if key in seen:
                 dominated += 1
                 continue
-            if len(visited) >= state_limit:
+            if len(seen) >= state_limit:
                 limited = True
                 break
-            visited.add(key)
-            seed.append((key, occ))
-        layer = self._beam_cut(seed, estimate, beam_width, visited)
-        if len(layer) < len(seed):
-            dropped += len(seed) - len(layer)
-            truncated = True
-        can_terminate = False
-        anomalous: List[WaveClassification] = []
-        frontier_peak = len(layer)
-        while layer:
-            successors: List[Tuple[int, int]] = []
-            for key, occ in layer:
+            seen[key] = None
+            if heap:
+                if reopen:
+                    g_of[key] = 0
+                heappush(frontier, (estimate(key), 0, seq, key, occ))
+                seq += 1
+            else:
+                frontier.append((key, occ))
+
+        while frontier:
+            if heap:
+                # The whole search is one batch: pop until the sentinel.
+                batch = iter(partial(heappop, frontier), _DRAINED)
+            else:
+                if len(frontier) > peak:
+                    peak = len(frontier)
+                if cut is not None and len(frontier) > cut:
+                    layer = frontier
+                    order = sorted(
+                        range(len(layer)),
+                        key=lambda idx: estimate(layer[idx][0]),
+                    )
+                    for idx in order[cut:]:
+                        del seen[layer[idx][0]]
+                    frontier = [layer[idx] for idx in sorted(order[:cut])]
+                    dropped += len(layer) - cut
+                    truncated = True
+                batch = frontier
+                nxt = []
+            for entry in batch:
+                countdown -= 1
+                if not countdown:
+                    budget.check()
+                    countdown = CHECK_EVERY
+                if heap:
+                    # After the pop the sentinel stands in for the popped
+                    # entry: len(frontier) is the heap size before it.
+                    if len(frontier) > peak:
+                        peak = len(frontier)
+                    _, neg_g, _, key, occ = entry
+                    if reopen and -neg_g > g_of[key]:
+                        continue  # stale entry superseded by a shorter path
+                    popped += 1
+                    g1 = 1 - neg_g
+                else:
+                    key, occ = entry
                 if key == terminal:
                     can_terminate = True
                     continue
-                slots = self._slots_of(key)
-                pairs = self._ready_pairs(slots, occ)
+                slots = slots_of(key)
+                pairs = ready_pairs(slots, occ)
                 if not pairs:
                     if occ & rdv:
-                        anomalous.append(
-                            classify_wave(graph, self.unpack(key))
-                        )
+                        wave_class = classify_wave(graph, self.unpack(key))
+                        if not witness:
+                            anomalous.append(wave_class)
+                        elif matches(wave_class):
+                            found = self._reconstruct(seen, key, wave_class)
+                            break
                     continue
                 if limited:
-                    continue
+                    continue  # budget spent: classify what we have, no growth
                 for i, j in pairs:
+                    link = (key, (slots[i], slots[j])) if witness else None
                     for kd_a, od_a in succ_deltas[slots[i]]:
                         for kd_b, od_b in succ_deltas[slots[j]]:
                             nk = key + kd_a + kd_b
-                            if nk in visited:
-                                dominated += 1
-                                continue
-                            if len(visited) >= state_limit:
+                            if nk in seen:
+                                if not (reopen and g1 < g_of[nk]):
+                                    dominated += 1
+                                    continue
+                            elif len(seen) >= state_limit:
                                 limited = True
                                 break
-                            visited.add(nk)
-                            successors.append((nk, occ ^ od_a ^ od_b))
-                        if limited:
-                            break
-                    if limited:
-                        break
-            if len(successors) > frontier_peak:
-                frontier_peak = len(successors)
-            layer = self._beam_cut(successors, estimate, beam_width, visited)
-            if len(layer) < len(successors):
-                dropped += len(successors) - len(layer)
-                truncated = True
-        if obs.is_enabled():
-            obs.counter("beam.truncated").inc(dropped)
-            obs.counter("guide.pruned_dominated").inc(dominated)
-        return (
-            len(visited), can_terminate, anomalous,
-            limited or truncated, frontier_peak, truncated,
-        )
-
-    @staticmethod
-    def _beam_cut(
-        states: List[Tuple[int, int]],
-        estimate: Callable[[int], int],
-        beam_width: int,
-        visited: set,
-    ) -> List[Tuple[int, int]]:
-        """The ``beam_width`` best states by ``h`` (stable on ties).
-
-        Dropped states are also removed from ``visited`` so a later
-        layer may rediscover them through another path — a truncated
-        beam narrows the frontier, it does not poison the state space.
-        """
-        if len(states) <= beam_width:
-            return states
-        order = sorted(
-            range(len(states)), key=lambda idx: estimate(states[idx][0])
-        )
-        keep = sorted(order[:beam_width])
-        for idx in order[beam_width:]:
-            visited.discard(states[idx][0])
-        return [states[idx] for idx in keep]
-
-    def find_witness_astar(
-        self,
-        matches: Callable[[WaveClassification], bool],
-        state_limit: int,
-        estimate: Callable[[int], int],
-    ) -> Tuple[Optional[WitnessData], int, bool]:
-        """Shortest-witness A\\* with parent tracking.
-
-        The estimate is admissible and consistent (see
-        :mod:`repro.waves.guide`), and rediscovered keys re-enter the
-        heap whenever a strictly shorter path is found, so the first
-        matching anomalous wave *popped* is reached by a shortest
-        schedule — the witness has exactly the BFS witness length.
-        Same return shape as :meth:`find_witness`.
-        """
-        graph = self.graph
-        terminal = self.terminal_key
-        rdv = self.rdv_mask
-        succ_deltas = self.succ_deltas
-        # key -> best known g; key -> (parent_key, fired) | None
-        g_of: Dict[int, int] = {}
-        parents: Dict[int, Optional[Tuple[int, Tuple[int, int]]]] = {}
-        heap: List[Tuple[int, int, int, int, int]] = []
-        seq = 0
-        limited = False
-        pushed = popped = dominated = 0
-        for key, occ in self._seed():
-            if key in g_of:
-                dominated += 1
-                continue
-            if len(g_of) >= state_limit:
-                limited = True
-                break
-            g_of[key] = 0
-            parents[key] = None
-            heapq.heappush(heap, (estimate(key), 0, seq, key, occ))
-            seq += 1
-            pushed += 1
-        while heap:
-            _, neg_g, _, key, occ = heapq.heappop(heap)
-            g = -neg_g
-            if g > g_of[key]:
-                continue  # stale entry superseded by a shorter path
-            popped += 1
-            if key == terminal:
-                continue
-            slots = self._slots_of(key)
-            pairs = self._ready_pairs(slots, occ)
-            if not pairs:
-                if not occ & rdv:
-                    continue
-                classification = classify_wave(graph, self.unpack(key))
-                if not matches(classification):
-                    continue
-                if obs.is_enabled():
-                    obs.counter("astar.pushed").inc(pushed)
-                    obs.counter("astar.popped").inc(popped)
-                    obs.counter("guide.pruned_dominated").inc(dominated)
-                return (
-                    self._reconstruct(parents, key, classification),
-                    len(g_of),
-                    limited,
-                )
-            if limited:
-                continue
-            g1 = g + 1
-            for i, j in pairs:
-                fired = (slots[i], slots[j])
-                for kd_a, od_a in succ_deltas[slots[i]]:
-                    for kd_b, od_b in succ_deltas[slots[j]]:
-                        nk = key + kd_a + kd_b
-                        known = g_of.get(nk)
-                        if known is not None:
-                            if g1 < known:
-                                g_of[nk] = g1
-                                parents[nk] = (key, fired)
-                                heapq.heappush(
-                                    heap,
+                            seen[nk] = link
+                            if heap:
+                                if reopen:
+                                    g_of[nk] = g1
+                                heappush(
+                                    frontier,
                                     (g1 + estimate(nk), -g1, seq, nk,
                                      occ ^ od_a ^ od_b),
                                 )
                                 seq += 1
-                                pushed += 1
                             else:
-                                dominated += 1
-                            continue
-                        if len(g_of) >= state_limit:
-                            limited = True
-                            break
-                        g_of[nk] = g1
-                        parents[nk] = (key, fired)
-                        heapq.heappush(
-                            heap,
-                            (g1 + estimate(nk), -g1, seq, nk,
-                             occ ^ od_a ^ od_b),
-                        )
-                        seq += 1
-                        pushed += 1
-                    if limited:
-                        break
-                if limited:
-                    break
-        if obs.is_enabled():
-            obs.counter("astar.pushed").inc(pushed)
-            obs.counter("astar.popped").inc(popped)
-            obs.counter("guide.pruned_dominated").inc(dominated)
-        return None, len(g_of), limited
-
-    def find_witness_beam(
-        self,
-        matches: Callable[[WaveClassification], bool],
-        state_limit: int,
-        estimate: Callable[[int], int],
-        beam_width: int,
-    ) -> Tuple[Optional[WitnessData], int, bool, bool]:
-        """Layered beam witness search.
-
-        Returns ``(witness_data, states_discovered, limited,
-        truncated)``.  A found witness is always a valid replayable
-        schedule, but truncation forfeits both shortest-ness and the
-        right to conclude absence — callers must treat a truncated
-        witnessless run as limited.
-        """
-        graph = self.graph
-        terminal = self.terminal_key
-        rdv = self.rdv_mask
-        succ_deltas = self.succ_deltas
-        parents: Dict[int, Optional[Tuple[int, Tuple[int, int]]]] = {}
-        limited = False
-        truncated = False
-        dominated = dropped = 0
-        seed: List[Tuple[int, int]] = []
-        for key, occ in self._seed():
-            if key in parents:
-                dominated += 1
-                continue
-            if len(parents) >= state_limit:
-                limited = True
-                break
-            parents[key] = None
-            seed.append((key, occ))
-        layer = self._beam_cut_parents(seed, estimate, beam_width, parents)
-        if len(layer) < len(seed):
-            dropped += len(seed) - len(layer)
-            truncated = True
-        while layer:
-            successors: List[Tuple[int, int]] = []
-            pending: Dict[int, Tuple[int, Tuple[int, int]]] = {}
-            for key, occ in layer:
-                if key == terminal:
-                    continue
-                slots = self._slots_of(key)
-                pairs = self._ready_pairs(slots, occ)
-                if not pairs:
-                    if not occ & rdv:
-                        continue
-                    classification = classify_wave(graph, self.unpack(key))
-                    if not matches(classification):
-                        continue
-                    if obs.is_enabled():
-                        obs.counter("beam.truncated").inc(dropped)
-                        obs.counter("guide.pruned_dominated").inc(dominated)
-                    return (
-                        self._reconstruct(parents, key, classification),
-                        len(parents),
-                        limited,
-                        truncated,
-                    )
-                if limited:
-                    continue
-                for i, j in pairs:
-                    fired = (slots[i], slots[j])
-                    for kd_a, od_a in succ_deltas[slots[i]]:
-                        for kd_b, od_b in succ_deltas[slots[j]]:
-                            nk = key + kd_a + kd_b
-                            if nk in parents or nk in pending:
-                                dominated += 1
-                                continue
-                            if len(parents) + len(pending) >= state_limit:
-                                limited = True
-                                break
-                            pending[nk] = (key, fired)
-                            successors.append((nk, occ ^ od_a ^ od_b))
+                                nxt.append((nk, occ ^ od_a ^ od_b))
                         if limited:
                             break
                     if limited:
                         break
-            if len(successors) > beam_width:
-                order = sorted(
-                    range(len(successors)),
-                    key=lambda idx: estimate(successors[idx][0]),
-                )
-                keep = sorted(order[:beam_width])
-                dropped += len(successors) - beam_width
-                truncated = True
-                successors = [successors[idx] for idx in keep]
-            for nk, _ in successors:
-                parents[nk] = pending[nk]
-            layer = successors
-        if obs.is_enabled():
-            obs.counter("beam.truncated").inc(dropped)
-            obs.counter("guide.pruned_dominated").inc(dominated)
-        return None, len(parents), limited, truncated
+            if found is not None:
+                break
+            if not heap:
+                frontier = nxt
 
-    @staticmethod
-    def _beam_cut_parents(
-        states: List[Tuple[int, int]],
-        estimate: Callable[[int], int],
-        beam_width: int,
-        parents: Dict[int, Optional[Tuple[int, Tuple[int, int]]]],
-    ) -> List[Tuple[int, int]]:
-        """Seed-layer truncation twin of :meth:`_beam_cut` operating on
-        the witness kernels' parent map."""
-        if len(states) <= beam_width:
-            return states
-        order = sorted(
-            range(len(states)), key=lambda idx: estimate(states[idx][0])
+        if obs.is_enabled():
+            if heap:
+                obs.counter("astar.pushed").inc(seq)
+                obs.counter("astar.popped").inc(popped)
+            if cut is not None:
+                obs.counter("beam.truncated").inc(dropped)
+            if estimate is not None:
+                obs.counter("guide.pruned_dominated").inc(dominated)
+        return SearchResult(
+            states=len(seen) - (len(nxt) if cut is not None else 0),
+            can_terminate=can_terminate,
+            anomalous=anomalous,
+            witness=found,
+            limited=limited or truncated,
+            truncated=truncated,
+            frontier_peak=peak,
         )
-        keep = sorted(order[:beam_width])
-        for idx in order[beam_width:]:
-            parents.pop(states[idx][0], None)
-        return [states[idx] for idx in keep]
 
     def _reconstruct(
         self,

@@ -36,7 +36,7 @@ from ..errors import ExplorationLimitError
 from ..syncgraph.model import SyncGraph, SyncNode
 from .anomaly import WaveClassification
 from .engine import WaveIndex
-from .guide import STRATEGIES, guide_for, validate_strategy
+from .guide import STRATEGIES, validate_strategy
 
 __all__ = [
     "STRATEGIES",
@@ -153,47 +153,20 @@ def explore(
     with obs.span(
         "explore", state_limit=state_limit, strategy=strategy,
     ) as span:
-        truncated = False
         if engine is None:
             engine = WaveIndex(graph)
-        if strategy == "bfs":
-            (
-                visited_count,
-                can_terminate,
-                anomalous,
-                limited,
-                frontier_peak,
-            ) = engine.explore(state_limit)
-        elif strategy == "astar":
-            (
-                visited_count,
-                can_terminate,
-                anomalous,
-                limited,
-                frontier_peak,
-            ) = engine.explore_astar(state_limit, guide_for(engine).estimate)
-        else:
-            (
-                visited_count,
-                can_terminate,
-                anomalous,
-                limited,
-                frontier_peak,
-                truncated,
-            ) = engine.explore_beam(
-                state_limit, guide_for(engine).estimate, effective_width
-            )
+        run = engine.search(state_limit, strategy, effective_width)
         result = ExplorationResult(
             graph=graph,
-            visited_count=visited_count,
-            anomalous=anomalous,
-            can_terminate=can_terminate,
-            limited=limited,
+            visited_count=run.states,
+            anomalous=run.anomalous,
+            can_terminate=run.can_terminate,
+            limited=run.limited,
             state_limit=state_limit,
             strategy=strategy,
-            truncated=truncated,
+            truncated=run.truncated,
         )
-        _record_exploration(span, visited_count, frontier_peak, limited)
+        _record_exploration(span, run.states, run.frontier_peak, run.limited)
     if result.limited and on_limit == "raise":
         raise ExplorationLimitError(state_limit, result)
     return result

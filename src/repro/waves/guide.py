@@ -7,8 +7,12 @@ deadlock cycle.  This module precomputes the wave-space analogue of a
 decoder's future-cost table ``FCT[i, j]``: for every task position, the
 shortest control distance (in rendezvous steps the task itself must
 take) to each candidate anomaly head flagged by the refined analysis.
-A\\*/beam kernels then order expansion by ``g + h`` so the search walks
-toward the flagged heads first.
+The engine's one search loop (:meth:`~repro.waves.engine.WaveIndex.search`)
+then uses it for both guided frontiers, so the search walks toward the
+flagged heads first: the A\\* heap orders expansion by ``g + h``, and
+beam cuts each depth layer to the states with the lowest ``h``.  BFS,
+the layered frontier with no cut, never consults it.  Only the A\\*
+witness search reopens a key reached by a strictly shorter path.
 
 Admissibility argument (the heuristic never overestimates)
 ----------------------------------------------------------

@@ -27,8 +27,8 @@ from .. import obs
 from ..errors import ExplorationLimitError
 from ..syncgraph.model import SyncGraph, SyncNode
 from .anomaly import WaveClassification
-from .engine import WaveIndex
-from .guide import guide_for, validate_strategy
+from .engine import GOALS, WaveIndex
+from .guide import validate_strategy
 from .wave import Wave
 
 __all__ = [
@@ -149,44 +149,17 @@ def search_anomaly_witness(
     partial-result facts (states discovered, limited/truncated flags)
     for callers that must grade CONFIRMED/REFUTED/INCONCLUSIVE
     themselves."""
-    if kind not in ("deadlock", "stall", "any"):
+    if kind not in GOALS:
         raise ValueError(f"unknown anomaly kind {kind!r}")
     effective_width = validate_strategy(strategy, beam_width)
-
-    def matches(classification: WaveClassification) -> bool:
-        if kind == "deadlock":
-            return classification.has_deadlock
-        if kind == "stall":
-            return classification.has_stall
-        return True
-
     with obs.span(
         "witness.search", kind=kind, state_limit=state_limit,
         strategy=strategy,
     ) as sp:
-        truncated = False
         if engine is None:
             engine = WaveIndex(graph)
-        if strategy == "bfs":
-            data, states, limited = engine.find_witness(matches, state_limit)
-        else:
-            # The deadlock estimate adds the evidence-group term;
-            # stall/any goals use the quiescence term alone (both
-            # admissible for their goal set — see waves.guide).
-            guide = guide_for(engine)
-            if kind == "deadlock":
-                estimate = guide.estimate
-            else:
-                estimate = guide.estimate_anomaly
-            if strategy == "astar":
-                data, states, limited = engine.find_witness_astar(
-                    matches, state_limit, estimate
-                )
-            else:
-                data, states, limited, truncated = engine.find_witness_beam(
-                    matches, state_limit, estimate, effective_width
-                )
-                limited = limited or truncated
+        run = engine.search(state_limit, strategy, effective_width, goal=kind)
+        data, states, limited = run.witness, run.states, run.limited
         obs.counter("witness.states_visited").inc(states)
         sp.set_attribute("states", states)
         if limited:
@@ -206,6 +179,6 @@ def search_anomaly_witness(
         witness=witness,
         states=states,
         limited=limited,
-        truncated=truncated,
+        truncated=run.truncated,
         strategy=strategy,
     )

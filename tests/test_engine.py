@@ -332,8 +332,7 @@ class TestWaveFixes:
             engine.node_of_slot
         ).index(send)
         assert len(engine.succ_deltas[slot]) == 1
-        indexed, _, _, _, _ = engine.explore(60_000)
-        assert indexed == 2  # <send, accept> and <e, e>
+        assert engine.search(60_000).states == 2  # <send, accept>, <e, e>
 
     def test_iter_initial_waves_matches_initial_waves(self, crossed):
         graph = graph_of(crossed)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import time
 
 import pytest
 
 import repro
-from repro import obs
+from repro import budget, obs
 from repro.api import ALGORITHMS, analyze, analyze_many
 from repro.errors import ReproError
 from repro.farm import (
@@ -193,6 +194,20 @@ def _crashing_worker(item: WorkItem) -> WorkOutcome:
     if "boom" in item.label:
         os._exit(23)
     return WorkOutcome(label=item.label, status=STATUS_OK, result=item.label)
+
+
+def _inherited_state(item: WorkItem) -> WorkOutcome:
+    """What a pool worker runs under: (no budget, SIGTERM, SIGINT
+    at their defaults)."""
+    return WorkOutcome(
+        label=item.label,
+        status=STATUS_OK,
+        result=(
+            budget.checkpoint() is None,
+            signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
+            signal.getsignal(signal.SIGINT) == signal.SIG_DFL,
+        ),
+    )
 
 
 def _items(labels):
@@ -707,6 +722,29 @@ class TestSharedProcessPool:
         outcome = pool.run(WorkItem(label="h", source=HANDSHAKE_SRC))
         assert outcome.status == STATUS_OK
         pool.close()
+
+    def test_workers_drop_what_the_fork_inherited(self):
+        # Forked from a thread running a request (its budget already
+        # expired) and holding handlers of its own, a worker must start
+        # with neither: the budget would fail every later item, the
+        # handlers turn the pool's terminate() into tracebacks.
+        from repro.farm.pool import SharedProcessPool
+
+        previous = signal.signal(signal.SIGTERM, lambda *args: None)
+        try:
+            with budget.limit(1e-9):
+                with SharedProcessPool(jobs=1) as pool:
+                    state = pool.run(
+                        WorkItem(label="state", source=HANDSHAKE_SRC),
+                        worker=_inherited_state,
+                    )
+                    analyzed = pool.run(
+                        WorkItem(label="crossed", source=CROSSED_SRC)
+                    )
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert state.result == (True, True, True)
+        assert analyzed.status == STATUS_OK
 
     def test_rejects_zero_jobs(self):
         from repro.farm.pool import SharedProcessPool

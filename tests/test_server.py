@@ -22,14 +22,19 @@ from __future__ import annotations
 
 import json
 import os
+import queue
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.farm.cache import ResultCache
+from repro.lang.pretty import pretty
 from repro.reporting import render_json
 from repro.server import AnalysisServer, Session
 from repro.server.daemon import DEFAULT_QUEUE_SIZE
@@ -40,6 +45,7 @@ from repro.server.protocol import (
     INVALID_REQUEST,
     METHOD_NOT_FOUND,
     PARSE_ERROR,
+    REQUEST_CANCELLED,
     REQUEST_TIMEOUT,
     ProtocolError,
     decode_request,
@@ -48,6 +54,7 @@ from repro.server.protocol import (
     response,
 )
 from repro.server.session import Document
+from repro.workloads.patterns import dining_philosophers
 
 GOLDEN_DIR = Path(__file__).parent / "golden_server"
 REGEN = bool(os.environ.get("REPRO_REGEN_GOLDEN"))
@@ -468,42 +475,30 @@ class TestDaemonDispatch:
         assert reply["result"] == {"ok": True, "flushed": 0}
         assert server.shutting_down.is_set()
 
-    def test_exact_timeout_maps_to_1001(self, monkeypatch):
-        # The pool's preemptive kill is timing-dependent (a fast item
-        # can finish before its deadline check), so the expiry itself
-        # is simulated; what this pins down is the plumbing — exact
-        # requests with a budget go through the pool, and a TIMEOUT
-        # outcome answers with the protocol's 1001 code.
-        from repro.farm.pool import STATUS_TIMEOUT, WorkOutcome
-        from repro.server import session as session_mod
-
-        seen = {}
-
-        def fake_run_pool(items, jobs, timeout):
-            seen["jobs"], seen["timeout"] = jobs, timeout
-            return [
-                WorkOutcome(
-                    label=items[0].label,
-                    status=STATUS_TIMEOUT,
-                    error="timed out",
-                )
-            ]
-
-        monkeypatch.setattr(session_mod, "run_pool", fake_run_pool)
+    def test_exact_timeout_maps_to_1001(self):
+        # The deadline (1 ns after the analysis started) has passed by
+        # the time the search loop checks it on entry: every cold key
+        # answers 1001, and nothing of the aborted work is cached.
+        server = make_server()
+        for state_limit in (100, 200, 300, 400, 500):
+            reply = rpc(
+                server,
+                "analyze",
+                {
+                    "uri": "mem:a",
+                    "text": CROSSED_SRC,
+                    "exact": True,
+                    "state_limit": state_limit,
+                    "timeout": 1e-9,
+                },
+            )
+            assert reply["error"]["code"] == REQUEST_TIMEOUT, reply
         reply = rpc(
-            make_server(),
+            server,
             "analyze",
-            {
-                "uri": "mem:a",
-                "text": CROSSED_SRC,
-                "exact": True,
-                "timeout": 0.25,
-            },
+            {"uri": "mem:a", "exact": True, "state_limit": 100},
         )
-        assert reply["error"]["code"] == REQUEST_TIMEOUT
-        # Preemption needs a real pool: the serial path cannot kill.
-        assert seen["jobs"] > 1
-        assert seen["timeout"] == 0.25
+        assert reply["result"]["cache"] == "computed"
 
     def test_exact_with_generous_timeout_completes(self):
         server = make_server()
@@ -769,6 +764,170 @@ class TestStdioSmoke:
 
 
 # ---------------------------------------------------------------------------
+# stdio with the pipe held open: replies read one at a time, as an
+# editor drives the daemon (closing stdin first hides fork deadlocks)
+
+
+def _group_alive(pgid):
+    """Pids of the process group that have not exited (zombies count
+    as exited)."""
+    alive = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            alive.append(int(stat.parent.name))
+    return alive
+
+
+class OpenPipeDaemon:
+    """``python -m repro.server`` in its own process group, up and
+    answering (a ``ping`` round trip) once constructed."""
+
+    def __init__(self, *args):
+        root = Path(__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        self.proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.server", "--no-store", *args],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=env,
+            cwd=root,
+            start_new_session=True,
+        )
+        self.replies = queue.Queue()
+        threading.Thread(target=self._read, daemon=True).start()
+        self.send("hello", "ping")
+        assert self.reply(within=30)["result"] == {"pong": True}
+
+    def _read(self):
+        for line in self.proc.stdout:
+            self.replies.put(json.loads(line))
+
+    def send(self, id, method, params=None):
+        self.proc.stdin.write(
+            json.dumps({"id": id, "method": method, "params": params or {}})
+            + "\n"
+        )
+        self.proc.stdin.flush()
+
+    def reply(self, within):
+        """The next reply, failing if none arrives ``within`` seconds."""
+        try:
+            return self.replies.get(timeout=within)
+        except queue.Empty:
+            pytest.fail(f"no reply within {within}s")
+
+    def shutdown(self):
+        """``shutdown`` must exit 0 and leave no process behind."""
+        self.send("bye", "shutdown")
+        assert self.reply(within=30)["result"]["ok"] is True
+        assert self.proc.wait(timeout=30) == 0
+        deadline = time.monotonic() + 10
+        while _group_alive(self.proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _group_alive(self.proc.pid) == []
+
+    def kill(self):
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        self.proc.wait(timeout=30)
+
+
+@pytest.fixture
+def open_pipe_daemon():
+    daemons = []
+
+    def spawn(*args):
+        daemons.append(OpenPipeDaemon(*args))
+        return daemons[-1]
+
+    yield spawn
+    for daemon in daemons:
+        daemon.kill()
+
+
+# Exact BFS over 1.86M waves: tens of seconds without a budget.
+LONG_SEARCH = {
+    "uri": "mem:long",
+    "text": pretty(dining_philosophers(10)),
+    "exact": True,
+    "state_limit": 5_000_000,
+}
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc"
+)
+class TestOpenPipeDaemon:
+    def test_two_workers_answer_a_cold_analyze(self, open_pipe_daemon):
+        daemon = open_pipe_daemon("--workers", "2")
+        daemon.send(1, "analyze", {"uri": "mem:a", "text": CROSSED_SRC})
+        reply = daemon.reply(within=30)
+        verdict = reply["result"]["report"]["deadlock"]["verdict"]
+        assert verdict == "possible-deadlock"
+        daemon.send(2, "status")
+        assert daemon.reply(within=30)["result"]["counters"]["offloaded"] == 1
+        daemon.shutdown()
+
+    def test_batch_with_two_jobs_is_answered(self, open_pipe_daemon):
+        daemon = open_pipe_daemon()
+        items = [
+            {"label": "bad", "text": CROSSED_SRC},
+            {"label": "good", "text": HANDSHAKE_SRC},
+        ]
+        daemon.send(1, "batch", {"items": items, "jobs": 2})
+        assert daemon.reply(within=30)["result"]["report"]["items"] == 2
+        daemon.shutdown()
+
+    def test_timeout_drill(self, open_pipe_daemon):
+        daemon = open_pipe_daemon()
+        started = time.monotonic()
+        daemon.send(1, "analyze", dict(LONG_SEARCH, timeout=0.2))
+        reply = daemon.reply(within=5)
+        assert reply["error"]["code"] == REQUEST_TIMEOUT
+        assert time.monotonic() - started < 1.0
+        # The same worker is free at once, and a timed request that
+        # fits its budget answers with a report.
+        started = time.monotonic()
+        daemon.send(2, "analyze", {"uri": "mem:a", "text": CROSSED_SRC,
+                                   "timeout": 2})
+        assert daemon.reply(within=5)["result"]["cache"] == "computed"
+        assert time.monotonic() - started < 1.0
+        daemon.shutdown()
+
+    def test_cancel_drill(self, open_pipe_daemon):
+        daemon = open_pipe_daemon()
+        daemon.send(1, "analyze", LONG_SEARCH)
+        time.sleep(1.0)  # the one worker is searching by now
+        cancelled_at = time.monotonic()
+        daemon.send(2, "cancel", {"id": 1})
+        replies = {}
+        for _ in range(2):
+            reply = daemon.reply(within=5)
+            replies[reply["id"]] = reply
+        assert replies[2]["result"] == {
+            "id": 1, "cancelled": True, "state": "running"
+        }
+        assert replies[1]["error"]["code"] == REQUEST_CANCELLED
+        assert time.monotonic() - cancelled_at < 1.0
+        started = time.monotonic()
+        daemon.send(3, "analyze", {"uri": "mem:a", "text": CROSSED_SRC})
+        assert daemon.reply(within=5)["result"]["cache"] == "computed"
+        assert time.monotonic() - started < 1.0
+        daemon.send(4, "status")
+        counters = daemon.reply(within=5)["result"]["counters"]
+        assert counters["cancelled"] == 1
+        daemon.shutdown()
+
+
+# ---------------------------------------------------------------------------
 # fair scheduler
 
 
@@ -1000,6 +1159,55 @@ class TestConcurrentDaemon:
             release.set()
             server.drain()
 
+    @pytest.mark.parametrize(
+        "method, warm",
+        [("lint", False), ("repair", False), ("repair", True)],
+        ids=["lint", "repair-cold", "repair-warm-analysis"],
+    )
+    def test_cancel_in_flight_caches_no_wrong_result(self, method, warm):
+        # A cancel that lands while lint or repair runs must not leave a
+        # wrong result in the caches: both catch analysis errors, so an
+        # abort inside them would be stored as a report missing ADL012
+        # or with every candidate FAILED.  Repeating the request must
+        # give the payload of a run that was never cancelled.
+        from repro.server.protocol import REQUEST_CANCELLED
+
+        params = {"uri": "mem:a", "text": CROSSED_SRC}
+        expected = normalize(
+            rpc(make_server(), method, params)["result"]["report"]
+        )
+        server = AnalysisServer(session=Session(store=None), workers=1)
+        if warm:
+            # The repair's analysis is a cache hit: only the repair
+            # synthesis runs after the cancel.
+            rpc(server, "analyze", params)
+        session_method = f"{method}_document"
+        original = getattr(server.session, session_method)
+
+        def cancelled_while_running(*args, **kwargs):
+            cancel = submit_request(server, "cancel", {"id": 1}, id=2)
+            assert cancel["reply"]["result"]["state"] == "running"
+            return original(*args, **kwargs)
+
+        setattr(server.session, session_method, cancelled_while_running)
+        server.start()
+        try:
+            running = submit_request(server, method, params, id=1)
+            assert running["done"].wait(timeout=300)
+            assert running["reply"]["error"]["code"] == REQUEST_CANCELLED
+            delattr(server.session, session_method)
+            again = submit_request(server, method, {"uri": "mem:a"}, id=3)
+            assert again["done"].wait(timeout=300)
+        finally:
+            server.drain()
+        assert normalize(again["reply"]["result"]["report"]) == expected
+        # lint and a warm repair finish despite the cancel (and warm the
+        # cache); a cold repair stops in its analysis and caches nothing.
+        cold_repair = method == "repair" and not warm
+        assert again["reply"]["result"]["cache"] == (
+            "computed" if cold_repair else "memory"
+        )
+
     def test_cancel_unknown_id_reports_false(self):
         reply = rpc(make_server(), "cancel", {"id": 404})
         assert reply["result"] == {
@@ -1173,39 +1381,45 @@ class TestClientNamespaces:
 
 
 class TestTimeoutHonored:
-    def test_refined_timeout_goes_through_pool(self, monkeypatch):
+    def test_refined_expired_deadline_answers_1001(self):
         # Before the fix, ``timeout`` on a non-exact request was
-        # silently dropped (``if timeout is not None and is_exact``);
-        # now every budgeted request takes the preemptive pool path.
-        from repro.farm.pool import STATUS_TIMEOUT, WorkOutcome
-        from repro.server import session as session_mod
+        # silently dropped; the refined pipeline checks the deadline in
+        # its orderings fixpoint and per-head loop.
+        server = make_server()
+        for state_limit in (100, 200, 300, 400, 500):
+            reply = rpc(
+                server,
+                "analyze",
+                {
+                    "uri": "mem:a",
+                    "text": CROSSED_SRC,
+                    "algorithm": "refined",
+                    "state_limit": state_limit,
+                    "timeout": 1e-9,
+                },
+            )
+            assert reply["error"]["code"] == REQUEST_TIMEOUT, reply
+        # The index build was aborted, so the layer is absent.
+        doc = server.session.documents["mem:a"]
+        assert doc.artifacts()["index"] is False
+        reply = rpc(server, "analyze", {"uri": "mem:a", "state_limit": 100})
+        assert reply["result"]["cache"] == "computed"
 
-        seen = {}
-
-        def fake_run_pool(items, jobs, timeout):
-            seen["jobs"], seen["timeout"] = jobs, timeout
-            return [
-                WorkOutcome(
-                    label=items[0].label,
-                    status=STATUS_TIMEOUT,
-                    error="timed out",
-                )
-            ]
-
-        monkeypatch.setattr(session_mod, "run_pool", fake_run_pool)
-        reply = rpc(
-            make_server(),
-            "analyze",
-            {
-                "uri": "mem:a",
-                "text": CROSSED_SRC,
-                "algorithm": "refined",
-                "timeout": 0.25,
-            },
-        )
-        assert reply["error"]["code"] == REQUEST_TIMEOUT
-        assert seen["jobs"] > 1
-        assert seen["timeout"] == 0.25
+    @pytest.mark.parametrize("method", ["analyze", "batch"])
+    @pytest.mark.parametrize(
+        "timeout",
+        [float("nan"), float("inf"), True, 0, -1, "2"],
+        ids=["nan", "inf", "true", "zero", "negative", "string"],
+    )
+    def test_invalid_timeout_is_invalid_params(self, method, timeout):
+        params = {"timeout": timeout}
+        if method == "analyze":
+            params.update(uri="mem:a", text=CROSSED_SRC)
+        else:
+            params["items"] = [{"label": "a", "text": CROSSED_SRC}]
+        reply = rpc(make_server(), method, params)
+        assert reply["error"]["code"] == INVALID_PARAMS, reply
+        assert "timeout" in reply["error"]["message"]
 
     def test_refined_with_generous_timeout_completes(self):
         reply = rpc(
