@@ -6,7 +6,7 @@ families of ``bench_scaling.py`` — pipelines and handshake chains —
 plus the bundled paper corpus, asserting identical verdicts and
 evidence everywhere.  The shape to reproduce: the indexed kernel wins
 at every size, by at least 3x at the largest size of each family (the
-per-head rooted Tarjan + bitset marking removes the per-edge Python
+per-head forward–backward bitset kernel removes the per-edge Python
 closures and the full SCC enumeration the reference pays for per
 hypothesis).
 Headline numbers land in ``BENCH_refined.json``.
@@ -66,16 +66,17 @@ def test_refined_kernel_speedup(benchmark):
     rows = []
     results = []
     for family, size, graph in _families():
-        # Shared precompute: both sides receive the same CLG,
-        # orderings and coexec, so the timings isolate the marking +
-        # SCC kernels (index build time is charged to the index side).
+        # Shared precompute: both sides receive the same orderings and
+        # coexec, and the oracle the CLG, so the timings isolate the
+        # marking + SCC kernels (the index builds its CLG rows from the
+        # sync graph, and that time is charged to the index side).
         clg = build_clg(graph)
         orderings = compute_orderings(graph)
         coexec = compute_coexec(graph)
 
         def run_index():
             return refined_deadlock_analysis(
-                graph, clg=clg, orderings=orderings, coexec=coexec
+                graph, orderings=orderings, coexec=coexec
             )
 
         def run_reference():

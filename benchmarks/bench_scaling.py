@@ -54,7 +54,7 @@ def test_state_explosion_table(benchmark):
             graph = build_sync_graph(program)
             clg = build_clg(graph)
             t0 = time.perf_counter()
-            refined_deadlock_analysis(graph, clg=clg)
+            refined_deadlock_analysis(graph)
             refined_ms = (time.perf_counter() - t0) * 1e3
 
             t0 = time.perf_counter()
@@ -109,7 +109,7 @@ def test_refined_polynomial_fit(benchmark):
             clg = build_clg(graph)
             bound = clg.node_count * (clg.node_count + clg.edge_count)
             t0 = time.perf_counter()
-            refined_deadlock_analysis(graph, clg=clg)
+            refined_deadlock_analysis(graph)
             elapsed = time.perf_counter() - t0
             points.append((bound, elapsed))
         print_table(
@@ -159,7 +159,7 @@ def test_composed_grid_table(benchmark):
             graph = build_sync_graph(composed_grid(cells))
             clg = build_clg(graph)
             t0 = time.perf_counter()
-            report = refined_deadlock_analysis(graph, clg=clg)
+            report = refined_deadlock_analysis(graph)
             elapsed_ms = (time.perf_counter() - t0) * 1e3
             assert report.deadlock_free
             rows.append(

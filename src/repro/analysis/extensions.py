@@ -22,9 +22,11 @@ any surviving hypothesis is conservatively reported.
 Each analysis is a private loop over a small marking/search engine,
 :class:`_IndexOps`, which drives the bitset kernels of
 :class:`~repro.analysis.index.AnalysisIndex` — one shared index, mark
-vectors memoized across the O(N²)–O(N^k) combination loops, rooted
-early-exit Tarjan.  The differential tests run the same loops on a
-set-based engine (``tests/oracles/extensions.py``).
+vectors memoized across the O(N²)–O(N^k) combination loops, the
+forward–backward component kernel.  The differential tests run the
+same loops on a set-based engine (``tests/oracles/extensions.py``).
+Candidate tails are visited in uid order, so reports do not depend on
+the string hash seed.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .. import obs
 from ..errors import AnalysisError
-from ..syncgraph.clg import CLG
 from ..syncgraph.model import SyncGraph, SyncNode
 from .coexec import CoExecInfo
-from .index import AnalysisIndex, coaccept_of
+from .index import AnalysisIndex, coaccept_of, in_id_of, out_id_of
 from .orderings import OrderingInfo
 from .refined import possible_heads
 from .results import DeadlockEvidence, DeadlockReport, Verdict
@@ -59,15 +60,14 @@ class _IndexOps:
     def __init__(self, index: AnalysisIndex) -> None:
         self.index = index
         self.graph = index.graph
-        self.clg = index.clg
         self.orderings = index.orderings
         self.coexec = index.coexec
 
     def in_ref(self, node: SyncNode) -> int:
-        return self.index.in_id[node]
+        return in_id_of(node)
 
     def out_ref(self, node: SyncNode) -> int:
-        return self.index.out_id[node]
+        return out_id_of(node)
 
     def head_marks(
         self, head: SyncNode, use_coaccept: bool = True
@@ -75,7 +75,7 @@ class _IndexOps:
         return self.index.head_marks(head, use_coaccept)
 
     def tail_marks(self, tail: SyncNode) -> int:
-        return self.index.not_coexec_bits[tail]
+        return self.index.not_coexec_marks(tail)
 
     def task_restriction(self, tasks: Set[str]) -> int:
         return self.index.task_restriction(tasks)
@@ -89,7 +89,7 @@ class _IndexOps:
                 return None
         # SCCs partition the pruned CLG, so the component of the first
         # required node is the only candidate containing all of them.
-        ids, _visited = self.index.cyclic_component_ids(
+        ids, _reached = self.index.cyclic_component_ids(
             required[0], no_sync, do_not_enter
         )
         if ids is None:
@@ -103,7 +103,6 @@ class _IndexOps:
 
 def _index_ops(
     graph: SyncGraph,
-    clg: Optional[CLG],
     orderings: Optional[OrderingInfo],
     coexec: Optional[CoExecInfo],
     index: Optional[AnalysisIndex],
@@ -114,15 +113,12 @@ def _index_ops(
             "repro.transforms.unroll.remove_loops first"
         )
     if index is None:
-        index = AnalysisIndex(
-            graph, clg=clg, orderings=orderings, coexec=coexec
-        )
+        index = AnalysisIndex(graph, orderings=orderings, coexec=coexec)
     return _IndexOps(index)
 
 
 def head_pairs_analysis(
     graph: SyncGraph,
-    clg: Optional[CLG] = None,
     orderings: Optional[OrderingInfo] = None,
     coexec: Optional[CoExecInfo] = None,
     index: Optional[AnalysisIndex] = None,
@@ -134,9 +130,7 @@ def head_pairs_analysis(
     other (constraint 2 — co-heads joined by a sync edge would let the
     wave advance).
     """
-    return _head_pairs(
-        graph, _index_ops(graph, clg, orderings, coexec, index)
-    )
+    return _head_pairs(graph, _index_ops(graph, orderings, coexec, index))
 
 
 def _head_pairs(graph: SyncGraph, ops: _IndexOps) -> DeadlockReport:
@@ -188,27 +182,31 @@ def _candidate_tails(
     head: SyncNode,
     coexec: CoExecInfo,
 ) -> Tuple[SyncNode, ...]:
-    """Candidate tail nodes for ``head`` per the paper's criteria.
+    """Candidate tail nodes for ``head`` per the paper's criteria, in
+    uid order.
 
     ``t`` is reachable by control flow from ``head``, has a sync edge to
-    exit through, and ``t ∉ COACCEPT[head] ∪ NOT-COEXEC[head]``.
+    exit through, and ``t ∉ COACCEPT[head] ∪ NOT-COEXEC[head]``.  The
+    order matters: :func:`head_tail_analysis` stops at the first
+    surviving tail.
     """
-    coaccepts = set(coaccept_of(graph, head))
-    blocked = coexec.not_coexec_with(head)
+    p = coexec.position(head)
+    m = coexec.reach_rows[p] & ~coexec.not_coexec_rows[p]
+    for k in coaccept_of(graph, head):
+        m &= ~(1 << coexec.position(k))
+    nodes = coexec.nodes
     tails = []
-    for t in graph.control_descendants(head, strict=True):
-        if not t.is_rendezvous or t.task != head.task:
-            continue
-        if t in coaccepts or t in blocked:
-            continue
-        if graph.sync_neighbors(t):
+    while m:
+        low = m & -m
+        m ^= low
+        t = nodes[low.bit_length() - 1]
+        if t.task == head.task and graph.sync_neighbors(t):
             tails.append(t)
     return tuple(tails)
 
 
 def head_tail_analysis(
     graph: SyncGraph,
-    clg: Optional[CLG] = None,
     orderings: Optional[OrderingInfo] = None,
     coexec: Optional[CoExecInfo] = None,
     index: Optional[AnalysisIndex] = None,
@@ -220,9 +218,7 @@ def head_tail_analysis(
     and COACCEPT marking is unnecessary (the exit node is fixed).  A
     head with no viable tail cannot head any cycle.
     """
-    return _head_tail(
-        graph, _index_ops(graph, clg, orderings, coexec, index)
-    )
+    return _head_tail(graph, _index_ops(graph, orderings, coexec, index))
 
 
 def _head_tail(graph: SyncGraph, ops: _IndexOps) -> DeadlockReport:
@@ -268,7 +264,6 @@ def _head_tail(graph: SyncGraph, ops: _IndexOps) -> DeadlockReport:
 
 def combined_pairs_analysis(
     graph: SyncGraph,
-    clg: Optional[CLG] = None,
     orderings: Optional[OrderingInfo] = None,
     coexec: Optional[CoExecInfo] = None,
     max_hypotheses: int = 250_000,
@@ -284,7 +279,7 @@ def combined_pairs_analysis(
     the hypothesis space exceeds ``max_hypotheses`` — this extension is
     the expensive end of the paper's accuracy/cost spectrum.
     """
-    ops = _index_ops(graph, clg, orderings, coexec, index)
+    ops = _index_ops(graph, orderings, coexec, index)
     return _combined_pairs(graph, ops, max_hypotheses)
 
 
@@ -385,7 +380,6 @@ def _restricted_two_task_search(
 def k_pairs_analysis(
     graph: SyncGraph,
     k: int = 3,
-    clg: Optional[CLG] = None,
     orderings: Optional[OrderingInfo] = None,
     coexec: Optional[CoExecInfo] = None,
     max_hypotheses: int = 500_000,
@@ -406,7 +400,7 @@ def k_pairs_analysis(
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    ops = _index_ops(graph, clg, orderings, coexec, index)
+    ops = _index_ops(graph, orderings, coexec, index)
     return _k_pairs(graph, ops, k, max_hypotheses)
 
 

@@ -8,41 +8,52 @@ constant factors on the table.  This module provides
 :mod:`repro.analysis.refined` and :mod:`repro.analysis.extensions`:
 built once per sync graph, it
 
-* assigns dense integer ids to CLG nodes (``clg.node_index`` order) and
-  stores the CLG as CSR-style int adjacency arrays, split into sync
-  and non-sync (control/internal) edges — the only distinction the
-  NO-SYNC marking needs;
-* precomputes, per rendezvous node, the pruning mark vectors of the
-  refined algorithm as int bitsets: SEQUENCEABLE-with (symmetric),
-  same-task (constraint 1c), sync-partners (constraint 2), COACCEPT
-  (Lemma 2) and NOT-COEXEC (constraint 3b);
-* runs an iterative Tarjan kernel rooted at the hypothesis node that
-  takes ``no_sync`` / ``do_not_enter`` exclusion bitsets directly and
-  early-exits as soon as the root's component is decided: nodes
-  unreachable from ``h_i`` are never visited, and components other
-  than ``h_i``'s are never materialized.
+* numbers the CLG nodes straight from sync-graph uids — ``b`` = 0,
+  ``e`` = 1, ``r_i`` = 2·uid − 2, ``r_o`` = 2·uid − 1, the order
+  ``clg.node_index`` gives — and builds the CLG's adjacency by the
+  paper's six rules as int bitset rows, successor and predecessor,
+  split into sync and plain (control/internal) edges, the only
+  distinction the NO-SYNC marking needs.  No CLG object is built;
+  :attr:`AnalysisIndex.clg` builds one on first access for the
+  set-based oracles;
+* precomputes, per rendezvous position (``uid - 2``), the pruning mark
+  vectors of the refined algorithm as int bitsets over CLG ids:
+  SEQUENCEABLE-with (symmetric), same-task (constraint 1c),
+  sync-partners (constraint 2), COACCEPT (Lemma 2) and NOT-COEXEC
+  (constraint 3b);
+* finds the cyclic component of a hypothesis node ``h_i`` as
+  ``fwd(h_i) ∩ bwd(h_i)`` in the pruned CLG — the forward–backward idea
+  of Fleischer, Hendrickson and Pınar — one frontier at a time over the
+  rows, with the ``no_sync`` / ``do_not_enter`` exclusion bitsets
+  applied as masks.  Nodes unreachable from ``h_i`` are never touched,
+  and when no edge re-enters ``h_i`` the backward pass is skipped.
 
-Mark vectors are memoized per ``(head, use_coaccept)`` so the
-extension analyses stop recomputing them inside their O(N²)–O(N^k)
-combination loops.
+No :class:`SyncNode` or :class:`CLGNode` is hashed while the index is
+built or while a head hypothesis runs; ``SyncNode`` objects appear only
+at the evidence boundary (:meth:`AnalysisIndex.project_ids`).  Mark
+vectors are memoized per ``(head, use_coaccept)`` so the extension
+analyses stop recomputing them inside their O(N²)–O(N^k) combination
+loops.
 
 Everything here must be observationally equivalent to the set-based
 oracles in ``tests/oracles/`` (same verdicts, same evidence, same
 ``stats`` — including the per-rule pruning counters); the hypothesis
-differential tests in ``tests/test_index.py`` enforce that.
+differential tests in ``tests/test_index.py`` enforce that, and
+``tests/test_index_rows.py`` pins the rows to ``build_clg``.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .. import obs
-from ..syncgraph.clg import CLG, EdgeKind, build_clg
+from ..syncgraph.clg import CLG, build_clg
 from ..syncgraph.model import SyncGraph, SyncNode
 from .coexec import CoExecInfo, compute_coexec
 from .orderings import OrderingInfo, compute_orderings
 
-__all__ = ["AnalysisIndex", "coaccept_of"]
+__all__ = ["AnalysisIndex", "coaccept_of", "in_id_of", "out_id_of"]
 
 
 def coaccept_of(graph: SyncGraph, node: SyncNode) -> Tuple[SyncNode, ...]:
@@ -58,144 +69,154 @@ def coaccept_of(graph: SyncGraph, node: SyncNode) -> Tuple[SyncNode, ...]:
     )
 
 
+def in_id_of(node: SyncNode) -> int:
+    """CLG id of rendezvous node ``r``'s ``r_i``: ``2·uid − 2``.
+
+    ``b`` is 0 and ``e`` is 1; the ``r_i``/``r_o`` pairs follow in uid
+    order, exactly as ``clg.node_index`` numbers them.
+    """
+    return 2 * node.uid - 2
+
+
+def out_id_of(node: SyncNode) -> int:
+    """CLG id of rendezvous node ``r``'s ``r_o``: ``2·uid − 1``."""
+    return 2 * node.uid - 1
+
+
+def _spread(row: int) -> int:
+    """Position bitset → bitset of the positions' ``r_i`` ids.
+
+    Bit ``p`` moves to bit ``2p + 2``: interleaving the binary digits
+    with zeros doubles every bit index, and the shift skips ``b``/``e``.
+    """
+    return int("0".join(format(row, "b")), 2) << 2
+
+
+def _bit_ids(bits: int) -> List[int]:
+    ids = []
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        ids.append(low.bit_length() - 1)
+    return ids
+
+
 class AnalysisIndex:
-    """Dense-id bitset view of one sync graph + CLG.
+    """Dense-id bitset view of one sync graph's CLG.
 
     Construct once and share across ``refined_deadlock_analysis``,
     ``constraint4`` and all four extension analyses via their
-    ``index=`` parameter.  The precomputed ``clg`` / ``orderings`` /
-    ``coexec`` are exposed so the differential tests can hand the same
-    objects to the set-based oracles.
+    ``index=`` parameter.  The precomputed ``orderings`` / ``coexec``
+    (and the lazily built ``clg``) are exposed so the differential
+    tests can hand the same objects to the set-based oracles.
     """
 
     def __init__(
         self,
         graph: SyncGraph,
-        clg: Optional[CLG] = None,
         orderings: Optional[OrderingInfo] = None,
         coexec: Optional[CoExecInfo] = None,
     ) -> None:
         self.graph = graph
-        self.clg = clg if clg is not None else build_clg(graph)
         self.orderings = (
             orderings if orderings is not None else compute_orderings(graph)
         )
         self.coexec = coexec if coexec is not None else compute_coexec(graph)
 
-        clg = self.clg
-        node_index = clg.node_index
-        nodes = clg.nodes
-        n = len(nodes)
-        self.node_count = n
-        self._sync_of: List[Optional[SyncNode]] = [
-            node.sync for node in nodes
-        ]
-
         rendezvous = graph.rendezvous_nodes
-        self.in_id: Dict[SyncNode, int] = {}
-        self.out_id: Dict[SyncNode, int] = {}
-        # in_of[p]: CLG in-node id of the rendezvous node at position p
-        # (the positions the ordering rows are indexed by).
-        in_of: List[int] = []
-        in_bits = 0
-        out_bits = 0
-        for s in rendezvous:
-            i = node_index[clg.in_node(s)]
-            o = node_index[clg.out_node(s)]
-            self.in_id[s] = i
-            self.out_id[s] = o
-            in_of.append(i)
-            in_bits |= 1 << i
-            out_bits |= 1 << o
-        self.in_bits = in_bits
-        self.out_bits = out_bits
-        self.split_bits = in_bits | out_bits
-        self.full_mask = (1 << n) - 1
+        self._rendezvous = rendezvous
+        count = len(rendezvous)
+        n = 2 + 2 * count
+        self.node_count = n
+        # r_i ids are the even ids from 2, r_o ids the odd ones from 3.
+        self.in_bits = int("01" * count + "00", 2)
+        self.out_bits = self.in_bits << 1
+        self.split_bits = self.in_bits | self.out_bits
 
-        # CSR adjacency, split by the only distinction pruning needs:
-        # sync edges (suppressible by NO-SYNC) vs control/internal.
-        plain_start = [0] * (n + 1)
-        sync_start = [0] * (n + 1)
-        plain_dst: List[int] = []
-        sync_dst: List[int] = []
-        succ_all = [0] * n
-        pred_all = [0] * n
+        # The CLG rules 3-6 as bit rows; rules 1-2 are the numbering.
+        plain_succ = [0] * n
+        plain_pred = [0] * n
         sync_succ = [0] * n
         sync_pred = [0] * n
-        self_loops = 0
-        for v, node in enumerate(nodes):
-            for edge in clg.out_edges(node):
-                w = node_index[edge.dst]
-                succ_all[v] |= 1 << w
-                pred_all[w] |= 1 << v
-                if v == w:
-                    self_loops |= 1 << v
-                if edge.kind == EdgeKind.SYNC:
-                    sync_dst.append(w)
-                    sync_succ[v] |= 1 << w
-                    sync_pred[w] |= 1 << v
-                else:
-                    plain_dst.append(w)
-            plain_start[v + 1] = len(plain_dst)
-            sync_start[v + 1] = len(sync_dst)
-        self.plain_start = plain_start
-        self.plain_dst = plain_dst
-        self.sync_start = sync_start
-        self.sync_dst = sync_dst
-        self.succ_all_bits = succ_all
-        self.pred_all_bits = pred_all
-        self.sync_succ_bits = sync_succ
-        self.sync_pred_bits = sync_pred
-        self.self_loop_bits = self_loops
+        for o in range(3, n, 2):  # rule 3: internal (r_o, r_i)
+            plain_succ[o] = 1 << (o - 1)
+            plain_pred[o - 1] = 1 << o
+        b, e = graph.b, graph.e
+        for src, dst in graph.control_edges():  # rules 4-5
+            v = 0 if src is b else in_id_of(src)
+            w = 1 if dst is e else out_id_of(dst)
+            plain_succ[v] |= 1 << w
+            plain_pred[w] |= 1 << v
+        for r, s in graph.sync_edges():  # rule 6
+            for src, dst in ((r, s), (s, r)):
+                v = out_id_of(src)
+                w = in_id_of(dst)
+                sync_succ[v] |= 1 << w
+                sync_pred[w] |= 1 << v
+        self.plain_succ = plain_succ
+        self.plain_pred = plain_pred
+        self.sync_succ = sync_succ
+        self.sync_pred = sync_pred
+        self.edge_count = sum(row.bit_count() for row in plain_succ) + sum(
+            row.bit_count() for row in sync_succ
+        )
 
-        # Per-head pruning mark vectors (in-node side unless noted).
-        seq_bits: Dict[SyncNode, int] = {}
-        same_task_bits: Dict[SyncNode, int] = {}
-        partner_bits: Dict[SyncNode, int] = {}
-        coaccept_bits: Dict[SyncNode, int] = {}
-        not_coexec_bits: Dict[SyncNode, int] = {}
-        task_bits: Dict[str, int] = {}
-        in_id = self.in_id
-        out_id = self.out_id
-        for s, row in zip(rendezvous, self.orderings.sequenceable_rows):
+        # Per-position pruning mark vectors (in-node side unless noted).
+        # A node's sync partners are its rule-6 successors.
+        self.seq_bits = [
+            _spread(row) for row in self.orderings.sequenceable_rows
+        ]
+        self.partner_bits = sync_succ[3::2]
+        # Both split nodes: r_i | r_o = 3 << (2p + 2).
+        self.not_coexec_bits = [
+            _spread(row) * 3 for row in self.coexec.not_coexec_rows
+        ]
+        coaccept_bits = [0] * count
+        for signal in graph.signals:
+            group = [node.uid - 2 for node in graph.accepters_of(signal)]
             m = 0
-            while row:
-                k = (row & -row).bit_length() - 1
-                row &= row - 1
-                m |= 1 << in_of[k]
-            seq_bits[s] = m
-            m = 0
-            for k in graph.sync_neighbors(s):
-                m |= 1 << in_id[k]
-            partner_bits[s] = m
-            m = 0
-            for k in coaccept_of(graph, s):
-                m |= (1 << in_id[k]) | (1 << out_id[k])
-            coaccept_bits[s] = m
-            m = 0
-            for k in self.coexec.not_coexec_with(s):
-                m |= (1 << in_id[k]) | (1 << out_id[k])
-            not_coexec_bits[s] = m
-        for task in graph.tasks:
-            t_in = 0
-            t_all = 0
-            for k in graph.nodes_of_task(task):
-                t_in |= 1 << in_id[k]
-                t_all |= (1 << in_id[k]) | (1 << out_id[k])
-            task_bits[task] = t_all
-            for k in graph.nodes_of_task(task):
-                same_task_bits[k] = t_in & ~(1 << in_id[k])
-        self.seq_bits = seq_bits
-        self.same_task_bits = same_task_bits
-        self.partner_bits = partner_bits
+            for p in group:
+                m |= 3 << (2 * p + 2)
+            for p in group:
+                coaccept_bits[p] = m & ~(3 << (2 * p + 2))
         self.coaccept_bits = coaccept_bits
-        self.not_coexec_bits = not_coexec_bits
+        same_task_bits = [0] * count
+        task_bits: Dict[str, int] = {}
+        for task in graph.tasks:
+            members = [node.uid - 2 for node in graph.nodes_of_task(task)]
+            t_in = 0
+            for p in members:
+                t_in |= 1 << (2 * p + 2)
+            task_bits[task] = t_in * 3
+            for p in members:
+                same_task_bits[p] = t_in & ~(1 << (2 * p + 2))
+        self.same_task_bits = same_task_bits
         self.task_bits = task_bits
 
-        self._mark_cache: Dict[Tuple[SyncNode, bool], Tuple[int, int]] = {}
+        # Keyed by 2·uid + use_coaccept.
+        self._mark_cache: Dict[int, Tuple[int, int]] = {}
         if obs.is_enabled():
             obs.counter("index.builds").inc()
             obs.gauge("index.nodes").set(n)
+            obs.histogram("index.nodes_per_build").observe(n)
+
+    # -- the object views ---------------------------------------------------
+
+    @cached_property
+    def clg(self) -> CLG:
+        """``build_clg(graph)``, whose ``node_index`` equals these ids;
+        built on first access, for the set-based oracles."""
+        return build_clg(self.graph)
+
+    @cached_property
+    def in_id(self) -> Dict[SyncNode, int]:
+        """CLG id of each rendezvous node's ``r_i``."""
+        return {s: in_id_of(s) for s in self._rendezvous}
+
+    @cached_property
+    def out_id(self) -> Dict[SyncNode, int]:
+        """CLG id of each rendezvous node's ``r_o``."""
+        return {s: out_id_of(s) for s in self._rendezvous}
 
     # -- mark vectors ------------------------------------------------------
 
@@ -207,31 +228,35 @@ class AnalysisIndex:
         Memoized: the extension analyses query the same head inside
         O(N²)–O(N^k) combination loops.
         """
-        key = (head, use_coaccept)
+        key = 2 * head.uid + use_coaccept
         cached = self._mark_cache.get(key)
         observing = obs.is_enabled()
         if cached is not None:
             if observing:
                 obs.counter("index.mark_cache_hits").inc()
             return cached
+        p = head.uid - 2
         no_sync = (
-            self.seq_bits[head]
-            | self.same_task_bits[head]
-            | self.partner_bits[head]
+            self.seq_bits[p] | self.same_task_bits[p] | self.partner_bits[p]
         )
         if use_coaccept:
-            no_sync |= self.coaccept_bits[head]
-        marks = (no_sync, self.not_coexec_bits[head])
+            no_sync |= self.coaccept_bits[p]
+        marks = (no_sync, self.not_coexec_bits[p])
         self._mark_cache[key] = marks
         if observing:
             obs.counter("index.mark_cache_misses").inc()
         return marks
 
+    def not_coexec_marks(self, node: SyncNode) -> int:
+        """DO-NOT-ENTER bits removing the nodes never co-executable
+        with ``node`` (both split nodes of each)."""
+        return self.not_coexec_bits[node.uid - 2]
+
     def in_mask(self, nodes: Iterable[SyncNode]) -> int:
         """Bitset of the ``k_i`` ids of ``nodes``."""
         m = 0
         for k in nodes:
-            m |= 1 << self.in_id[k]
+            m |= 1 << in_id_of(k)
         return m
 
     def task_restriction(self, tasks: Iterable[str]) -> int:
@@ -243,95 +268,70 @@ class AnalysisIndex:
 
     def project_ids(self, ids: Iterable[int]) -> FrozenSet[SyncNode]:
         """Component ids → sync-graph nodes (``project_component``)."""
-        sync_of = self._sync_of
-        return frozenset(
-            sync_of[i] for i in ids if sync_of[i] is not None
-        )
+        rendezvous = self._rendezvous
+        return frozenset(rendezvous[(i >> 1) - 1] for i in ids if i >= 2)
 
     # -- the kernel --------------------------------------------------------
 
     def cyclic_component_ids(
         self, root: int, no_sync: int, do_not_enter: int
     ) -> Tuple[Optional[List[int]], int]:
-        """Cyclic SCC of ``root`` in the pruned CLG, plus nodes visited.
+        """Cyclic SCC of ``root`` in the pruned CLG, plus nodes reached.
 
-        Iterative Tarjan rooted at ``root`` only: sync edges incident to
-        a ``no_sync`` endpoint and all edges incident to a
-        ``do_not_enter`` node are skipped via bit tests.  Early exit —
-        the DFS never leaves ``root``'s reachable set, components other
-        than ``root``'s pop unmaterialized, and the walk stops the
-        moment ``root``'s own component pops.  Returns ``(ids, visited)``
-        with ``ids`` None when the component is acyclic (singleton
-        without a self-loop); ``visited`` counts discovered nodes, the
-        quantity the early exit saves versus a full enumeration.
+        The pruned CLG drops every node in ``do_not_enter`` and every
+        sync edge with an endpoint in ``no_sync``.  Its SCC through
+        ``root`` is ``fwd(root) ∩ bwd(root)``: the forward reach is
+        taken one frontier at a time by OR-ing the successor rows of
+        the frontier, and the backward reach the same way over the
+        predecessor rows, restricted to the forward set.  When no edge
+        re-enters ``root`` from its forward reach — a self-loop would —
+        ``root`` lies on no cycle and the backward pass is skipped.
 
+        Returns ``(ids, reached)``: ``ids`` is None when the component
+        is acyclic, and ``reached`` is the size of the forward reach.
         Callers must pre-check that ``root`` itself is not excluded.
         """
-        plain_start = self.plain_start
-        plain_dst = self.plain_dst
-        sync_start = self.sync_start
-        sync_dst = self.sync_dst
-        excluded = do_not_enter
-        ns_or_dne = no_sync | do_not_enter
+        root_bit = 1 << root
+        keep = ~do_not_enter
+        sync_keep = ~(no_sync | do_not_enter)
 
-        index: Dict[int, int] = {root: 0}
-        lowlink: Dict[int, int] = {root: 0}
-        on_stack = 1 << root
-        stack = [root]
-        counter = 1
+        plain_rows = self.plain_succ
+        sync_rows = self.sync_succ
+        fwd = frontier = root_bit
+        closing = 0
+        while frontier:
+            plain = sync = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                v = low.bit_length() - 1
+                plain |= plain_rows[v]
+                if not no_sync & low:
+                    sync |= sync_rows[v]
+            step = (plain & keep) | (sync & sync_keep)
+            closing |= step
+            frontier = step & ~fwd
+            fwd |= frontier
+        reached = fwd.bit_count()
+        if not closing & root_bit:
+            return None, reached
 
-        def neighbors(v: int) -> List[int]:
-            out = [
-                w
-                for w in plain_dst[plain_start[v] : plain_start[v + 1]]
-                if not (excluded >> w) & 1
-            ]
-            if not (no_sync >> v) & 1:
-                out += [
-                    w
-                    for w in sync_dst[sync_start[v] : sync_start[v + 1]]
-                    if not (ns_or_dne >> w) & 1
-                ]
-            return out
-
-        work: List[Tuple[int, Iterable[int]]] = [
-            (root, iter(neighbors(root)))
-        ]
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack |= 1 << w
-                    work.append((w, iter(neighbors(w))))
-                    advanced = True
-                    break
-                if (on_stack >> w) & 1 and index[w] < lowlink[v]:
-                    lowlink[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if lowlink[v] < lowlink[parent]:
-                    lowlink[parent] = lowlink[v]
-            if lowlink[v] == index[v]:
-                if v == root:
-                    # The root is the first node discovered, hence the
-                    # root of its own SCC: everything still on the
-                    # Tarjan stack is the component.  Decided — stop.
-                    if len(stack) > 1 or (self.self_loop_bits >> root) & 1:
-                        return stack, len(index)
-                    return None, len(index)
-                member = stack.pop()
-                on_stack &= ~(1 << member)
-                while member != v:
-                    member = stack.pop()
-                    on_stack &= ~(1 << member)
-        return None, len(index)  # pragma: no cover - root always pops
+        plain_rows = self.plain_pred
+        sync_rows = self.sync_pred
+        sync_keep = fwd & ~no_sync
+        bwd = frontier = root_bit
+        while frontier:
+            plain = sync = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                v = low.bit_length() - 1
+                plain |= plain_rows[v]
+                if not no_sync & low:
+                    sync |= sync_rows[v]
+            frontier = ((plain & fwd) | (sync & sync_keep)) & ~bwd
+            bwd |= frontier
+        return _bit_ids(bwd), reached
 
     # -- pruning-effectiveness counters ------------------------------------
 
@@ -353,11 +353,12 @@ class AnalysisIndex:
         ``<rule>_nodes`` keys are always written, edge keys only when
         non-zero — matching the oracle's incremental dict writes.
         """
+        p = head.uid - 2
         rule_marks = (
-            ("sequenceable", self.seq_bits[head]),
-            ("same_task", self.same_task_bits[head]),
-            ("sync_partner", self.partner_bits[head]),
-            ("coaccept", self.coaccept_bits[head] if use_coaccept else 0),
+            ("sequenceable", self.seq_bits[p]),
+            ("same_task", self.same_task_bits[p]),
+            ("sync_partner", self.partner_bits[p]),
+            ("coaccept", self.coaccept_bits[p] if use_coaccept else 0),
             ("constraint4", global_no_sync),
         )
         claimed_all = 0
@@ -374,8 +375,8 @@ class AnalysisIndex:
             "not_coexec_nodes", 0
         ) + dne.bit_count()
 
-        succ_all = self.succ_all_bits
-        pred_all = self.pred_all_bits
+        plain_succ, sync_succ = self.plain_succ, self.sync_succ
+        plain_pred, sync_pred = self.plain_pred, self.sync_pred
         nce = 0
         m = dne
         while m:
@@ -383,13 +384,11 @@ class AnalysisIndex:
             m &= m - 1
             # Out-edges of a removed node, plus in-edges from surviving
             # sources (counting each edge between two removed nodes once).
-            nce += succ_all[v].bit_count()
-            nce += (pred_all[v] & ~dne).bit_count()
+            nce += plain_succ[v].bit_count() + sync_succ[v].bit_count()
+            nce += ((plain_pred[v] | sync_pred[v]) & ~dne).bit_count()
         if nce:
             counts["not_coexec_edges"] = counts.get("not_coexec_edges", 0) + nce
 
-        sync_succ = self.sync_succ_bits
-        sync_pred = self.sync_pred_bits
         src_claimed = claim["coaccept"] & self.out_bits
         src_count = 0
         m = src_claimed & ~dne

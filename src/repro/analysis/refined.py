@@ -26,6 +26,11 @@ connected component containing ``h_i``:
 If no hypothesis yields a component, the program is certified
 deadlock-free.  Any component is conservatively reported as a possible
 deadlock.  Total cost is ``O(|N_CLG| · (|N_CLG| + |E_CLG|))``.
+
+Only ``h_i``'s own component matters, and in the pruned CLG that is
+``fwd(h_i) ∩ bwd(h_i)``: :meth:`AnalysisIndex.cyclic_component_ids`
+takes both reaches one frontier at a time over int rows that the index
+builds straight from the sync graph, so no CLG object is built here.
 """
 
 from __future__ import annotations
@@ -35,10 +40,9 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .. import obs
 from ..budget import CHECK_EVERY, checkpoint
 from ..errors import AnalysisError
-from ..syncgraph.clg import CLG
 from ..syncgraph.model import SyncGraph, SyncNode
 from .coexec import CoExecInfo
-from .index import AnalysisIndex, coaccept_of
+from .index import AnalysisIndex, coaccept_of, in_id_of
 from .orderings import OrderingInfo
 from .results import DeadlockEvidence, DeadlockReport, Verdict
 
@@ -82,7 +86,6 @@ def possible_heads(graph: SyncGraph) -> Tuple[SyncNode, ...]:
 
 def refined_deadlock_analysis(
     graph: SyncGraph,
-    clg: Optional[CLG] = None,
     orderings: Optional[OrderingInfo] = None,
     coexec: Optional[CoExecInfo] = None,
     use_coaccept: bool = True,
@@ -94,9 +97,10 @@ def refined_deadlock_analysis(
     Precomputed ``orderings``/``coexec`` may be passed in (e.g. enriched
     with external co-executability facts); otherwise the built-in
     conservative approximations are used.  The hypotheses run on the
-    bitset kernels of :class:`AnalysisIndex`; a prebuilt ``index`` may
-    be shared across analyses and supersedes ``clg``/``orderings``/
-    ``coexec``.
+    forward–backward bitset kernel of :class:`AnalysisIndex`, whose
+    rows come straight from the sync graph (no CLG object is built); a
+    prebuilt ``index`` may be shared across analyses and supersedes
+    ``orderings``/``coexec``.
     """
     if graph.has_control_cycle():
         raise AnalysisError(
@@ -105,15 +109,13 @@ def refined_deadlock_analysis(
         )
     with obs.span("refined.precompute"):
         if index is None:
-            index = AnalysisIndex(
-                graph, clg=clg, orderings=orderings, coexec=coexec
-            )
+            index = AnalysisIndex(graph, orderings=orderings, coexec=coexec)
 
     observing = obs.is_enabled()
     prune_counts: Optional[Dict[str, int]] = {} if observing else None
     heads = possible_heads(graph)
     evidence: List[DeadlockEvidence] = []
-    visited_total = 0
+    reached_total = 0
     with obs.span("refined.heads", heads=len(heads)):
         global_mask = index.in_mask(global_no_sync)
         budget = checkpoint()
@@ -130,13 +132,13 @@ def refined_deadlock_analysis(
                     head, use_coaccept, global_mask, do_not_enter,
                     prune_counts,
                 )
-            h_id = index.in_id[head]
+            h_id = in_id_of(head)
             if ((do_not_enter | no_sync) >> h_id) & 1:
                 continue
-            ids, visited = index.cyclic_component_ids(
+            ids, reached = index.cyclic_component_ids(
                 h_id, no_sync, do_not_enter
             )
-            visited_total += visited
+            reached_total += reached
             if ids is not None:
                 evidence.append(
                     DeadlockEvidence(
@@ -145,8 +147,8 @@ def refined_deadlock_analysis(
                 )
     verdict = Verdict.CERTIFIED_FREE if not evidence else Verdict.POSSIBLE_DEADLOCK
     stats = {
-        "clg_nodes": index.clg.node_count,
-        "clg_edges": index.clg.edge_count,
+        "clg_nodes": index.node_count,
+        "clg_edges": index.edge_count,
         "poss_heads": len(heads),
         "ordered_pairs": index.orderings.pair_count,
         "not_coexec_pairs": index.coexec.pair_count,
@@ -155,7 +157,7 @@ def refined_deadlock_analysis(
         obs.counter("refined.heads_examined").inc(len(heads))
         obs.counter("refined.scc_passes").inc(len(heads))
         obs.counter("refined.components_flagged").inc(len(evidence))
-        obs.counter("refined.tarjan_nodes_visited").inc(visited_total)
+        obs.counter("refined.nodes_reached").inc(reached_total)
         assert prune_counts is not None
         for rule in PRUNE_RULES:
             obs.counter("refined.pruned_nodes", rule=rule).inc(

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Set
 
-import networkx as nx
-
 from .graph import CFGNode, TaskCFG
 
 __all__ = [
@@ -33,6 +31,8 @@ def immediate_dominators(cfg: TaskCFG) -> Dict[CFGNode, CFGNode]:
 
     The entry node maps to itself (networkx convention).
     """
+    import networkx as nx
+
     return nx.immediate_dominators(cfg.to_networkx(), cfg.entry)
 
 
@@ -74,6 +74,8 @@ def postdominator_sets(cfg: TaskCFG) -> Dict[CFGNode, FrozenSet[CFGNode]]:
 
     Computed as dominators of the reversed CFG rooted at the exit node.
     """
+    import networkx as nx
+
     reverse = cfg.to_networkx().reverse(copy=True)
     idom = nx.immediate_dominators(reverse, cfg.exit)
     return _sets_from_idom(idom, cfg.exit)

@@ -11,11 +11,12 @@ co-executability analyses work on the full CFG.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..lang.ast_nodes import Statement
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = ["CFGNode", "TaskCFG", "NodeKind"]
 
@@ -118,11 +119,17 @@ class TaskCFG:
 
     def reachable_from(self, start: CFGNode) -> Set[CFGNode]:
         """All nodes reachable from ``start`` (inclusive)."""
+        return self._closure(start, self._succ)
+
+    @staticmethod
+    def _closure(
+        start: CFGNode, adjacency: Dict[CFGNode, List[CFGNode]]
+    ) -> Set[CFGNode]:
         seen = {start}
         stack = [start]
         while stack:
             node = stack.pop()
-            for nxt in self._succ[node]:
+            for nxt in adjacency[node]:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
@@ -135,8 +142,7 @@ class TaskCFG:
     def check_connected(self) -> None:
         """Assert every node is on an entry→exit path; raises otherwise."""
         from_entry = self.reachable_from(self.entry)
-        reverse = self.to_networkx().reverse(copy=False)
-        to_exit = set(nx.descendants(reverse, self.exit)) | {self.exit}
+        to_exit = self._closure(self.exit, self._pred)
         for node in self._nodes:
             if node not in from_entry or node not in to_exit:
                 raise AssertionError(
@@ -144,6 +150,8 @@ class TaskCFG:
                 )
 
     def to_networkx(self) -> "nx.DiGraph":
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(self._nodes)
         g.add_edges_from(self.edges())

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import List, Set, Tuple
 
-import networkx as nx
-
 from ..errors import IrreducibleFlowError
 from .dominators import dominator_sets
 from .graph import CFGNode, TaskCFG
@@ -32,6 +30,8 @@ def back_edges(cfg: TaskCFG) -> List[Tuple[CFGNode, CFGNode]]:
 
 def is_reducible(cfg: TaskCFG) -> bool:
     """True iff the CFG is reducible."""
+    import networkx as nx
+
     backs: Set[Tuple[CFGNode, CFGNode]] = set(back_edges(cfg))
     g = nx.DiGraph()
     g.add_nodes_from(cfg.nodes)

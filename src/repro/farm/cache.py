@@ -69,7 +69,11 @@ __all__ = [
 # beam_width/beam_truncated for beam runs), and the search strategy /
 # beam width joined the cache key: budget-limited runs legitimately
 # differ by expansion order, so strategies must not share entries.
-PIPELINE_VERSION = 6
+# v7: the sync-graph builder emits control successors and initial
+# options in uid order, and the extension analyses visit candidate
+# tails in uid order; v6 entries of budget-limited exact runs, witness
+# choices and extension evidence followed the string hash seed.
+PIPELINE_VERSION = 7
 
 # On-disk envelope format, independent of analysis semantics.
 CACHE_FORMAT = 1

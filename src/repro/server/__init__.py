@@ -1,7 +1,7 @@
 """``repro.server`` — a long-lived analysis daemon with session state.
 
-The one-shot CLI re-pays parse, CLG build, and ``AnalysisIndex`` /
-``WaveIndex`` construction on every invocation.  The server keeps that
+The one-shot CLI re-pays parse, sync-graph build, and ``AnalysisIndex``
+/ ``WaveIndex`` construction on every invocation.  The server keeps that
 hot state resident: a :class:`~repro.server.session.Session` owns
 documents keyed by URI with version numbers, caching the prepared
 pipeline (parsed program → inlined program → sync graph → indexes) per

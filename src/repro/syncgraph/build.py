@@ -56,14 +56,20 @@ def build_sync_graph(program: Program) -> SyncGraph:
     return sg
 
 
-def _rendezvous_frontier(cfg: TaskCFG, start: CFGNode) -> tuple[Set[CFGNode], bool]:
+def _rendezvous_frontier(
+    cfg: TaskCFG, start: CFGNode
+) -> tuple[List[CFGNode], bool]:
     """Rendezvous nodes reachable from ``start`` through non-rendezvous
-    nodes, and whether the task exit is reachable the same way.
+    nodes, in uid order, and whether the task exit is reachable the
+    same way.
 
     ``start`` itself is *not* treated as a barrier (so the frontier of a
-    rendezvous node is the set of next rendezvous after it).
+    rendezvous node is the set of next rendezvous after it).  The uid
+    order makes ``control_successors`` and ``initial_options`` — and
+    with them budget-limited searches and witness choice — independent
+    of the string hash seed.
     """
-    frontier: Set[CFGNode] = set()
+    frontier: List[CFGNode] = []
     reaches_exit = False
     seen: Set[CFGNode] = set()
     stack: List[CFGNode] = list(cfg.successors(start))
@@ -73,12 +79,13 @@ def _rendezvous_frontier(cfg: TaskCFG, start: CFGNode) -> tuple[Set[CFGNode], bo
             continue
         seen.add(node)
         if node.is_rendezvous:
-            frontier.add(node)
+            frontier.append(node)
             continue
         if node is cfg.exit:
             reaches_exit = True
             continue
         stack.extend(cfg.successors(node))
+    frontier.sort(key=lambda node: node.uid)
     return frontier, reaches_exit
 
 

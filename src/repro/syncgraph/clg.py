@@ -24,12 +24,13 @@ edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .. import obs
 from .model import SyncGraph, SyncNode
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = ["CLGNode", "CLGEdge", "CLG", "build_clg", "EdgeKind"]
 
@@ -238,6 +239,8 @@ class CLG:
         return bool(self.cyclic_components())
 
     def to_networkx(self) -> "nx.DiGraph":
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(self._nodes)
         for edge in self.edges():

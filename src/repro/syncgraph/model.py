@@ -17,13 +17,14 @@ signaling (send) point and ``-`` for an accepting point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..cfg.graph import CFGNode
 from ..errors import UnknownTaskError
 from ..lang.ast_nodes import Signal
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = ["SyncNode", "SyncGraph", "SIGN_SEND", "SIGN_ACCEPT"]
 
@@ -83,6 +84,12 @@ class SyncGraph:
     belonging to each task (a task with a rendezvous-free path
     contributes ``e`` as an option, modelling the paper's ``(b, e)``
     edge).
+
+    Node uids are dense: ``b`` is 0, ``e`` is 1, and the rendezvous
+    nodes follow as 2, 3, … in :attr:`rendezvous_nodes` order, so a
+    rendezvous node's position there is ``uid - 2``.  The dense-id
+    analyses (orderings, coexec, :class:`~repro.analysis.index.
+    AnalysisIndex`) index their rows by it.
     """
 
     def __init__(self, tasks: Sequence[str]) -> None:
@@ -311,6 +318,8 @@ class SyncGraph:
 
         Sync edges appear in both directions with ``kind="sync"``.
         """
+        import networkx as nx
+
         g = nx.DiGraph()
         for node in self._nodes:
             g.add_node(node, kind=node.kind, task=node.task)

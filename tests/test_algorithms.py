@@ -116,12 +116,10 @@ class TestRefined:
 
     def test_precomputed_inputs_accepted(self, crossed):
         from repro.analysis.coexec import compute_coexec
-        from repro.syncgraph.clg import build_clg
 
         sg = build_sync_graph(crossed)
         report = refined_deadlock_analysis(
             sg,
-            clg=build_clg(sg),
             orderings=compute_orderings(sg),
             coexec=compute_coexec(sg),
         )

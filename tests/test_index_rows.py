@@ -1,0 +1,101 @@
+"""The :class:`AnalysisIndex` rows against ``build_clg``.
+
+The index numbers CLG nodes from sync-graph uids (``b`` = 0, ``e`` = 1,
+``r_i`` = 2·uid − 2, ``r_o`` = 2·uid − 1) and builds the adjacency by
+the paper's six rules as int bit rows, without building a CLG object.
+Both must describe the same graph: node and edge counts, each node's
+plain and sync successors (mapped through ``clg.node_index``), the
+predecessor rows as their transpose, and ``in_id`` / ``out_id``.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given
+
+from repro.analysis.index import AnalysisIndex
+from repro.lang.parser import parse_program
+from repro.reductions.cnf import random_cnf
+from repro.reductions.theorem3 import build_theorem3_graph
+from repro.syncgraph.build import build_sync_graph
+from repro.syncgraph.clg import EdgeKind, build_clg
+from repro.transforms.inline import inline_procedures
+from repro.workloads.adl_corpus import adl_corpus, repair_corpus
+from repro.workloads.corpus import paper_corpus
+from tests.conftest import graph_of
+from tests.test_properties import FAST, rich_programs, small_programs
+
+
+def _members(bits):
+    out = set()
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        out.add(low.bit_length() - 1)
+    return out
+
+
+def assert_rows_match_clg(graph):
+    index = AnalysisIndex(graph)
+    clg = build_clg(graph)
+    node_index = clg.node_index
+    n = clg.node_count
+    assert index.node_count == n
+    assert index.edge_count == clg.edge_count
+
+    plain = [set() for _ in range(n)]
+    sync = [set() for _ in range(n)]
+    for edge in clg.edges():
+        rows = sync if edge.kind == EdgeKind.SYNC else plain
+        rows[node_index[edge.src]].add(node_index[edge.dst])
+    assert [_members(row) for row in index.plain_succ] == plain
+    assert [_members(row) for row in index.sync_succ] == sync
+    for succ, pred in (
+        (index.plain_succ, index.plain_pred),
+        (index.sync_succ, index.sync_pred),
+    ):
+        for v in range(n):
+            assert _members(pred[v]) == {
+                u for u in range(n) if (succ[u] >> v) & 1
+            }
+
+    rendezvous = graph.rendezvous_nodes
+    assert len(index.in_id) == len(index.out_id) == len(rendezvous)
+    for s in rendezvous:
+        assert index.in_id[s] == node_index[clg.in_node(s)]
+        assert index.out_id[s] == node_index[clg.out_node(s)]
+    assert node_index[clg.b] == 0 and node_index[clg.e] == 1
+    assert index.project_ids(range(n)) == frozenset(rendezvous)
+
+
+@FAST
+@given(small_programs(with_loops=True))
+def test_small_programs_after_unroll(program):
+    assert_rows_match_clg(graph_of(program))
+
+
+@FAST
+@given(rich_programs())
+def test_full_grammar_programs(program):
+    assert_rows_match_clg(graph_of(program))
+
+
+def test_corpora():
+    programs = [entry.program for entry in paper_corpus().values()]
+    for corpus in (adl_corpus(), repair_corpus()):
+        programs += [parse_program(e.source) for e in corpus.values()]
+    for program in programs:
+        program, _ = inline_procedures(program)
+        assert_rows_match_clg(graph_of(program))
+
+
+def test_hand_built_theorem3_graph():
+    """The Theorem-3 reduction adds raw sync edges via ``add_sync_edge``."""
+    for seed in range(3):
+        graph = build_theorem3_graph(random_cnf(3, 3, seed=seed)).graph
+        assert_rows_match_clg(graph)
+
+
+def test_empty_graph():
+    assert_rows_match_clg(
+        build_sync_graph(parse_program("program p; task t is begin null; end;"))
+    )

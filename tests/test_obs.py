@@ -254,9 +254,10 @@ class TestPipelineInstrumentation:
             "analyze.stall",
             "refined.precompute",
             "refined.heads",
-            "clg.build",
         ):
             assert expected in names
+        # The index builds its CLG rows from the sync graph directly.
+        assert "clg.build" not in names
         durations = session_to_dict(session)["span_seconds"]
         assert durations["analyze"] > 0
 
@@ -269,6 +270,7 @@ class TestPipelineInstrumentation:
             assert reg.counter_value("refined.pruned_edges", rule=rule) > 0
         assert reg.counter_value("refined.heads_examined") > 0
         assert reg.counter_value("refined.scc_passes") > 0
+        assert reg.counter_value("refined.nodes_reached") > 0
 
     def test_pruning_totals_mirrored_into_report_stats(self):
         with obs.observed():
