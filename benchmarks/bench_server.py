@@ -17,16 +17,17 @@ session's ``server.cache_hits`` counter must equal the number of warm
 requests, proving the speedup is residency and not noise.  Headline
 numbers land in ``BENCH_server.json``.
 
-A second scenario measures the **concurrent daemon**: four HTTP
-clients analyzing independent cold documents against a multi-worker
-pool (worker threads + the shared compute process pool) versus the
-same workload through a single worker.  On a multi-core box the
-aggregate throughput must be ≥ 2x; on one core the numbers are
-recorded honestly with the host's ``cpu_count`` and the assertion is
-skipped (the GIL plus one core cannot parallelize CPU-bound work).
-The same scenario drills cancellation: a stale queued ``analyze`` is
-cancelled (answer code 1004, no work run) without blocking its
-replacement.
+A second scenario drives the **concurrent daemon**: four HTTP clients
+analyzing independent cold documents against four worker threads
+versus the same workload through a single worker.  Every request runs
+in the daemon's own process, so the GIL runs one analysis at a time:
+worker threads bound how long a short request waits behind a long one,
+they are not a CPU-throughput feature.  The scenario asserts that every
+request was served and computed exactly once; the 4-vs-1 throughput
+ratio is recorded in ``BENCH_server.json`` with the host's
+``cpu_count`` and not asserted.  The same scenario drills
+cancellation: a stale queued ``analyze`` is cancelled (answer code
+1004, no work run) without blocking its replacement.
 
 Setting ``REPRO_PERF_SMOKE=1`` (the CI server-smoke job) shrinks the
 corpus so the benchmark doubles as a fast regression gate.
@@ -56,7 +57,7 @@ MIN_WARM_SPEEDUP = 5.0
 
 CLIENTS = 4
 REQS_PER_CLIENT = 2 if SMOKE else 6
-MIN_CONCURRENT_SPEEDUP = 2.0
+BULK_ITEMS = 64
 
 
 def _corpus():
@@ -215,8 +216,7 @@ def _stop(server, httpd):
 
 def _concurrency_corpus():
     """Per-client lists of distinct cold programs (nothing shareable:
-    every request pays the full pipeline, which is what a pool must
-    parallelize)."""
+    every request pays the full pipeline)."""
     per_client = []
     for c in range(CLIENTS):
         pairs = []
@@ -285,11 +285,13 @@ def _cancellation_drill():
         return t
 
     try:
-        # Occupy the lone worker with a bulk sweep long enough for the
-        # cancel round trips behind it.
+        # Occupy the lone worker with a bulk sweep that outlasts the
+        # cancel round trips behind it (30-60 ms on a 2-vCPU host)
+        # several times over, so its size does not shrink in smoke mode.
+        programs = [text for _, text in _concurrency_corpus()[0]]
         bulk_items = [
-            {"label": f"bulk-{i}", "text": text}
-            for i, (_, text) in enumerate(_concurrency_corpus()[0] * 6)
+            {"label": f"bulk-{i}", "text": programs[i % len(programs)]}
+            for i in range(BULK_ITEMS)
         ]
         bulk = post_bg(
             "bulk",
@@ -361,19 +363,19 @@ def test_server_concurrency(benchmark):
 
     single_s, single_counters = _aggregate_wall(1, per_client)
 
-    def pooled_scenario():
+    def threaded_scenario():
         return _aggregate_wall(CLIENTS, per_client)
 
-    pooled_s, pooled_counters = bench_once(benchmark, pooled_scenario)
+    threaded_s, threaded_counters = bench_once(benchmark, threaded_scenario)
 
-    speedup = single_s / pooled_s
+    speedup = single_s / threaded_s
     cpu_count = os.cpu_count() or 1
     cancel = _cancellation_drill()
 
     rows = [
         ("single worker", f"{single_s:.3f}", f"{total / single_s:.1f}"),
-        (f"{CLIENTS} workers + compute pool", f"{pooled_s:.3f}",
-         f"{total / pooled_s:.1f}"),
+        (f"{CLIENTS} worker threads", f"{threaded_s:.3f}",
+         f"{total / threaded_s:.1f}"),
         ("aggregate speedup", f"{speedup:.2f}x", "-"),
         ("cancel round trip", f"{cancel['cancel_round_trip_ms']:.1f}ms", "-"),
     ]
@@ -387,19 +389,8 @@ def test_server_concurrency(benchmark):
     # Correctness under concurrency: every request was served and
     # counted exactly, no approximate counters.
     assert single_counters["requests"] == total
-    assert pooled_counters["requests"] == total
-    assert pooled_counters["computed"] == total
-    # Cold-analysis offload to the compute pool actually engaged.
-    assert pooled_counters["offloaded"] > 0
-
-    # The throughput bar needs real cores: the GIL serializes
-    # CPU-bound threads, and one core cannot run two analyses at once.
-    # Recorded honestly either way (same policy as bench_batch).
-    if cpu_count >= 2:
-        assert speedup >= MIN_CONCURRENT_SPEEDUP, (
-            f"aggregate speedup {speedup:.2f}x below "
-            f"{MIN_CONCURRENT_SPEEDUP}x on {cpu_count} cores"
-        )
+    assert threaded_counters["requests"] == total
+    assert threaded_counters["computed"] == total
 
     bench_path = Path(__file__).resolve().parent.parent / "BENCH_server.json"
     payload = (
@@ -411,15 +402,8 @@ def test_server_concurrency(benchmark):
         "smoke": SMOKE,
         "cpu_count": cpu_count,
         "single_worker_s": round(single_s, 4),
-        "pooled_s": round(pooled_s, 4),
+        "threaded_s": round(threaded_s, 4),
         "aggregate_speedup": round(speedup, 2),
-        "speedup_asserted": cpu_count >= 2,
-        "note": (
-            "speedup bar not asserted: single-core host"
-            if cpu_count < 2
-            else f">= {MIN_CONCURRENT_SPEEDUP}x on {cpu_count} cores"
-        ),
-        "offloaded": pooled_counters["offloaded"],
         "cancellation": cancel,
     }
     write_bench_json("BENCH_server.json", payload)

@@ -37,7 +37,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-import threading
 import time
 import traceback
 from collections import deque
@@ -53,7 +52,6 @@ __all__ = [
     "STATUS_FAILED",
     "STATUS_TIMEOUT",
     "STATUS_CRASHED",
-    "SharedProcessPool",
     "WorkItem",
     "WorkOutcome",
     "run_pool",
@@ -165,10 +163,11 @@ def analyze_item(item: WorkItem) -> WorkOutcome:
 def _init_worker() -> None:
     """Start-up of every pool process: drop what a fork inherited.
 
-    A forked worker starts with the state of the thread that forked it:
-    the daemon's SIGTERM/SIGINT handlers (the pool's ``terminate()``
-    would print a traceback per worker), the request's cancel token and
-    budget that thread was running under (the worker would check them
+    A forked worker starts with the state of the thread that forked it,
+    which for a daemon ``batch`` with ``jobs`` > 1 is a worker thread
+    serving that request: the daemon's SIGTERM/SIGINT handlers (the
+    pool's ``terminate()`` would print a traceback per worker), the
+    request's cancel token and budget (the worker would check them
     again in every later item), and the obs session, whose copy is
     never exported.
     """
@@ -189,82 +188,6 @@ def _mp_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
     )
-
-
-class SharedProcessPool:
-    """A long-lived process executor for request-at-a-time offload.
-
-    :func:`run_pool` spins up a fresh executor per call — right for a
-    batch, wasteful for a daemon that offloads one analysis per request
-    and would otherwise pay pool startup on every one.  This keeps a
-    single :class:`ProcessPoolExecutor` alive across requests and is
-    safe to call from many threads at once (the daemon's worker pool
-    shares one instance).
-
-    Deliberately *no* per-item preemptive timeout: killing the shared
-    pool to stop one overrun would take every other client's in-flight
-    work with it.  Requests with a wall-clock budget stay in-process,
-    where the budget is checked; everything here is expected to
-    finish.  A broken pool (worker death) is discarded
-    and lazily rebuilt; the poisoned call reports ``CRASHED`` so the
-    caller can fall back to in-process execution.
-    """
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.jobs = jobs
-        self._lock = threading.Lock()
-        self._executor: Optional[ProcessPoolExecutor] = None
-
-    def _discard_executor(self) -> None:
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def run(
-        self,
-        item: WorkItem,
-        worker: Callable[[WorkItem], WorkOutcome] = analyze_item,
-    ) -> WorkOutcome:
-        """Run one item in a pool process, blocking until it finishes."""
-        started = time.monotonic()
-        try:
-            with self._lock:
-                if self._executor is None:
-                    self._executor = _new_executor(self.jobs)
-                future = self._executor.submit(worker, item)
-            return future.result()
-        except BrokenProcessPool:
-            self._discard_executor()
-            obs.counter("farm.worker.crashes").inc()
-            return WorkOutcome(
-                label=item.label,
-                status=STATUS_CRASHED,
-                error=(
-                    "worker process died while analyzing this item; "
-                    "the shared pool was rebuilt"
-                ),
-                duration_s=time.monotonic() - started,
-            )
-        except Exception:
-            return WorkOutcome(
-                label=item.label,
-                status=STATUS_FAILED,
-                error=traceback.format_exc(),
-                duration_s=time.monotonic() - started,
-            )
-
-    def close(self) -> None:
-        """Shut the executor down; a later :meth:`run` rebuilds it."""
-        self._discard_executor()
-
-    def __enter__(self) -> "SharedProcessPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 def run_pool(
@@ -293,6 +216,9 @@ def _run_parallel(
     worker: Callable[[WorkItem], WorkOutcome],
     max_crash_retries: int,
 ) -> List[WorkOutcome]:
+    # The executor forks all of its workers at the first submit, so
+    # never ask for more than there are items to run.
+    jobs = min(jobs, len(items))
     results: List[Optional[WorkOutcome]] = [None] * len(items)
     pending: deque = deque(enumerate(items))
     # Items poisoned by a pool breakage, re-run one at a time so the

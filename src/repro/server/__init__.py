@@ -33,13 +33,14 @@ with ``server.invalidations.partial`` / ``server.invalidations.full``
 obs counters proving the reuse.
 
 Start it with ``repro serve`` (or ``python -m repro.server``); requests
-are processed by a bounded worker pool (``--workers``, default 1) fed
-by a fair two-level scheduler — interactive requests dispatch ahead of
-``batch`` sweeps, clients round-robin within a level — with per-client
-document namespaces, a per-request budget (deadline and cancel token,
-:mod:`repro.budget`) that stops queued and in-flight work, and
-graceful SIGTERM/SIGINT shutdown (stdio *and* HTTP) that drains the
-queue and flushes the cache.
+are processed in-process by a bounded set of worker threads
+(``--workers``, default 1) fed by a fair two-level scheduler —
+interactive requests dispatch ahead of ``batch`` sweeps, clients
+round-robin within a level — with per-client document namespaces, a
+per-request budget (deadline and cancel token, :mod:`repro.budget`)
+that stops queued and in-flight work, and graceful SIGTERM/SIGINT
+shutdown (stdio *and* HTTP) that drains the queue and flushes the
+cache.
 """
 
 from __future__ import annotations

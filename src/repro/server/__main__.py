@@ -12,7 +12,6 @@ from typing import List, Optional
 
 from .. import obs
 from ..farm.cache import ResultCache
-from ..farm.pool import SharedProcessPool
 from .daemon import DEFAULT_QUEUE_SIZE, DEFAULT_WORKERS, AnalysisServer
 from .httpd import parse_hostport, serve_http
 from .session import Session
@@ -73,8 +72,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=DEFAULT_WORKERS,
         metavar="N",
         help=(
-            "worker threads serving requests concurrently; >1 also "
-            "enables the shared process pool for cold analyses "
+            "worker threads serving requests concurrently; more than "
+            "one keeps short requests from waiting behind long ones "
             f"(default: {DEFAULT_WORKERS} — strict arrival order)"
         ),
     )
@@ -105,10 +104,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.workers < 1:
         print("repro serve: --workers must be >= 1", file=sys.stderr)
         return 2
-    compute = SharedProcessPool(jobs=args.workers) if args.workers > 1 else None
-    session = Session(
-        store=store, lru_entries=args.lru_entries, compute=compute
-    )
+    session = Session(store=store, lru_entries=args.lru_entries)
     server = AnalysisServer(
         session=session, queue_size=args.queue_size, workers=args.workers
     )

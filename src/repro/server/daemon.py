@@ -22,27 +22,31 @@ the original stdio contract: responses in strict per-client arrival
 order, no concurrent session access.  With ``workers > 1`` the session
 serves requests from several threads at once — per-document locks keep
 same-document requests serialized while different documents proceed in
-parallel, and cold analyses are offloaded to a shared process pool so
-concurrent clients use real cores instead of contending for the GIL.
+parallel.  Every request runs in this process on one path, whatever the
+worker count: extra workers keep a short request from waiting behind a
+long one, but the GIL runs one analysis at a time, so they add no CPU
+throughput.  The one request that forks is a ``batch`` with ``jobs`` >
+1, through :func:`repro.farm.pool.run_pool`, which starts at most
+``min(jobs, items)`` processes.
 
 Each worker runs its request with the request's cancel event as its
-cancel token (:mod:`repro.budget`).  An in-process analysis checks
-that token, plus a deadline of ``params.timeout`` seconds from when
-the analysis starts, in its long-running loops (wave search, refined
-per-head loop, orderings fixpoint).  A timed-out request answers code
-1001 and a cancelled one 1004 as soon as the next check runs, and the
-worker is free for the next request.  Nothing an aborted request
-half-built is cached.
+cancel token (:mod:`repro.budget`).  An analysis checks that token,
+plus a deadline of ``params.timeout`` seconds from when the analysis
+starts, in its long-running loops (wave search, refined per-head loop,
+orderings fixpoint).  A timed-out request answers code 1001 and a
+cancelled one 1004 as soon as the next check runs, and the worker is
+free for the next request.  Nothing an aborted request half-built is
+cached.
 
 Cancellation (``cancel`` method, ``params.id`` = the target request's
 id, same client namespace): a still-queued request is removed and
 answered with code 1004 immediately; an in-flight request has its
 cancel event set.  Work that never checks it (lint, repair synthesis,
-batch, a phase outside the checked loops, an analysis offloaded to the
-shared pool) runs to completion and is cached as usual, and its worker
-then discards the result and answers 1004 all the same.  ``cancel``
-itself is handled on the transport thread, never queued — it cannot
-wait behind the very request it is cancelling.
+batch, a phase outside the checked loops) runs to completion and is
+cached as usual, and its worker then discards the result and answers
+1004 all the same.  ``cancel`` itself is handled on the transport
+thread, never queued — it cannot wait behind the very request it is
+cancelling.
 
 Shutdown is graceful from all three triggers — a ``shutdown`` request,
 SIGTERM, or SIGINT: transports stop accepting input, the workers drain
@@ -60,7 +64,6 @@ from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple
 
 from .. import budget, obs
 from ..errors import ReproError, RequestCancelled, RequestTimeout
-from ..farm.pool import SharedProcessPool
 from .protocol import (
     ANALYSIS_ERROR,
     INTERNAL_ERROR,
@@ -108,6 +111,14 @@ def _timeout_param(params: Dict[str, Any]) -> Optional[float]:
     return float(value)
 
 
+def _jobs_param(params: Dict[str, Any]) -> int:
+    """``params.jobs`` of ``batch``: absent (1), or an int >= 1."""
+    value = params.get("jobs", 1)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {value!r}")
+    return value
+
+
 class _SignalStop(Exception):
     """Raised in the serving loop by SIGTERM/SIGINT handlers."""
 
@@ -135,15 +146,7 @@ class AnalysisServer:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        if session is None:
-            # Multi-worker daemons get a shared compute pool so cold
-            # analyses run on real cores; one worker keeps everything
-            # in-process, exactly like the original daemon.
-            compute = (
-                SharedProcessPool(jobs=workers) if workers > 1 else None
-            )
-            session = Session(compute=compute)
-        self.session = session
+        self.session = session if session is not None else Session()
         self.scheduler = FairScheduler(max_pending=queue_size)
         self.shutting_down = threading.Event()
         self.flushed: Optional[int] = None
@@ -279,7 +282,7 @@ class AnalysisServer:
                 paths=params.get("paths"),
                 algorithm=params.get("algorithm", "refined"),
                 state_limit=int(params.get("state_limit", 200_000)),
-                jobs=int(params.get("jobs", 1)),
+                jobs=_jobs_param(params),
                 timeout=_timeout_param(params),
                 lint=bool(params.get("lint", False)),
             )
@@ -454,8 +457,6 @@ class AnalysisServer:
         with self._state_lock:
             self._threads = []
             self._started = False
-        if self.session.compute is not None:
-            self.session.compute.close()
 
     def _worker_loop(self) -> None:
         while True:
@@ -519,8 +520,8 @@ class AnalysisServer:
         Without an explicit ``stdin`` the requests are read from a
         private file object on fd 0, not ``sys.stdin``: the reader
         holds the lock of the file it blocks on, and a process forked
-        for the compute pool closes ``sys.stdin`` on start-up — which
-        would wait forever on that copied, held lock.
+        for a ``batch`` with ``jobs`` > 1 closes ``sys.stdin`` on
+        start-up — which would wait forever on that copied, held lock.
         """
         if stdin is None:
             with open(

@@ -35,8 +35,9 @@ resident :class:`LruFront` and the disk store — is content-addressed
 and deliberately *crosses* namespaces: the same program analyzed by
 any client warms every other.
 
-**Thread safety.**  The daemon's worker pool serves requests from
-several threads.  Session-level mutable state (the namespace table,
+**Thread safety.**  The daemon's worker threads serve requests
+concurrently, and every analysis runs in this process on the thread
+serving its request.  Session-level mutable state (the namespace table,
 the plain counters) is guarded by one session lock; each
 :class:`Document` carries an ``RLock`` held for the whole of any
 operation that reads or rebuilds its layered caches, so requests for
@@ -64,7 +65,6 @@ from ..api import (
 )
 from ..errors import ReproError
 from ..farm.cache import LruFront, ResultCache, cache_key
-from ..farm.pool import STATUS_OK, SharedProcessPool, WorkItem
 from ..lang.ast_nodes import Program
 from ..lang.parser import parse_program
 from ..lang.pretty import pretty
@@ -299,14 +299,12 @@ class Session:
         self,
         store: Optional[ResultCache] = None,
         lru_entries: int = 256,
-        compute: Optional[SharedProcessPool] = None,
     ) -> None:
         self._namespaces: Dict[str, Dict[str, Document]] = {
             DEFAULT_CLIENT: {}
         }
         self.store = store
         self.lru = LruFront(max_entries=lru_entries)
-        self.compute = compute
         self.started_at = time.time()
         # Guards the namespace table and the plain counters; never held
         # across an analysis (document locks cover those).
@@ -316,7 +314,6 @@ class Session:
             "cache_hits": 0,
             "store_hits": 0,
             "computed": 0,
-            "offloaded": 0,
             "cancelled": 0,
             "lint_cache_hits": 0,
             "lint_runs": 0,
@@ -473,7 +470,7 @@ class Session:
         daemon run or batch), or ``"computed"``.  ``strategy`` /
         ``beam_width`` steer exact exploration exactly like
         :func:`repro.api.analyze`; they are part of the cache key.
-        The in-process computation runs under the request budget
+        The computation runs under the request budget
         (:mod:`repro.budget`): the daemon's cancel token plus a
         ``timeout``-second deadline from when it starts.  A cache hit
         answers regardless; an abort raises
@@ -528,44 +525,26 @@ class Session:
                     self._count("store_hits", "server.store_hits")
                     return result, payload, "store"
 
-            result = None
-            if (
-                self.compute is not None
-                and timeout is None
-                and not doc.artifacts()["prepared"]
-            ):
-                # Cold document + a shared compute pool (multi-worker
-                # daemon): offload the whole pipeline to a process so
-                # concurrent clients use real cores instead of
-                # contending for the GIL.  Warm documents stay
-                # in-process where their resident kernels live, and so
-                # do timed requests: only in-process loops see the
-                # deadline.
-                result = self._analyze_offloaded(
-                    doc, algorithm, exact, state_limit,
-                    strategy=strategy, beam_width=beam_width,
+            with budget.limit(timeout):
+                is_exact = exact or algorithm == "exact"
+                prep = doc.prepared()
+                index = (
+                    doc.index()
+                    if not is_exact and algorithm in INDEX_AWARE
+                    else None
                 )
-            if result is None:
-                with budget.limit(timeout):
-                    is_exact = exact or algorithm == "exact"
-                    prep = doc.prepared()
-                    index = (
-                        doc.index()
-                        if not is_exact and algorithm in INDEX_AWARE
-                        else None
-                    )
-                    engine = doc.engine() if is_exact else None
-                    result = analyze_prepared(
-                        prep,
-                        algorithm=algorithm,
-                        exact=exact,
-                        state_limit=state_limit,
-                        index=index,
-                        engine=engine,
-                        uri=doc.uri,
-                        strategy=strategy,
-                        beam_width=beam_width,
-                    )
+                engine = doc.engine() if is_exact else None
+                result = analyze_prepared(
+                    prep,
+                    algorithm=algorithm,
+                    exact=exact,
+                    state_limit=state_limit,
+                    index=index,
+                    engine=engine,
+                    uri=doc.uri,
+                    strategy=strategy,
+                    beam_width=beam_width,
+                )
             payload = analysis_result_to_dict(result)
             self.lru.put(key, (result, payload))
             if self.store is not None:
@@ -573,38 +552,6 @@ class Session:
             self._count("computed", "server.computed")
             self._update_gauges()
             return result, payload, "computed"
-
-    def _analyze_offloaded(
-        self,
-        doc: Document,
-        algorithm: str,
-        exact: bool,
-        state_limit: int,
-        strategy: str = "bfs",
-        beam_width: Optional[int] = None,
-    ) -> Optional[AnalysisResult]:
-        """Try one analysis on the shared compute pool.
-
-        Returns ``None`` to fall back in-process: a failed item
-        re-raises its typed error there (identical message to a
-        non-offloaded run), and a crashed/broken pool degrades to the
-        GIL-bound path rather than the request failing.
-        """
-        outcome = self.compute.run(
-            WorkItem(
-                label=doc.uri,
-                source=doc.source,
-                algorithm=algorithm,
-                exact=exact,
-                state_limit=state_limit,
-                strategy=strategy,
-                beam_width=beam_width,
-            )
-        )
-        if outcome.status != STATUS_OK:
-            return None
-        self._count("offloaded", "server.offloaded")
-        return outcome.result
 
     # -- lint ------------------------------------------------------------
 

@@ -273,6 +273,42 @@ class TestPool:
         for label in ("ok-1", "ok-2", "ok-3", "ok-4"):
             assert by_label[label].ok, label
 
+    def test_workers_drop_what_the_fork_inherited(self):
+        # Forked from a thread running a request (its budget already
+        # expired) and holding handlers of its own, a worker must start
+        # with neither: the budget would fail every later item, the
+        # handlers turn the pool's terminate() into tracebacks.
+        analyzed_items = [
+            WorkItem(label="crossed", source=CROSSED_SRC),
+            WorkItem(label="handshake", source=HANDSHAKE_SRC),
+        ]
+        previous = signal.signal(signal.SIGTERM, lambda *args: None)
+        try:
+            with budget.limit(1e-9):
+                states = run_pool(
+                    _items(["s1", "s2"]), jobs=2, worker=_inherited_state
+                )
+                analyzed = run_pool(analyzed_items, jobs=2)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert [o.result for o in states] == [(True, True, True)] * 2
+        assert all(o.ok for o in analyzed), analyzed
+
+    def test_forks_no_more_workers_than_items(self, monkeypatch):
+        from repro.farm import pool
+
+        sizes = []
+        new_executor = pool._new_executor
+
+        def spy(jobs):
+            sizes.append(jobs)
+            return new_executor(jobs)
+
+        monkeypatch.setattr(pool, "_new_executor", spy)
+        outcomes = run_pool(_items(["only"]), jobs=4)
+        assert sizes == [1]
+        assert outcomes[0].ok
+
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             run_pool([], jobs=0)
@@ -682,72 +718,3 @@ class TestLruFrontThreadSafety:
         assert len(front) <= 4
         snap = front.snapshot()
         assert snap["hits"] + snap["misses"] == workers * per
-
-
-class TestSharedProcessPool:
-    def test_run_matches_in_process_analysis(self):
-        from repro.farm.pool import SharedProcessPool
-
-        with SharedProcessPool(jobs=2) as pool:
-            outcome = pool.run(
-                WorkItem(label="crossed", source=CROSSED_SRC)
-            )
-            assert outcome.status == STATUS_OK
-            direct = analyze(CROSSED_SRC)
-            assert (
-                outcome.result.deadlock.verdict
-                == direct.deadlock.verdict
-            )
-            # The executor persists across run() calls.
-            again = pool.run(
-                WorkItem(label="handshake", source=HANDSHAKE_SRC)
-            )
-            assert again.status == STATUS_OK
-
-    def test_failures_are_outcomes_not_exceptions(self):
-        from repro.farm.pool import SharedProcessPool
-
-        with SharedProcessPool(jobs=2) as pool:
-            outcome = pool.run(WorkItem(label="bad", source="program ;"))
-            assert outcome.status == STATUS_FAILED
-            assert outcome.error
-
-    def test_close_is_idempotent_and_reusable(self):
-        from repro.farm.pool import SharedProcessPool
-
-        pool = SharedProcessPool(jobs=2)
-        pool.close()
-        pool.close()
-        # A closed pool lazily rebuilds its executor on the next run.
-        outcome = pool.run(WorkItem(label="h", source=HANDSHAKE_SRC))
-        assert outcome.status == STATUS_OK
-        pool.close()
-
-    def test_workers_drop_what_the_fork_inherited(self):
-        # Forked from a thread running a request (its budget already
-        # expired) and holding handlers of its own, a worker must start
-        # with neither: the budget would fail every later item, the
-        # handlers turn the pool's terminate() into tracebacks.
-        from repro.farm.pool import SharedProcessPool
-
-        previous = signal.signal(signal.SIGTERM, lambda *args: None)
-        try:
-            with budget.limit(1e-9):
-                with SharedProcessPool(jobs=1) as pool:
-                    state = pool.run(
-                        WorkItem(label="state", source=HANDSHAKE_SRC),
-                        worker=_inherited_state,
-                    )
-                    analyzed = pool.run(
-                        WorkItem(label="crossed", source=CROSSED_SRC)
-                    )
-        finally:
-            signal.signal(signal.SIGTERM, previous)
-        assert state.result == (True, True, True)
-        assert analyzed.status == STATUS_OK
-
-    def test_rejects_zero_jobs(self):
-        from repro.farm.pool import SharedProcessPool
-
-        with pytest.raises(ValueError):
-            SharedProcessPool(jobs=0)

@@ -32,10 +32,11 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro import obs
 from repro.farm.cache import ResultCache
 from repro.lang.pretty import pretty
-from repro.reporting import render_json
+from repro.reporting import analysis_result_to_dict, render_json
 from repro.server import AnalysisServer, Session
 from repro.server.daemon import DEFAULT_QUEUE_SIZE
 from repro.server.httpd import parse_hostport
@@ -391,6 +392,26 @@ class TestCliParity:
         )
         assert render_json(reply["result"]["report"]) + "\n" == out
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_analyze_payload_matches_cli_with_metrics(self, workers):
+        # Under --metrics a refined report carries stats.pruning, so a
+        # cold analyze must run where the obs session records, whatever
+        # the worker count.
+        with obs.observed():
+            server = AnalysisServer(workers=workers)
+            server.start()
+            try:
+                box = submit_request(
+                    server, "analyze", {"uri": "mem:a", "text": CROSSED_SRC}
+                )
+                assert box["done"].wait(timeout=60)
+            finally:
+                server.drain()
+            expected = analysis_result_to_dict(repro.analyze(CROSSED_SRC))
+        assert "pruning" in expected["deadlock"]["stats"]
+        assert box["reply"]["result"]["cache"] == "computed"
+        assert box["reply"]["result"]["report"] == expected
+
     def test_lint_payload_matches_cli(self, tmp_path, capsys):
         path = tmp_path / "crossed.adl"
         path.write_text(CROSSED_SRC)
@@ -468,6 +489,26 @@ class TestDaemonDispatch:
         }
         assert verdicts["bad"] == "possible-deadlock"
         assert verdicts["good"] == "certified-deadlock-free"
+
+    @pytest.mark.parametrize(
+        "jobs",
+        [0, -1, True, 2.0, "2"],
+        ids=["zero", "negative", "true", "float", "string"],
+    )
+    def test_invalid_batch_jobs_is_invalid_params(self, jobs, monkeypatch):
+        from repro.farm import pool
+
+        def no_executor(jobs):
+            raise AssertionError("an invalid batch started a process")
+
+        monkeypatch.setattr(pool, "_new_executor", no_executor)
+        reply = rpc(
+            make_server(),
+            "batch",
+            {"items": [{"label": "a", "text": CROSSED_SRC}], "jobs": jobs},
+        )
+        assert reply["error"]["code"] == INVALID_PARAMS, reply
+        assert "jobs" in reply["error"]["message"]
 
     def test_shutdown_sets_flag_and_flushes(self):
         server = make_server()
@@ -873,7 +914,7 @@ class TestOpenPipeDaemon:
         verdict = reply["result"]["report"]["deadlock"]["verdict"]
         assert verdict == "possible-deadlock"
         daemon.send(2, "status")
-        assert daemon.reply(within=30)["result"]["counters"]["offloaded"] == 1
+        assert daemon.reply(within=30)["result"]["counters"]["computed"] == 1
         daemon.shutdown()
 
     def test_batch_with_two_jobs_is_answered(self, open_pipe_daemon):
@@ -902,10 +943,13 @@ class TestOpenPipeDaemon:
         assert time.monotonic() - started < 1.0
         daemon.shutdown()
 
-    def test_cancel_drill(self, open_pipe_daemon):
-        daemon = open_pipe_daemon()
+    @pytest.mark.parametrize(
+        "args", [(), ("--workers", "2")], ids=["one-worker", "two-workers"]
+    )
+    def test_cancel_drill(self, open_pipe_daemon, args):
+        daemon = open_pipe_daemon(*args)
         daemon.send(1, "analyze", LONG_SEARCH)
-        time.sleep(1.0)  # the one worker is searching by now
+        time.sleep(1.0)  # a worker is searching by now
         cancelled_at = time.monotonic()
         daemon.send(2, "cancel", {"id": 1})
         replies = {}
