@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..syncgraph.model import SyncGraph
+from ..waves.engine import WaveIndex
+from ..waves.guide import build_guide
 from ..waves.witness import AnomalyWitness, search_anomaly_witness
 from .results import DeadlockReport, Verdict
 
@@ -84,6 +86,7 @@ def confirm_deadlock_report(
     loop_faithful: Optional[bool] = None,
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
+    engine: Optional[WaveIndex] = None,
 ) -> ConfirmedReport:
     """Attempt to confirm or refute a possible-deadlock report.
 
@@ -102,6 +105,9 @@ def confirm_deadlock_report(
     :data:`ConfirmationOutcome.UNROLL_LIMITED` instead of REFUTED: the
     unrolled graph under-approximates loop behaviours, so absence of a
     witness there cannot certify the program.
+
+    ``engine`` optionally reuses a :class:`~repro.waves.engine.WaveIndex`
+    built over ``graph`` (with its cached guide).
     """
     if loop_faithful is None:
         loop_faithful = not report.stats.get("unroll_approximated", False)
@@ -112,7 +118,7 @@ def confirm_deadlock_report(
             states_budget=state_limit,
         )
     outcome = search_anomaly_witness(
-        graph, kind="deadlock", state_limit=state_limit,
+        graph, kind="deadlock", state_limit=state_limit, engine=engine,
         strategy=strategy, beam_width=beam_width,
     )
     if outcome.witness is not None:
@@ -153,14 +159,26 @@ def confirm_analysis(
     witness search runs on the pre-unroll (inlined) graph instead —
     wave memoization keeps it terminating on cyclic control flow — so
     REFUTED outcomes genuinely certify the program.
+
+    A guided search on ``result.sync_graph`` takes its future-cost
+    table from the refined report the analysis already holds instead of
+    rerunning the refined analysis for it.
     """
     graph = result.sync_graph
+    engine = None
     if result.deadlock.stats.get("unroll_approximated"):
         from ..syncgraph.build import build_sync_graph
         from ..transforms.inline import inline_procedures
 
         inlined, _ = inline_procedures(result.program)
         graph = build_sync_graph(inlined)
+    elif (
+        strategy != "bfs"
+        and result.deadlock.algorithm == "refined"
+        and not result.deadlock.deadlock_free
+    ):
+        engine = WaveIndex(graph)
+        build_guide(engine, result.deadlock)
     return confirm_deadlock_report(
         graph,
         result.deadlock,
@@ -168,4 +186,5 @@ def confirm_analysis(
         loop_faithful=True,
         strategy=strategy,
         beam_width=beam_width,
+        engine=engine,
     )

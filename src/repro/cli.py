@@ -131,7 +131,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--state-limit",
-        type=int,
+        type=_positive_int,
         default=200_000,
         help=(
             "state budget for bounded exact searches — both "
@@ -291,6 +291,19 @@ def _report_json(
             compute_metrics(result.sync_graph).to_dict()
         )
     return render_json(payload)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (anything else exits 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}"
+        )
+    return value
 
 
 def _check_strategy(args) -> Optional[str]:

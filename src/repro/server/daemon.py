@@ -111,11 +111,16 @@ def _timeout_param(params: Dict[str, Any]) -> Optional[float]:
     return float(value)
 
 
-def _jobs_param(params: Dict[str, Any]) -> int:
-    """``params.jobs`` of ``batch``: absent (1), or an int >= 1."""
-    value = params.get("jobs", 1)
+def _count_param(
+    params: Dict[str, Any], name: str, default: Optional[int]
+) -> Optional[int]:
+    """``params[name]``: absent (``default``), or an int >= 1 — not a
+    bool, float or string."""
+    value = params.get(name)
+    if value is None:
+        return default
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"jobs must be an integer >= 1, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     return value
 
 
@@ -227,16 +232,15 @@ class AnalysisServer:
     def _handle_analyze(
         self, params: Dict[str, Any], client: str
     ) -> Dict[str, Any]:
-        beam_width = params.get("beam_width")
         payload, cache = self.session.analyze_document(
             uri=params.get("uri"),
             text=params.get("text"),
             algorithm=params.get("algorithm", "refined"),
             exact=bool(params.get("exact", False)),
-            state_limit=int(params.get("state_limit", 200_000)),
+            state_limit=_count_param(params, "state_limit", 200_000),
             timeout=_timeout_param(params),
             strategy=params.get("strategy", "bfs"),
-            beam_width=int(beam_width) if beam_width is not None else None,
+            beam_width=_count_param(params, "beam_width", None),
             client=client,
         )
         return {"report": payload, "cache": cache}
@@ -260,15 +264,14 @@ class AnalysisServer:
     def _handle_repair(
         self, params: Dict[str, Any], client: str
     ) -> Dict[str, Any]:
-        beam_width = params.get("beam_width")
         payload, cache = self.session.repair_document(
             uri=params.get("uri"),
             text=params.get("text"),
             algorithm=params.get("algorithm", "refined"),
-            state_limit=int(params.get("state_limit", 200_000)),
-            max_fixes=int(params.get("max_fixes", 5)),
+            state_limit=_count_param(params, "state_limit", 200_000),
+            max_fixes=_count_param(params, "max_fixes", 5),
             strategy=params.get("strategy", "bfs"),
-            beam_width=int(beam_width) if beam_width is not None else None,
+            beam_width=_count_param(params, "beam_width", None),
             client=client,
         )
         return {"report": payload, "cache": cache}
@@ -281,8 +284,8 @@ class AnalysisServer:
                 items=params.get("items"),
                 paths=params.get("paths"),
                 algorithm=params.get("algorithm", "refined"),
-                state_limit=int(params.get("state_limit", 200_000)),
-                jobs=_jobs_param(params),
+                state_limit=_count_param(params, "state_limit", 200_000),
+                jobs=_count_param(params, "jobs", 1),
                 timeout=_timeout_param(params),
                 lint=bool(params.get("lint", False)),
             )

@@ -19,7 +19,8 @@ it
   adding precomputed deltas;
 * precomputes, per *slot* (task × local position), the ready-partner
   bitmask over all slots (who this node can rendezvous with, wherever
-  the partner task currently stands) and the control-successor table as
+  the partner task currently stands), the bitmask of the tasks owning
+  those partners, and the control-successor table as
   ``(key_delta, occupancy_delta)`` pairs;
 * runs every search in one loop, :meth:`WaveIndex.search`,
   parametrized by frontier and goal.  The frontier is layered (BFS is
@@ -28,14 +29,63 @@ it
   ordered by ``(g + h, -g, seq)``.  The goal is to exhaust the space
   and classify every anomalous wave, or to stop at the first matching
   one with parent links kept for its witness; only the A\\* witness
-  goal reopens a key reached by a strictly shorter path.  BFS is
-  **bit-exact** with the oracle kernels: identical seeding order (the
-  cross product of per-task initial options), identical ready-pair
-  order (``(i, j)`` with ``i < j``), identical successor order
-  (``graph.control_successors`` order), and therefore identical
-  ``visited_count``, ``can_terminate``, anomaly classifications, and
-  witness schedules — the hypothesis differential tests in
-  ``tests/test_engine.py`` enforce this.
+  goal reopens a key reached by a strictly shorter path.  Exhaustive
+  BFS is **bit-exact** with the oracle kernel: identical seeding order
+  (the cross product of per-task initial options), identical
+  ready-pair order (``(i, j)`` with ``i < j``), identical successor
+  order (``graph.control_successors`` order), and therefore identical
+  ``visited_count``, ``can_terminate`` and anomaly classifications in
+  order — the hypothesis differential tests in ``tests/test_engine.py``
+  enforce this.
+
+Persistent sets in the witness search
+-------------------------------------
+
+An exhaustive run walks the paper's ``NextWavesSet*`` unreduced: its
+``visited_count`` is the feasible-wave count that ``--algorithm exact``
+reports and the scaling benchmarks use as the exponential comparator.
+A witness search (any goal) instead expands, at each wave, only the
+ready pairs of one *persistent set* (Valmari's stubborn sets;
+Godefroid, LNCS 1032): a set ``S`` of tasks closed under "add every
+task that owns a sync partner of the current slot of a task in
+``S``", of which it fires exactly the ready pairs with both tasks in
+``S`` (:meth:`WaveIndex._persistent_pairs` picks the closure; the
+choice depends only on the wave, so bfs, astar and beam search the
+same reduced graph).  Why no witness is lost:
+
+* a ready pair moves only its own two tasks, and whether ``(i, j)``
+  is ready depends only on where ``i`` and ``j`` stand; so pairs on
+  disjoint tasks commute and never enable or disable each other;
+* the set is persistent.  Take any path from the wave that fires no
+  pair of the set.  By induction it fires only pairs outside ``S``:
+  while no ``S`` task has moved, a pair touching an ``S`` task ``t``
+  pairs it with a partner of ``t``'s current slot, whose task is in
+  ``S`` by closure — so both tasks are in ``S``, they still stand where
+  they stood, and the pair was one of the set's ready pairs;
+* the terminal wave and every anomalous wave (non-terminal, no ready
+  pair) are *dead states*;
+* persistent sets that are nonempty at every live wave (the closure
+  of a task of a ready pair contains that pair) reach every reachable
+  dead state — control cycles included, with no cycle proviso, since
+  the argument inducts on path length.  :func:`classify_wave` depends
+  only on the wave, so an unlimited search finds a ``deadlock`` /
+  ``stall`` / ``any`` witness exactly when the full search does;
+* every full path to a dead state has a trace-equivalent reduced path
+  of the same length: the path must fire a pair of the set (the set's
+  pairs stay ready until it does, and a dead state has none ready),
+  the first one it fires commutes with every pair before it, so move
+  it to the front and repeat.  BFS and A\\* witnesses therefore stay
+  *shortest*;
+* the reduced graph is a subgraph of the full one, so reduced
+  distances are never shorter and the future-cost table of
+  :mod:`repro.waves.guide` stays admissible and consistent;
+* by design, budget-limited results, ``states`` and the choice among
+  equally short witnesses may differ from the unreduced search.
+
+The set costs little where it cannot help: a ready pair whose two
+slots partner only each other's task is a closed set on its own and is
+taken at once, the general closure runs only with two or more pairs
+ready, and it stops as soon as a closure covers every ready task.
 
 Anomalous waves are rare relative to the space walked, so their
 classification is delegated to the reference
@@ -147,10 +197,14 @@ class WaveIndex:
         )
 
         # Per-slot tables: rendezvous bit, ready partners (bitmask over
-        # slots of other tasks), successor (key_delta, occ_delta) pairs.
+        # slots of other tasks), the tasks owning those partners (as a
+        # bitmask, and as the one such task's index or -1), successor
+        # (key_delta, occ_delta) pairs.
         task_idx = {t: i for i, t in enumerate(tasks)}
         rdv_mask = 0
         partner_mask: List[int] = [0] * self.slot_count
+        partner_tasks: List[int] = [0] * self.slot_count
+        sole_partner: List[int] = [-1] * self.slot_count
         succ_deltas: List[Tuple[Tuple[int, int], ...]] = (
             [()] * self.slot_count
         )
@@ -161,11 +215,16 @@ class WaveIndex:
                 if not node.is_rendezvous:
                     continue
                 rdv_mask |= 1 << slot
-                pm = 0
+                pm = pt = 0
                 for p in graph.sync_neighbors(node):
                     j = task_idx[p.task]
                     pm |= 1 << (base[j] + local_maps[j][p])
+                    if j != i:
+                        pt |= 1 << j
                 partner_mask[slot] = pm
+                partner_tasks[slot] = pt
+                if pt and not pt & (pt - 1):
+                    sole_partner[slot] = pt.bit_length() - 1
                 succs = graph.control_successors(node)
                 if len(set(succs)) != len(succs):
                     # mirror wave._advance_options: hand-built graphs
@@ -183,6 +242,8 @@ class WaveIndex:
                 succ_deltas[slot] = tuple(deltas)
         self.rdv_mask = rdv_mask
         self.partner_mask = partner_mask
+        self.partner_tasks = partner_tasks
+        self.sole_partner = sole_partner
         self.succ_deltas = succ_deltas
 
         # Initial options per task, as locals in graph order.
@@ -237,10 +298,13 @@ class WaveIndex:
     def _ready_pairs(self, slots: List[int], occ: int) -> List[Tuple[int, int]]:
         """Task-index pairs ``(i, j)``, ``i < j``, that can rendezvous.
 
-        Matches :func:`repro.waves.wave.ready_pairs` order exactly.
+        Matches :func:`repro.waves.wave.ready_pairs` order exactly.  A
+        slot whose partners all belong to one task can only pair with
+        that task, so its scan skips the other tasks.
         """
         pairs: List[Tuple[int, int]] = []
         partner_mask = self.partner_mask
+        sole = self.sole_partner
         rdv = self.rdv_mask
         n = self.task_count
         for i in range(n):
@@ -250,10 +314,76 @@ class WaveIndex:
             m = partner_mask[s_i] & occ
             if not m:
                 continue
-            for j in range(i + 1, n):
-                if (m >> slots[j]) & 1:
-                    pairs.append((i, j))
+            j = sole[s_i]
+            if j < 0:
+                for j in range(i + 1, n):
+                    if (m >> slots[j]) & 1:
+                        pairs.append((i, j))
+            elif j > i:
+                # every partner of s_i is in task j, and one is ready
+                pairs.append((i, j))
         return pairs
+
+    def _persistent_pairs(
+        self, slots: List[int], occ: int
+    ) -> List[Tuple[int, int]]:
+        """The ready pairs of one persistent set, in :meth:`_ready_pairs`
+        order; the witness searches expand only these (see the module
+        docstring).
+
+        The first ready pair whose two slots partner only each other's
+        task is a closed set on its own and is taken at once.  Otherwise,
+        with two or more pairs ready, each seed task of a ready pair is
+        closed under "add every task owning a partner of the current
+        slot of a task in the set", and the closure with the fewest
+        ready pairs wins, ties to the lowest seed.  A closure is
+        abandoned as soon as it covers every ready task (it reduces
+        nothing) or takes in a lower seed (whose closure it then
+        contains, so that seed did at least as well).  A task common to
+        every ready pair lies in every closure, so its own closure is
+        the least and the only one tried.
+        """
+        pairs = self._ready_pairs(slots, occ)
+        if len(pairs) < 2:
+            return pairs
+        sole = self.sole_partner
+        ready = 0
+        common = -1
+        for i, j in pairs:
+            if sole[slots[i]] == j and sole[slots[j]] == i:
+                return [(i, j)]
+            both = (1 << i) | (1 << j)
+            ready |= both
+            common &= both
+        partner_tasks = self.partner_tasks
+        best = pairs
+        seeds = common if common else ready
+        while seeds:
+            low = seeds & -seeds
+            seeds ^= low
+            # lower seeds were tried already (none when seeding from the
+            # common task, whose closure every other one contains)
+            lower = 0 if common else ready & (low - 1)
+            closed = todo = low
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                add = partner_tasks[slots[bit.bit_length() - 1]] & ~closed
+                if add:
+                    closed |= add
+                    if closed & ready == ready or closed & lower:
+                        break
+                    todo |= add
+            else:
+                chosen = [
+                    (i, j) for i, j in pairs
+                    if (closed >> i) & 1 and (closed >> j) & 1
+                ]
+                if len(chosen) < len(best):
+                    best = chosen
+                    if len(best) == 1:
+                        break
+        return best
 
     # -- the search --------------------------------------------------------
 
@@ -269,7 +399,9 @@ class WaveIndex:
         ``goal`` is ``None`` to exhaust the reachable space, classifying
         every anomalous wave, or a kind of :data:`GOALS` to stop at the
         first anomalous wave of that kind and return its witness
-        (parent links are kept only then).
+        (parent links are kept only then).  A witness search expands one
+        persistent set of ready pairs per wave (see the module
+        docstring), an exhaustive one every ready pair.
 
         ``strategy`` picks the frontier:
 
@@ -287,7 +419,8 @@ class WaveIndex:
         The state budget is enforced during seeding and expansion.
         Once it is hit the search discovers nothing new but still
         classifies every wave already in hand.  ``states`` counts the
-        waves the search holds; a witness search stopped in the middle
+        waves the search holds (of the reduced graph, for a witness
+        search); a witness search stopped in the middle
         of a cut layer does not count the part of the next layer built
         so far, which has not passed its cut yet.  The active request
         :mod:`~repro.budget` is checked on entry and every
@@ -300,9 +433,11 @@ class WaveIndex:
         rdv = self.rdv_mask
         succ_deltas = self.succ_deltas
         slots_of = self._slots_of
-        ready_pairs = self._ready_pairs
         matches = None if goal is None else GOALS[goal]
         witness = matches is not None
+        ready_pairs = (
+            self._persistent_pairs if witness else self._ready_pairs
+        )
         estimate: Optional[Callable[[int], int]] = None
         if strategy != "bfs":
             # Deadlock goals (and exhaustive runs) add the evidence-group

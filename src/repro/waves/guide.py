@@ -70,6 +70,18 @@ cost (:data:`SATURATED`): they are explored last but never pruned, so a
 complete guided run still enumerates the same reachable wave set as
 BFS and the verdict can never change — guidance only reorders which
 states are expanded first.
+
+Witness searches walk the persistent-set reduced graph of
+:mod:`repro.waves.engine`, a subgraph of the full one: distances there
+are never shorter, so both terms stay admissible, and every edge of it
+is an edge of the full graph, so they stay consistent.
+
+On a graph with control cycles (the pre-unroll graph that exact search
+walks when the Lemma-1 unroll is approximate) the refined analysis
+cannot run, so a table built without a report drops the cycle term and
+keeps the quiescence term alone, which bounds the distance to every
+anomalous wave, deadlocks included; :func:`_straight_chain` already
+stops at a loop.
 """
 
 from __future__ import annotations
@@ -183,8 +195,8 @@ class FutureCostTable:
 
     Built from the candidate anomaly heads of a
     :class:`~repro.analysis.results.DeadlockReport` (normally the
-    refined analysis of the engine's own graph — see
-    :func:`build_guide`).  ``estimate(key)`` lower-bounds the number of
+    refined analysis of the engine's own graph, none on a cyclic graph
+    — see :func:`build_guide`).  ``estimate(key)`` lower-bounds the number of
     rendezvous any schedule needs before the packed wave ``key`` can
     reach a deadlock wave; see the module docstring for the argument.
     """
@@ -196,8 +208,10 @@ class FutureCostTable:
     ) -> None:
         self.engine = engine
         graph = engine.graph
-        if report is None:
+        if report is None and not graph.has_control_cycle():
             report = _refined_report(graph)
+        # None on a cyclic graph given no report: the refined analysis
+        # needs acyclic control flow, so the cycle term is dropped.
         self.report = report
 
         # Per-task position universes, read straight off the engine's
@@ -216,7 +230,7 @@ class FutureCostTable:
 
         groups: List[_Group] = []
         seen: set = set()
-        for ev in report.evidence:
+        for ev in report.evidence if report is not None else ():
             members = tuple(
                 sorted(
                     (n for n in ev.component if n.is_rendezvous),
@@ -346,8 +360,13 @@ class FutureCostTable:
     def estimate(self, key: int) -> int:
         """Admissible lower bound on rendezvous left before ``key`` can
         reach any deadlock wave (:data:`SATURATED` when provably — per
-        the evidence coverage — none is reachable from here)."""
+        the evidence coverage — none is reachable from here).  Without
+        a report (a cyclic graph) it is the quiescence term alone, which
+        bounds the distance to every anomalous wave, deadlocks
+        included."""
         q = self._quiescence(key)
+        if self.report is None:
+            return q
         g = self._group_bound(key)
         return g if g > q else q
 
@@ -444,16 +463,21 @@ def build_guide(
     engine: "WaveIndex",
     report: Optional["DeadlockReport"] = None,
 ) -> FutureCostTable:
-    """The future-cost table guiding searches over ``engine``.
+    """Build the future-cost table guiding searches over ``engine`` and
+    make it the engine's cached guide (what :func:`guide_for` returns).
 
     ``report`` optionally supplies the candidate anomaly heads; when
-    omitted the refined analysis runs on ``engine.graph`` itself.  Pass
-    a report only if it was computed over the *same* graph the engine
-    packs — evidence from a differently-unrolled graph names different
-    nodes and would misdirect (though never corrupt: the heuristic
-    affects expansion order only).
+    omitted the refined analysis runs on ``engine.graph`` itself, or,
+    if that graph has a control cycle (which the refined analysis
+    rejects), the table keeps the quiescence term alone.  Pass a report
+    only if it was computed over the *same* graph the engine packs —
+    evidence from a differently-unrolled graph names different nodes
+    and would misdirect (though never corrupt: the heuristic affects
+    expansion order only).
     """
-    return FutureCostTable(engine, report)
+    guide = FutureCostTable(engine, report)
+    engine._fct_cache = guide
+    return guide
 
 
 def guide_for(engine: "WaveIndex") -> FutureCostTable:
@@ -464,7 +488,4 @@ def guide_for(engine: "WaveIndex") -> FutureCostTable:
     distance BFS once; every subsequent guided search reuses the table.
     """
     guide = getattr(engine, "_fct_cache", None)
-    if guide is None:
-        guide = FutureCostTable(engine)
-        engine._fct_cache = guide
-    return guide
+    return guide if guide is not None else build_guide(engine)

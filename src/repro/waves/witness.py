@@ -7,9 +7,12 @@ Witnesses are found by breadth-first search over the wave space (so the
 schedule is shortest) with parent tracking — exponential like all exact
 analyses, bounded by a state budget.
 
-Like :mod:`repro.waves.explore`, the search runs on the packed-int
-engine (its witnesses are bit-exact with the oracle in
-``tests/oracles/witness.py``) and is budget-faithful: the state
+The search runs on the packed-int engine and expands one persistent set
+of ready pairs per wave (see :mod:`repro.waves.engine`): it finds a
+witness exactly when a search of the whole space would, as short as the
+BFS oracle's in ``tests/oracles/witness.py``, though not necessarily the
+same schedule among equally short ones, and ``states`` counts the
+reduced graph.  It is budget-faithful: the state
 budget is enforced during seeding, and when it runs out the queue is
 still drained — an anomalous wave discovered *before* exhaustion still
 yields its witness, so downstream confirmation can answer CONFIRMED
@@ -86,7 +89,8 @@ class WitnessSearchOutcome:
 
     ``states`` counts distinct waves discovered before the search
     stopped — the quantity the state budget gates, and the honest
-    guided-vs-BFS comparison metric.  ``limited`` means the budget ran
+    guided-vs-BFS comparison metric; waves of the persistent-set
+    reduced graph, which is what the search walks.  ``limited`` means the budget ran
     out (or, for beam, states were dropped to the width — ``truncated``
     names that cause); a witnessless limited search proves nothing,
     while ``witness is None`` with ``limited=False`` is a refutation of

@@ -118,6 +118,15 @@ class TestConfirm:
         assert payload["confirmation"]["outcome"] == "false-alarm-refuted"
         assert code == 0
 
+    @pytest.mark.parametrize("limit", ["0", "-3", "many"])
+    def test_state_limit_below_one_exits_two(
+        self, crossed_file, capsys, limit
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(crossed_file), "--confirm", "--state-limit", limit])
+        assert excinfo.value.code == 2
+        assert "--state-limit" in capsys.readouterr().err
+
     def test_confirm_noop_when_certified(self, handshake_file, capsys):
         code = main([str(handshake_file), "--confirm", "--json"])
         payload = json.loads(capsys.readouterr().out)

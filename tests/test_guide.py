@@ -23,7 +23,7 @@ from hypothesis import given
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty
 from repro.waves.anomaly import is_anomalous
-from repro.waves.engine import WaveIndex
+from repro.waves.engine import GOALS, WaveIndex
 from repro.waves.explore import explore
 from repro.waves.guide import (
     DEFAULT_BEAM_WIDTH,
@@ -37,6 +37,8 @@ from repro.waves.wave import iter_initial_waves, next_waves_with_events
 from repro.waves.witness import search_anomaly_witness
 from repro.workloads.patterns import corridor, dining_philosophers
 from tests.conftest import CROSSED_SRC, HANDSHAKE_SRC, graph_of
+from tests.oracles.witness import find_anomaly_witness as oracle_witness
+from tests.oracles.witness import find_witness_reference
 from tests.test_properties import FAST, small_programs
 
 # Wide enough that beam never truncates on any program in this file:
@@ -320,6 +322,9 @@ class TestWitnessParity:
                 _assert_valid_witness(graph, outcome.witness)
 
     def test_deadlock_witnesses_match_on_corridor(self):
+        # Both searches expand one persistent set per wave, so the
+        # chatter interleavings that drown the unreduced oracle never
+        # enter either; the witnesses stay shortest.
         graph = graph_of(corridor(4, 2))
         bfs = search_anomaly_witness(
             graph, kind="deadlock", state_limit=GENEROUS
@@ -327,13 +332,15 @@ class TestWitnessParity:
         astar = search_anomaly_witness(
             graph, kind="deadlock", state_limit=GENEROUS, strategy="astar"
         )
+        data, oracle_states, _ = find_witness_reference(
+            graph, GOALS["deadlock"], GENEROUS
+        )
         assert bfs.witness is not None and astar.witness is not None
         assert len(astar.witness.schedule) == len(bfs.witness.schedule)
+        assert len(bfs.witness.schedule) == len(data[1])
         assert astar.witness.is_deadlock
         _assert_valid_witness(graph, astar.witness)
-        # The headline: guidance reaches the witness in strictly fewer
-        # states than blind BFS on the flagship family.
-        assert astar.states < bfs.states
+        assert astar.states <= bfs.states < oracle_states
 
     def test_tight_budget_witness_still_definite(self):
         # A witness found before exhaustion is returned even when the
@@ -351,17 +358,105 @@ class TestWitnessParity:
         _assert_valid_witness(graph, outcome.witness)
 
     def test_guided_confirms_under_budget_where_bfs_drowns(self):
-        # The acceptance scenario: one budget, three answers — BFS is
-        # inconclusive, A* confirms with a concrete schedule.
+        # The acceptance scenario: one budget, and every strategy of the
+        # reduced search confirms with a shortest schedule while blind
+        # BFS over the unreduced space (the oracle) is
+        # exploration-limited with nothing.
         graph = graph_of(corridor(6, 4))
-        astar = search_anomaly_witness(
-            graph, kind="deadlock", state_limit=2_000, strategy="astar"
+        data, _, limited = find_witness_reference(
+            graph, GOALS["deadlock"], 2_000
         )
-        assert astar.witness is not None
-        bfs = search_anomaly_witness(
-            graph, kind="deadlock", state_limit=2_000
+        assert data is None and limited
+        reference = oracle_witness(
+            graph, kind="deadlock", state_limit=GENEROUS
         )
-        assert bfs.witness is None and bfs.limited
+        for strategy in ("bfs", "astar", "beam"):
+            outcome = search_anomaly_witness(
+                graph, kind="deadlock", state_limit=2_000, strategy=strategy
+            )
+            assert outcome.witness is not None, strategy
+            _assert_valid_witness(graph, outcome.witness)
+            assert len(outcome.witness.schedule) == len(
+                reference.schedule
+            ), strategy
+
+
+# Refined flags it; the deadlock (both tasks leave their loops and cross
+# sends) sits one rendezvous after the start, and confirmation searches
+# the pre-unroll graph, whose loops are control cycles.
+POLLING_SRC = """
+program polled;
+task a is begin
+  send b.start;
+  while ? loop send b.x; end loop;
+  send b.z; accept y;
+end;
+task b is begin
+  accept start;
+  while ? loop accept x; end loop;
+  send a.y; accept z;
+end;
+"""
+
+
+class TestCyclicGraphs:
+    """Guided searches on a graph with control cycles, which the refined
+    analysis (the guide's default head source) rejects: the table keeps
+    its quiescence term alone."""
+
+    def test_guide_on_cyclic_graph_is_quiescence_alone(self):
+        from repro.api import prepare
+
+        graph = prepare(POLLING_SRC).exact_graph
+        assert graph.has_control_cycle()
+        engine = WaveIndex(graph)
+        guide = guide_for(engine)
+        assert guide.report is None and guide.group_count == 0
+        for key, _ in engine._seed():
+            assert guide.estimate(key) == guide.estimate_anomaly(key)
+
+    def test_confirm_agrees_across_strategies(self):
+        from repro.analysis.confirm import confirm_analysis
+        from repro.api import analyze
+
+        result = analyze(POLLING_SRC)
+        assert result.deadlock.stats.get("unroll_approximated")
+        outcomes = {
+            strategy: confirm_analysis(result, strategy=strategy)
+            for strategy in ("bfs", "astar", "beam")
+        }
+        lengths = {
+            strategy: len(confirmed.witness.schedule)
+            for strategy, confirmed in outcomes.items()
+        }
+        assert {c.outcome for c in outcomes.values()} == {
+            "confirmed-deadlock"
+        }
+        assert set(lengths.values()) == {1}, lengths
+
+    def test_exact_verdict_agrees_across_strategies(self):
+        from repro.api import analyze
+
+        stats = {}
+        for strategy in ("bfs", "astar", "beam"):
+            deadlock = analyze(
+                POLLING_SRC, algorithm="exact", strategy=strategy
+            ).deadlock
+            stats[strategy] = (
+                deadlock.verdict,
+                deadlock.stats["feasible_waves"],
+                deadlock.stats["deadlock_waves"],
+                deadlock.stats["exploration_limited"],
+            )
+        assert len(set(stats.values())) == 1, stats
+        assert stats["bfs"][0] == "possible-deadlock"
+
+    def test_cli_confirm_with_astar_on_looping_program(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "polled.adl"
+        path.write_text(POLLING_SRC)
+        assert main([str(path), "--confirm", "--strategy", "astar"]) == 1
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,9 @@ pin, per case, every field that reaches a result object plus the four
 guided-search counters, so a rewrite of the search loop must reproduce
 today's behaviour exactly — including *which* states are in hand when a
 budget trips, which no oracle in ``tests/oracles/`` covers for the
-guided orders.
+guided orders.  Witness-search records pin the persistent-set reduced
+search (see :mod:`repro.waves.engine`), so their ``states`` count the
+reduced graph; ``explore`` records pin the unreduced space.
 
 Cases: the paper, ADL and repair corpora plus the ``dining_philosophers``
 and ``corridor`` families; a ``scrambled`` family of random branching

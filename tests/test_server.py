@@ -510,6 +510,35 @@ class TestDaemonDispatch:
         assert reply["error"]["code"] == INVALID_PARAMS, reply
         assert "jobs" in reply["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "value",
+        [0, -3, True, 2.7, "5"],
+        ids=["zero", "negative", "true", "float", "string"],
+    )
+    @pytest.mark.parametrize(
+        "method, field",
+        [
+            ("analyze", "state_limit"),
+            ("analyze", "beam_width"),
+            ("repair", "state_limit"),
+            ("repair", "max_fixes"),
+            ("repair", "beam_width"),
+            ("batch", "state_limit"),
+        ],
+    )
+    def test_invalid_count_param_is_invalid_params(self, method, field, value):
+        params = (
+            {"items": [{"label": "a", "text": CROSSED_SRC}]}
+            if method == "batch"
+            else {"uri": "mem:c", "text": CROSSED_SRC, "exact": True}
+        )
+        if field == "beam_width":
+            params["strategy"] = "beam"
+        params[field] = value
+        reply = rpc(make_server(), method, params)
+        assert reply["error"]["code"] == INVALID_PARAMS, reply
+        assert field in reply["error"]["message"]
+
     def test_shutdown_sets_flag_and_flushes(self):
         server = make_server()
         reply = rpc(server, "shutdown")

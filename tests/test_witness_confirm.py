@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.confirm import (
     ConfirmationOutcome,
+    confirm_analysis,
     confirm_deadlock_report,
 )
 from repro.analysis.refined import refined_deadlock_analysis
@@ -140,6 +141,30 @@ class TestConfirmation:
         confirmed = confirm_deadlock_report(graph, report, state_limit=2)
         assert confirmed.outcome == ConfirmationOutcome.INCONCLUSIVE
         assert confirmed.final_verdict == report.verdict
+
+    @pytest.mark.parametrize("strategy", ["astar", "beam"])
+    def test_guided_confirm_reuses_the_analysis_report(
+        self, strategy, monkeypatch
+    ):
+        # The guide reads only the report's evidence, and the analysis
+        # already ran the refined kernel on the graph the search walks.
+        from repro import api
+        from repro.waves import guide
+        from repro.workloads.patterns import corridor
+
+        result = api.analyze(corridor(4, 2))
+        assert result.deadlock.algorithm == "refined"
+        expected = confirm_deadlock_report(
+            result.sync_graph, result.deadlock, strategy=strategy
+        )
+
+        def no_rerun(graph):
+            raise AssertionError("the guide reran the refined analysis")
+
+        monkeypatch.setattr(guide, "_refined_report", no_rerun)
+        confirmed = confirm_analysis(result, strategy=strategy)
+        assert confirmed.outcome == expected.outcome
+        assert confirmed.witness == expected.witness
 
     def test_describe(self, crossed):
         graph = build_sync_graph(crossed)
