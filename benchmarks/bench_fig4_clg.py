@@ -52,7 +52,7 @@ def test_fig4a_sync_cycle_exists_but_clg_acyclic(benchmark):
     assert sync_graph_has_undirected_sync_cycle(graph)
     clg = benchmark(build_clg, graph)
     assert not clg.has_cycle()
-    report = naive_deadlock_analysis(graph, clg)
+    report = naive_deadlock_analysis(graph)
     assert report.deadlock_free
 
 

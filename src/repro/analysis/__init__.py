@@ -18,7 +18,7 @@ from .extensions import (
     k_pairs_analysis,
 )
 from .index import AnalysisIndex, coaccept_of
-from .naive import naive_deadlock_analysis, project_component
+from .naive import naive_deadlock_analysis
 from .orderings import OrderingInfo, compute_orderings
 from .refined import possible_heads, refined_deadlock_analysis
 from .results import (
@@ -65,7 +65,6 @@ __all__ = [
     "lemma4_stall_analysis",
     "naive_deadlock_analysis",
     "possible_heads",
-    "project_component",
     "refined_deadlock_analysis",
     "signal_balance",
     "stall_analysis",

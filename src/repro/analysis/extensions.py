@@ -38,7 +38,13 @@ from .. import obs
 from ..errors import AnalysisError
 from ..syncgraph.model import SyncGraph, SyncNode
 from .coexec import CoExecInfo
-from .index import AnalysisIndex, coaccept_of, in_id_of, out_id_of
+from .index import (
+    AnalysisIndex,
+    coaccept_of,
+    in_id_of,
+    out_id_of,
+    project_ids,
+)
 from .orderings import OrderingInfo
 from .refined import possible_heads
 from .results import DeadlockEvidence, DeadlockReport, Verdict
@@ -53,13 +59,18 @@ __all__ = [
 
 
 class _IndexOps:
-    """Bitset marking/search engine over a shared :class:`AnalysisIndex`."""
+    """Bitset marking/search engine over a shared :class:`AnalysisIndex`.
+
+    Components come back as nodes of ``graph``, the graph under
+    analysis, which may be a uid-equal rebuild of ``index.graph``.
+    """
 
     empty: int = 0
 
-    def __init__(self, index: AnalysisIndex) -> None:
+    def __init__(self, index: AnalysisIndex, graph: SyncGraph) -> None:
         self.index = index
-        self.graph = index.graph
+        self.graph = graph
+        self.rendezvous = graph.rendezvous_nodes
         self.orderings = index.orderings
         self.coexec = index.coexec
 
@@ -98,7 +109,7 @@ class _IndexOps:
             id_set = set(ids)
             if any(r not in id_set for r in required[1:]):
                 return None
-        return self.index.project_ids(ids)
+        return project_ids(self.rendezvous, ids)
 
 
 def _index_ops(
@@ -114,7 +125,7 @@ def _index_ops(
         )
     if index is None:
         index = AnalysisIndex(graph, orderings=orderings, coexec=coexec)
-    return _IndexOps(index)
+    return _IndexOps(index, graph)
 
 
 def head_pairs_analysis(
@@ -181,6 +192,7 @@ def _candidate_tails(
     graph: SyncGraph,
     head: SyncNode,
     coexec: CoExecInfo,
+    nodes: Tuple[SyncNode, ...],
 ) -> Tuple[SyncNode, ...]:
     """Candidate tail nodes for ``head`` per the paper's criteria, in
     uid order.
@@ -188,13 +200,14 @@ def _candidate_tails(
     ``t`` is reachable by control flow from ``head``, has a sync edge to
     exit through, and ``t ∉ COACCEPT[head] ∪ NOT-COEXEC[head]``.  The
     order matters: :func:`head_tail_analysis` stops at the first
-    surviving tail.
+    surviving tail.  ``nodes`` is ``graph.rendezvous_nodes``: positions
+    are ``uid - 2``, and the tails must be ``graph``'s nodes, not those
+    of the graph a shared ``coexec`` was computed on.
     """
     p = coexec.position(head)
     m = coexec.reach_rows[p] & ~coexec.not_coexec_rows[p]
     for k in coaccept_of(graph, head):
         m &= ~(1 << coexec.position(k))
-    nodes = coexec.nodes
     tails = []
     while m:
         low = m & -m
@@ -224,10 +237,11 @@ def head_tail_analysis(
 def _head_tail(graph: SyncGraph, ops: _IndexOps) -> DeadlockReport:
     coexec = ops.coexec
     heads = possible_heads(graph)
+    nodes = graph.rendezvous_nodes
     evidence: List[DeadlockEvidence] = []
     examined = 0
     for head in heads:
-        for tail in _candidate_tails(graph, head, coexec):
+        for tail in _candidate_tails(graph, head, coexec, nodes):
             examined += 1
             # COACCEPT marking is unnecessary when the exit node is
             # hypothesized explicitly (paper, extensions discussion).
@@ -289,8 +303,9 @@ def _combined_pairs(
     orderings, coexec = ops.orderings, ops.coexec
     evidence: List[DeadlockEvidence] = []
     pairs: List[Tuple[SyncNode, SyncNode]] = []
+    nodes = graph.rendezvous_nodes
     for head in possible_heads(graph):
-        for tail in _candidate_tails(graph, head, coexec):
+        for tail in _candidate_tails(graph, head, coexec, nodes):
             pairs.append((head, tail))
     total = len(pairs) * (len(pairs) - 1) // 2
     if total > max_hypotheses:
@@ -425,8 +440,9 @@ def _k_pairs(
         evidence = list(smaller.evidence)
 
     pairs: List[Tuple[SyncNode, SyncNode]] = []
+    nodes = graph.rendezvous_nodes
     for head in possible_heads(graph):
-        for tail in _candidate_tails(graph, head, coexec):
+        for tail in _candidate_tails(graph, head, coexec, nodes):
             pairs.append((head, tail))
     total = 1
     for i in range(k):

@@ -26,12 +26,18 @@ built once per sync graph, it
   of Fleischer, Hendrickson and Pınar — one frontier at a time over the
   rows, with the ``no_sync`` / ``do_not_enter`` exclusion bitsets
   applied as masks.  Nodes unreachable from ``h_i`` are never touched,
-  and when no edge re-enters ``h_i`` the backward pass is skipped.
+  and when no edge re-enters ``h_i`` the backward pass is skipped;
+* lists every cyclic SCC of the *unpruned* CLG (the naive algorithm of
+  §3.1, and lint's coupling-cycle candidates) with one iterative Tarjan
+  pass over the same rows (:meth:`AnalysisIndex.cyclic_components`).
 
 No :class:`SyncNode` or :class:`CLGNode` is hashed while the index is
 built or while a head hypothesis runs; ``SyncNode`` objects appear only
-at the evidence boundary (:meth:`AnalysisIndex.project_ids`).  Mark
-vectors are memoized per ``(head, use_coaccept)`` so the extension
+at the evidence boundary (:func:`project_ids`), which takes the graph
+the caller analyzes rather than the one the index was built from: the
+index holds only uids, so one index serves every uid-equal graph — a
+comment edit rebuilds the sync graph with new spans but the same uids.
+Mark vectors are memoized per ``(head, use_coaccept)`` so the extension
 analyses stop recomputing them inside their O(N²)–O(N^k) combination
 loops.
 
@@ -45,7 +51,7 @@ differential tests in ``tests/test_index.py`` enforce that, and
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..syncgraph.clg import CLG, build_clg
@@ -53,7 +59,13 @@ from ..syncgraph.model import SyncGraph, SyncNode
 from .coexec import CoExecInfo, compute_coexec
 from .orderings import OrderingInfo, compute_orderings
 
-__all__ = ["AnalysisIndex", "coaccept_of", "in_id_of", "out_id_of"]
+__all__ = [
+    "AnalysisIndex",
+    "coaccept_of",
+    "in_id_of",
+    "out_id_of",
+    "project_ids",
+]
 
 
 def coaccept_of(graph: SyncGraph, node: SyncNode) -> Tuple[SyncNode, ...]:
@@ -81,6 +93,19 @@ def in_id_of(node: SyncNode) -> int:
 def out_id_of(node: SyncNode) -> int:
     """CLG id of rendezvous node ``r``'s ``r_o``: ``2·uid − 1``."""
     return 2 * node.uid - 1
+
+
+def project_ids(
+    rendezvous: Sequence[SyncNode], ids: Iterable[int]
+) -> FrozenSet[SyncNode]:
+    """CLG ids → sync-graph nodes; ``b``/``e`` drop out.
+
+    ``rendezvous`` is ``graph.rendezvous_nodes`` of the graph under
+    analysis: ids ``2·uid − 2`` and ``2·uid − 1`` both map to its node
+    of that uid, so an index built on any uid-equal graph will do, and
+    the nodes returned carry the analyzed graph's source spans.
+    """
+    return frozenset(rendezvous[(i >> 1) - 1] for i in ids if i >= 2)
 
 
 def _spread(row: int) -> int:
@@ -266,11 +291,6 @@ class AnalysisIndex:
             allowed |= self.task_bits[task]
         return self.split_bits & ~allowed
 
-    def project_ids(self, ids: Iterable[int]) -> FrozenSet[SyncNode]:
-        """Component ids → sync-graph nodes (``project_component``)."""
-        rendezvous = self._rendezvous
-        return frozenset(rendezvous[(i >> 1) - 1] for i in ids if i >= 2)
-
     # -- the kernel --------------------------------------------------------
 
     def cyclic_component_ids(
@@ -332,6 +352,77 @@ class AnalysisIndex:
             frontier = ((plain & fwd) | (sync & sync_keep)) & ~bwd
             bwd |= frontier
         return _bit_ids(bwd), reached
+
+    def cyclic_components(self) -> List[List[int]]:
+        """Cyclic SCCs of the unpruned CLG, as sorted id lists.
+
+        An iterative Tarjan pass, O(N + E), over int successor lists in
+        the CLG's rule order: roots in id order, an ``r_o``'s internal
+        edge before its sync edges (in ``sync_edges()`` order), control
+        edges in ``control_edges()`` order.  Tarjan emits components in
+        DFS completion order, so this is what makes the list equal
+        ``build_clg(graph).cyclic_components()``, order included
+        (pinned by ``tests/test_index_rows.py``); visiting successors
+        in id order does not.  A component is cyclic when it has two
+        or more nodes or a self-loop.
+        """
+        n = self.node_count
+        plain, sync = self.plain_succ, self.sync_succ
+        graph = self.graph
+        succ: List[List[int]] = [[] for _ in range(n)]
+        for o in range(3, n, 2):  # rule 3 first: add_edge order
+            succ[o].append(o - 1)
+        b, e = graph.b, graph.e
+        for src, dst in graph.control_edges():  # rules 4-5
+            succ[0 if src is b else in_id_of(src)].append(
+                1 if dst is e else out_id_of(dst)
+            )
+        for r, s in graph.sync_edges():  # rule 6
+            succ[out_id_of(r)].append(in_id_of(s))
+            succ[out_id_of(s)].append(in_id_of(r))
+        order = [-1] * n  # discovery index, -1 until visited
+        low = [0] * n
+        on_stack = [False] * n
+        stack: List[int] = []
+        counter = 0
+        components: List[List[int]] = []
+        for root in range(n):
+            if order[root] >= 0:
+                continue
+            order[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            work = [(root, iter(succ[root]))]
+            while work:
+                v, successors = work[-1]
+                for w in successors:
+                    if order[w] < 0:
+                        order[w] = low[w] = counter
+                        counter += 1
+                        stack.append(w)
+                        on_stack[w] = True
+                        work.append((w, iter(succ[w])))
+                        break
+                    if on_stack[w] and order[w] < low[v]:
+                        low[v] = order[w]
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        if low[v] < low[parent]:
+                            low[parent] = low[v]
+                    if low[v] == order[v]:
+                        component = []
+                        while True:
+                            w = stack.pop()
+                            on_stack[w] = False
+                            component.append(w)
+                            if w == v:
+                                break
+                        if len(component) > 1 or (plain[v] | sync[v]) >> v & 1:
+                            components.append(sorted(component))
+        return components
 
     # -- pruning-effectiveness counters ------------------------------------
 

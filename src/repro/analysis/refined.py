@@ -42,7 +42,7 @@ from ..budget import CHECK_EVERY, checkpoint
 from ..errors import AnalysisError
 from ..syncgraph.model import SyncGraph, SyncNode
 from .coexec import CoExecInfo
-from .index import AnalysisIndex, coaccept_of, in_id_of
+from .index import AnalysisIndex, coaccept_of, in_id_of, project_ids
 from .orderings import OrderingInfo
 from .results import DeadlockEvidence, DeadlockReport, Verdict
 
@@ -100,7 +100,9 @@ def refined_deadlock_analysis(
     forward–backward bitset kernel of :class:`AnalysisIndex`, whose
     rows come straight from the sync graph (no CLG object is built); a
     prebuilt ``index`` may be shared across analyses and supersedes
-    ``orderings``/``coexec``.
+    ``orderings``/``coexec``.  It may come from another graph with the
+    same uids (a comment edit's rebuild): evidence nodes are always
+    ``graph``'s own.
     """
     if graph.has_control_cycle():
         raise AnalysisError(
@@ -114,6 +116,7 @@ def refined_deadlock_analysis(
     observing = obs.is_enabled()
     prune_counts: Optional[Dict[str, int]] = {} if observing else None
     heads = possible_heads(graph)
+    rendezvous = graph.rendezvous_nodes
     evidence: List[DeadlockEvidence] = []
     reached_total = 0
     with obs.span("refined.heads", heads=len(heads)):
@@ -142,7 +145,7 @@ def refined_deadlock_analysis(
             if ids is not None:
                 evidence.append(
                     DeadlockEvidence(
-                        component=index.project_ids(ids), head=head
+                        component=project_ids(rendezvous, ids), head=head
                     )
                 )
     verdict = Verdict.CERTIFIED_FREE if not evidence else Verdict.POSSIBLE_DEADLOCK

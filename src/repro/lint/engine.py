@@ -8,11 +8,16 @@ every registered rule (minus ``disable``/``select`` filters) over a
 :class:`LintContext` and returns a :class:`LintResult` of
 source-ordered diagnostics.
 
-Expensive shared inputs — the inlined program, the sync graph, the CLG
-— are computed lazily and at most once per run, and degrade to ``None``
-when the program is too broken to build them (e.g. duplicate task
-names), so structural rules still report on programs the analysis
-pipeline would reject outright.
+Expensive shared inputs are the analysis's own layers: the prepared
+pipeline front half (:func:`repro.api.prepare` — inline, validate,
+unroll, sync graph) and one :class:`~repro.analysis.index.AnalysisIndex`
+over its graph, whose rows give ADL010 its cyclic CLG components and
+ADL012 its refined run.  No CLG object is built.  A caller that already
+holds them (the daemon's document) passes them to :func:`run_lint`;
+otherwise they are computed lazily, at most once per run.  They degrade
+to ``None`` when the program is too broken to build them (e.g.
+duplicate task names), so structural rules still report on programs the
+analysis pipeline would reject outright.
 
 Suppressions are pre-scanned from source comments::
 
@@ -30,6 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -44,11 +50,11 @@ from .. import obs
 from ..diagnostics import Diagnostic, Related, Severity
 from ..errors import ReproError
 from ..lang.ast_nodes import Program
-from ..lang.validate import (
-    collect_signals,
-    unmatched_signal_diagnostics,
-    validate_program,
-)
+from ..lang.validate import collect_signals, unmatched_signal_diagnostics
+
+if TYPE_CHECKING:  # pragma: no cover - imported lazily at run time
+    from ..analysis.index import AnalysisIndex
+    from ..api import PreparedProgram
 
 __all__ = [
     "LintRule",
@@ -139,27 +145,49 @@ def get_rule(rule_id: str) -> LintRule:
 
 
 class LintContext:
-    """Shared, lazily computed inputs for one lint run."""
+    """Shared, lazily computed inputs for one lint run.
+
+    ``prepared`` must be :func:`repro.api.prepare` of ``program``, and
+    ``index`` an :class:`AnalysisIndex` over its sync graph or over a
+    uid-equal one (a layout edit's earlier graph): rules read nodes and
+    spans off ``prepared``, only ids off ``index``.
+    """
 
     def __init__(
         self,
         program: Program,
         source: Optional[str] = None,
         path: str = "<source>",
+        prepared: Optional["PreparedProgram"] = None,
+        index: Optional["AnalysisIndex"] = None,
     ) -> None:
         self.program = program
         self.source = source
         self.path = path
-        self._inlined: Optional[Program] = None
-        self._inline_failed = False
-        self._graph = None
-        self._graph_built = False
-        self._clg = None
-        self._clg_built = False
+        self._prepared = prepared
+        self._prepared_built = prepared is not None
+        self._index = index
+        self._index_built = index is not None
+        self._fallback: Optional[Program] = None
         self._deadlock = None
         self._deadlock_built = False
         self._unmatched: Optional[Tuple[Diagnostic, ...]] = None
         self._counts = None
+
+    @property
+    def prepared(self) -> Optional["PreparedProgram"]:
+        """The analysis pipeline's front half for ``program``, or
+        ``None`` when the program cannot reach it (unresolved calls,
+        validation errors, ...)."""
+        if not self._prepared_built:
+            self._prepared_built = True
+            from ..api import prepare
+
+            try:
+                self._prepared = prepare(self.program)
+            except ReproError:
+                self._prepared = None
+        return self._prepared
 
     @property
     def effective(self) -> Program:
@@ -170,14 +198,19 @@ class LintContext:
         concrete task.  Leaf statements are shared by the inliner, so
         their source spans survive.
         """
-        if self._inlined is None and not self._inline_failed:
+        prepared = self.prepared
+        if prepared is not None:
+            return prepared.inlined
+        if self._fallback is None:
+            # The pipeline stopped after (or at) inlining: inline again
+            # on its own, keeping the raw program if that fails too.
             from ..transforms.inline import inline_procedures
 
             try:
-                self._inlined, _ = inline_procedures(self.program)
+                self._fallback, _ = inline_procedures(self.program)
             except ReproError:
-                self._inline_failed = True
-        return self._inlined if self._inlined is not None else self.program
+                self._fallback = self.program
+        return self._fallback
 
     @property
     def signal_counts(self):
@@ -188,46 +221,39 @@ class LintContext:
 
     @property
     def unmatched_diagnostics(self) -> Tuple[Diagnostic, ...]:
-        """Shared ADL001/ADL002 findings (also used by validation)."""
+        """Shared ADL001/ADL002 findings: the prepared pipeline's
+        validation diagnostics, which are exactly these."""
         if self._unmatched is None:
-            self._unmatched = unmatched_signal_diagnostics(self.effective)
+            prepared = self.prepared
+            self._unmatched = (
+                prepared.validation.diagnostics
+                if prepared is not None
+                else unmatched_signal_diagnostics(self.effective)
+            )
         return self._unmatched
 
     @property
     def analysis_graph(self):
         """Sync graph of the unrolled effective program, or ``None``
-        when the program cannot reach the graph pipeline (validation
-        errors, unresolved calls, ...)."""
-        if not self._graph_built:
-            self._graph_built = True
-            from ..syncgraph.build import build_sync_graph
-            from ..transforms.unroll import remove_loops
-
-            effective = self.effective
-            if self._inline_failed:
-                # the fallback program still contains Call statements,
-                # which have no CFG form
-                self._graph = None
-            else:
-                try:
-                    validate_program(effective)
-                    unrolled, _ = remove_loops(effective)
-                    self._graph = build_sync_graph(unrolled)
-                except ReproError:
-                    self._graph = None
-        return self._graph
+        when the program cannot reach the graph pipeline."""
+        prepared = self.prepared
+        return prepared.sync_graph if prepared is not None else None
 
     @property
-    def clg(self):
-        """The cycle location graph of the unrolled program, or ``None``
-        when the program cannot reach the graph pipeline."""
-        if not self._clg_built:
-            self._clg_built = True
-            from ..syncgraph.clg import build_clg
-
+    def index(self) -> Optional["AnalysisIndex"]:
+        """The :class:`AnalysisIndex` shared by ADL010 and ADL012, or
+        ``None`` without an analysis graph."""
+        if not self._index_built:
+            self._index_built = True
             graph = self.analysis_graph
-            self._clg = None if graph is None else build_clg(graph)
-        return self._clg
+            if graph is not None:
+                from ..analysis.index import AnalysisIndex
+
+                try:
+                    self._index = AnalysisIndex(graph)
+                except ReproError:
+                    self._index = None
+        return self._index
 
     @property
     def deadlock(self):
@@ -239,10 +265,12 @@ class LintContext:
             self._deadlock_built = True
             from ..analysis.refined import refined_deadlock_analysis
 
-            graph = self.analysis_graph
-            if graph is not None:
+            index = self.index
+            if index is not None:
                 try:
-                    self._deadlock = refined_deadlock_analysis(graph)
+                    self._deadlock = refined_deadlock_analysis(
+                        self.analysis_graph, index=index
+                    )
                 except ReproError:
                     self._deadlock = None
         return self._deadlock
@@ -338,20 +366,27 @@ def run_lint(
     path: str = "<source>",
     disable: Sequence[str] = (),
     select: Optional[Sequence[str]] = None,
+    prepared: Optional["PreparedProgram"] = None,
+    index: Optional["AnalysisIndex"] = None,
 ) -> LintResult:
     """Run every (selected) registered rule over ``program``.
 
     ``source`` enables comment suppressions and is otherwise optional —
     rules work from the AST and its attached spans.  The program is
     never mutated (statements are frozen dataclasses and rules only
-    read).  Per-rule emission/suppression counters are recorded in
-    :mod:`repro.obs` when a session is active.
+    read).  A caller holding ``prepared = repro.api.prepare(program)``
+    and an ``index`` over its graph passes them in, so lint reuses the
+    analysis's layers (see :class:`LintContext`); the diagnostics are
+    the same either way.  Per-rule emission/suppression counters are
+    recorded in :mod:`repro.obs` when a session is active.
     """
     rules = _select_rules(disable, select)
     suppressions = (
         scan_suppressions(source) if source is not None else {}
     )
-    ctx = LintContext(program, source=source, path=path)
+    ctx = LintContext(
+        program, source=source, path=path, prepared=prepared, index=index
+    )
     found: List[Diagnostic] = []
     suppressed_count = 0
     with obs.span("lint.run", path=path, rules=len(rules)):

@@ -45,14 +45,16 @@ ADL012   possible-deadlock       warning   §3: the refined polynomial
                                            objects repair emits.
 =======  ======================  ========  ==============================
 
-Rules only read the AST (and, for ADL010, the derived CLG); they never
-mutate the program.
+Rules only read the AST and, for ADL010/ADL012, the analysis layers
+derived from it (the prepared sync graph and its ``AnalysisIndex``);
+they never mutate the program.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
+from ..analysis.index import project_ids
 from ..diagnostics import Diagnostic, Related
 from ..lang.ast_nodes import (
     Accept,
@@ -350,13 +352,13 @@ def check_while_rendezvous(
 def check_coupling_cycle(
     ctx: LintContext, rule: LintRule
 ) -> Iterable[Diagnostic]:
-    clg = ctx.clg
-    if clg is None:
+    index = ctx.index
+    if index is None:
         return
-    for component in clg.cyclic_components():
+    rendezvous = ctx.analysis_graph.rendezvous_nodes
+    for ids in index.cyclic_components():
         sync_nodes = sorted(
-            {n.sync for n in component if n.sync is not None},
-            key=lambda n: n.uid,
+            project_ids(rendezvous, ids), key=lambda n: n.uid
         )
         if not sync_nodes:
             continue

@@ -18,6 +18,7 @@ from .trace import Tracer
 
 __all__ = [
     "METRICS_SCHEMA_VERSION",
+    "instrument_values",
     "session_to_dict",
     "session_to_prometheus",
 ]
@@ -42,19 +43,28 @@ def _span_seconds(tracer: Tracer) -> Dict[str, float]:
     return totals
 
 
+def instrument_values(registry: MetricsRegistry) -> Dict[str, Any]:
+    """``{"counters": ..., "gauges": ...}``, each ``{flat key: value}``.
+
+    Costs one pass over the instruments and nothing per span, so a
+    long-lived daemon can report it on every ``status`` call.
+    """
+    counters: Dict[str, Any] = {}
+    gauges: Dict[str, Any] = {}
+    for inst in registry.iter_instruments():
+        if isinstance(inst, Counter):
+            counters[_flat_key(inst.name, inst.labels)] = inst.value
+        elif isinstance(inst, Gauge):
+            gauges[_flat_key(inst.name, inst.labels)] = inst.value
+    return {"counters": counters, "gauges": gauges}
+
+
 def session_to_dict(session: ObsSession) -> Dict[str, Any]:
     """The versioned JSON snapshot of one observed scope."""
     registry = session.registry
     return {
         "schema_version": METRICS_SCHEMA_VERSION,
-        "counters": {
-            _flat_key(c.name, c.labels): c.value
-            for c in registry.counters.values()
-        },
-        "gauges": {
-            _flat_key(g.name, g.labels): g.value
-            for g in registry.gauges.values()
-        },
+        **instrument_values(registry),
         "histograms": {
             _flat_key(h.name, h.labels): {
                 "count": h.count,

@@ -124,6 +124,19 @@ def _count_param(
     return value
 
 
+def _version_param(
+    params: Dict[str, Any], default: Optional[int]
+) -> Optional[int]:
+    """``params["version"]``: absent (``default``), or an int >= 0 —
+    not a bool, float, string or null."""
+    if "version" not in params:
+        return default
+    value = params["version"]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"version must be an integer >= 0, got {value!r}")
+    return value
+
+
 class _SignalStop(Exception):
     """Raised in the serving loop by SIGTERM/SIGINT handlers."""
 
@@ -298,7 +311,7 @@ class AnalysisServer:
         doc = self.session.open_document(
             uri,
             params["text"],
-            version=int(params.get("version", 1)),
+            version=_version_param(params, 1),
             client=client,
         )
         return {"uri": uri, "version": doc.version, "opened": True}
@@ -309,7 +322,7 @@ class AnalysisServer:
         return self.session.change_document(
             params["uri"],
             params["text"],
-            version=params.get("version"),
+            version=_version_param(params, None),
             ranges=params.get("ranges"),
             client=client,
         )

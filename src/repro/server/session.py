@@ -18,14 +18,16 @@ A :class:`Session` is the daemon's memory.  It owns
 
 Incremental invalidation lives in :meth:`Document.apply_change`: a
 ``didChange`` carries the new text and optionally the edited source
-ranges.  The edit keeps the cached parse/CLG/indexes (*partial*
-invalidation) exactly when the new text still canonicalises to the same
-program — whitespace/comment-only edits and formatting churn — with the
+ranges.  The edit keeps the cached span-free kernels, the
+``AnalysisIndex`` and ``WaveIndex`` (*partial* invalidation), exactly
+when the new text still canonicalises to the same program —
+whitespace/comment-only edits and formatting churn — with the
 end-to-end spans the lint layer threads through the AST used to label
 the cheap case (every edited range outside every task/procedure
 declaration span).  Anything that changes the canonical program is a
 *full* invalidation of that one document; other documents are never
-touched.
+touched.  ``analyze`` and ``lint`` of one document share its prepared
+front half and its index.
 
 **Multi-client namespaces.**  Document tables are keyed per client
 (the ``client`` field on protocol requests; HTTP clients default to a
@@ -68,6 +70,7 @@ from ..farm.cache import LruFront, ResultCache, cache_key
 from ..lang.ast_nodes import Program
 from ..lang.parser import parse_program
 from ..lang.pretty import pretty
+from ..obs.export import instrument_values
 from ..waves.guide import validate_strategy
 from ..reporting import analysis_result_to_dict, repair_report_to_dict
 from .protocol import PROTOCOL_VERSION
@@ -110,10 +113,13 @@ class Document:
     exact source, spans intact) feeds ``prepared`` (inline + validate +
     unroll + sync graph), which feeds the shared ``index`` (CLG bitset
     kernels) and ``engine`` (packed-wave kernels).  A partial
-    invalidation replaces only the bottom layer — source text and its
-    parse, whose spans an edit shifts — and keeps everything above,
-    because the canonical program those layers were built from did not
-    change.
+    invalidation replaces the layers that carry source spans — the
+    parse, and ``prepared``, whose sync graph points at statements and
+    whose validation diagnostics are located — and keeps ``index`` and
+    ``engine``: they hold only uids, and a canonically equal program
+    builds a uid-equal graph (``SyncNode`` equality ignores the CFG
+    node).  Analyses read nodes off the rebuilt ``prepared`` graph and
+    only ids off the kept kernels.
     """
 
     def __init__(self, uri: str, text: str, version: int = 1) -> None:
@@ -200,12 +206,12 @@ class Document:
         * ``"partial"`` — the text changed but canonicalises to the
           same program (whitespace/comments/formatting, or an edit
           entirely outside every task/procedure declaration span).
-          The parse is refreshed so spans track the new text, and the
-          per-source lint cache drops (suppression comments and
-          diagnostic spans are layout-sensitive), but the prepared
-          pipeline, ``AnalysisIndex`` and ``WaveIndex`` all survive —
-          as do the content-addressed analysis results, whose key is
-          the canonical form.
+          The parse and the prepared pipeline are rebuilt so spans
+          track the new text, and the per-source lint cache drops
+          (suppression comments and diagnostic spans are
+          layout-sensitive), but the ``AnalysisIndex`` and
+          ``WaveIndex`` survive — as do the content-addressed analysis
+          results, whose key is the canonical form.
         * ``"full"`` — the canonical program changed (or stopped
           parsing): every derived layer of *this document* is dropped.
         """
@@ -229,10 +235,11 @@ class Document:
             return "full", "parse-error"
 
         if old_canonical is not None and pretty(new_program) == old_canonical:
-            # Same canonical program: keep prepared/index/engine, swap
-            # in the fresh parse so spans match the new layout.
+            # Same canonical program: keep the uid-only index/engine,
+            # drop the layers whose spans follow the old layout.
             self._program = new_program
             self._canonical = old_canonical
+            self._prepared = None
             self._lint_cache = {}
             reason = (
                 "edit-outside-declarations"
@@ -388,7 +395,10 @@ class Session:
         doc = self._docs(client).get(uri)
         if doc is None:
             doc = self.open_document(
-                uri, text, version=version or 1, client=client
+                uri,
+                text,
+                version=version if version is not None else 1,
+                client=client,
             )
             kind, reason = "full", "opened"
             self._count("invalidations_full", "server.invalidations.full")
@@ -569,7 +579,9 @@ class Session:
         The payload is :func:`repro.lint.output.lint_to_dict` — the CLI
         ``--lint --json`` stdout — with the document URI as the
         diagnostic path / SARIF ``artifactLocation`` (synthetic URIs
-        for unsaved buffers pass through untouched).
+        for unsaved buffers pass through untouched).  Lint runs on the
+        document's prepared front half and index, the ones ``analyze``
+        builds and reuses.
         """
         from ..lint import lint_to_dict, run_lint, sarif_report
 
@@ -585,12 +597,20 @@ class Session:
                 self._count("lint_cache_hits", "server.lint_cache_hits")
             else:
                 cache = "computed"
+                program = doc.program()
+                try:
+                    prepared, index = doc.prepared(), doc.index()
+                except ReproError:
+                    # Broken past parsing: lint degrades on its own.
+                    prepared = index = None
                 result = run_lint(
-                    doc.program(),
+                    program,
                     source=doc.source,
                     path=doc.uri,
                     disable=disable,
                     select=select,
+                    prepared=prepared,
+                    index=index,
                 )
                 doc._lint_cache[key] = result
                 self._count("lint_runs", "server.lint_runs")
@@ -734,12 +754,11 @@ class Session:
             ),
             "algorithms": sorted(ALGORITHMS) + ["exact"],
         }
-        metrics = obs.snapshot()
-        if metrics is not None:
-            payload["metrics"] = {
-                "counters": metrics["counters"],
-                "gauges": metrics["gauges"],
-            }
+        active = obs.current()
+        if active is not None:
+            # Counters and gauges only: serializing the span forest
+            # would cost time that grows with the daemon's uptime.
+            payload["metrics"] = instrument_values(active.registry)
         return payload
 
     def flush(self) -> int:

@@ -16,11 +16,12 @@ from typing import FrozenSet, Optional, Set, Tuple
 from repro.analysis import extensions
 from repro.analysis.coexec import CoExecInfo, compute_coexec
 from repro.analysis.index import AnalysisIndex, coaccept_of
-from repro.analysis.naive import project_component
 from repro.analysis.orderings import OrderingInfo, compute_orderings
 from repro.analysis.results import DeadlockReport
 from repro.syncgraph.clg import CLG, CLGEdge, CLGNode, EdgeKind, build_clg
 from repro.syncgraph.model import SyncGraph, SyncNode
+
+from .refined import project_component
 
 
 class SetOps:

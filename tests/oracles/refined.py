@@ -16,13 +16,19 @@ from repro import obs
 from repro.analysis.coexec import CoExecInfo, compute_coexec
 from repro.analysis.constraint4 import breakable_nodes
 from repro.analysis.index import AnalysisIndex, coaccept_of
-from repro.analysis.naive import project_component
 from repro.analysis.orderings import OrderingInfo, compute_orderings
 from repro.analysis.refined import possible_heads
 from repro.analysis.results import DeadlockEvidence, DeadlockReport, Verdict
 from repro.errors import AnalysisError
 from repro.syncgraph.clg import CLG, CLGEdge, CLGNode, EdgeKind, build_clg
 from repro.syncgraph.model import SyncGraph, SyncNode
+
+
+def project_component(component: FrozenSet[CLGNode]) -> FrozenSet[SyncNode]:
+    """Map a CLG component back to its sync-graph nodes."""
+    return frozenset(
+        node.sync for node in component if node.sync is not None
+    )
 
 
 def component_for_head(

@@ -119,7 +119,7 @@ class TestPreparedPipeline:
     def test_index_aware_excludes_k_pairs(self):
         from repro.api import ALGORITHMS, INDEX_AWARE
 
-        assert INDEX_AWARE == frozenset(ALGORITHMS) - {"naive", "k-pairs-3"}
+        assert INDEX_AWARE == frozenset(ALGORITHMS) - {"k-pairs-3"}
 
     def test_uri_is_provenance_only(self):
         from repro.reporting import analysis_result_to_dict

@@ -26,7 +26,7 @@ from repro.analysis.extensions import (
     head_tail_analysis,
     k_pairs_analysis,
 )
-from repro.analysis.index import AnalysisIndex
+from repro.analysis.index import AnalysisIndex, project_ids
 from repro.analysis.orderings import compute_orderings
 from repro.analysis.refined import possible_heads, refined_deadlock_analysis
 from repro.lang.parser import parse_program
@@ -146,7 +146,7 @@ class TestEarlyExitTarjan:
         # The rooted walk never reaches the t3/t4 half of the CLG, let
         # alone b/e — strictly fewer nodes than a full enumeration.
         assert visited < index.node_count
-        projected = index.project_ids(ids)
+        projected = project_ids(graph.rendezvous_nodes, ids)
         assert {n.task for n in projected} == {"t1", "t2"}
 
     def test_component_matches_reference_search(self):

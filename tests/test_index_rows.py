@@ -6,13 +6,18 @@ the paper's six rules as int bit rows, without building a CLG object.
 Both must describe the same graph: node and edge counts, each node's
 plain and sync successors (mapped through ``clg.node_index``), the
 predecessor rows as their transpose, and ``in_id`` / ``out_id``.
+
+``AnalysisIndex.cyclic_components`` — the naive algorithm's and lint
+ADL010's cycle kernel — must list the cyclic SCCs of
+``build_clg(graph).cyclic_components()`` in the same order.
 """
 
 from __future__ import annotations
 
-from hypothesis import given
+from hypothesis import given, settings
 
-from repro.analysis.index import AnalysisIndex
+from repro.analysis.index import AnalysisIndex, project_ids
+from repro.lang.compose import parallel_compose, prefix_program
 from repro.lang.parser import parse_program
 from repro.reductions.cnf import random_cnf
 from repro.reductions.theorem3 import build_theorem3_graph
@@ -64,7 +69,17 @@ def assert_rows_match_clg(graph):
         assert index.in_id[s] == node_index[clg.in_node(s)]
         assert index.out_id[s] == node_index[clg.out_node(s)]
     assert node_index[clg.b] == 0 and node_index[clg.e] == 1
-    assert index.project_ids(range(n)) == frozenset(rendezvous)
+    assert project_ids(rendezvous, range(n)) == frozenset(rendezvous)
+    assert_cycles_match_clg(index, clg)
+
+
+def assert_cycles_match_clg(index, clg):
+    """Same cyclic components as the CLG's Tarjan pass, same order."""
+    node_index = clg.node_index
+    assert index.cyclic_components() == [
+        sorted(node_index[node] for node in component)
+        for component in clg.cyclic_components()
+    ]
 
 
 @FAST
@@ -77,6 +92,46 @@ def test_small_programs_after_unroll(program):
 @given(rich_programs())
 def test_full_grammar_programs(program):
     assert_rows_match_clg(graph_of(program))
+
+
+@settings(FAST, max_examples=150)
+@given(rich_programs(), rich_programs())
+def test_cyclic_components_match_clg(left, right):
+    # Side by side, the two parts' cycles cannot reach each other, so
+    # only the DFS order decides which the kernel lists first.
+    program = parallel_compose(
+        "pair", prefix_program(left, "l"), prefix_program(right, "r")
+    )
+    graph = graph_of(program)
+    assert_cycles_match_clg(AnalysisIndex(graph), build_clg(graph))
+
+
+# Two cycles (t2-t5 and t3-t4) that neither reaches the other, both
+# first reached from t3's ``send t2.q`` node: its r_o lists its own r_i
+# (leading to t3-t4) before the sync edge into t2 (leading to t2-t5),
+# but t2's node has the lower uid.  Visiting successors in id order
+# would list the t2-t5 cycle first; the CLG lists t3-t4 first.
+SUCCESSOR_ORDER_SRC = """
+program successor_order;
+task t1 is begin send t3.p; end;
+task t2 is begin accept q; send t5.u; accept v; end;
+task t3 is begin accept p; send t2.q; send t4.w; accept z; end;
+task t4 is begin send t3.z; accept w; end;
+task t5 is begin send t2.v; accept u; end;
+"""
+
+
+def test_cyclic_components_follow_clg_successor_order():
+    graph = graph_of(parse_program(SUCCESSOR_ORDER_SRC))
+    index = AnalysisIndex(graph)
+    clg = build_clg(graph)
+    assert_cycles_match_clg(index, clg)
+    rendezvous = graph.rendezvous_nodes
+    tasks = [
+        sorted({n.task for n in project_ids(rendezvous, ids)})
+        for ids in index.cyclic_components()
+    ]
+    assert tasks == [["t3", "t4"], ["t2", "t5"]]
 
 
 def test_corpora():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -463,6 +465,87 @@ class TestLintCorpus:
 
         assert main() == 0
         assert "selfcheck OK" in capsys.readouterr().out
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+LINT_GOLDEN_DIR = Path(__file__).parent / "golden_lint"
+REGEN = bool(os.environ.get("REPRO_REGEN_GOLDEN"))
+CORPUS_FILES = sorted(
+    path.relative_to(REPO_ROOT).as_posix()
+    for corpus in ("adl", "adl_lint")
+    for path in (REPO_ROOT / "src" / "repro" / "workloads" / corpus).glob(
+        "*.adl"
+    )
+)
+
+
+class TestLintOnAnalysisLayers:
+    """ADL010 and ADL012 read one prepared pipeline and one
+    ``AnalysisIndex``; no CLG object is built on any lint path."""
+
+    @pytest.mark.parametrize("rel_path", CORPUS_FILES)
+    def test_cli_json_and_sarif_match_golden(
+        self, rel_path, monkeypatch, tmp_path, capsys
+    ):
+        # The goldens pin the CLI bytes, so sharing layers with the
+        # analysis cannot change a report; regenerate them with
+        # REPRO_REGEN_GOLDEN=1 only for an intended payload change.
+        from repro.cli import main
+
+        monkeypatch.chdir(REPO_ROOT)
+        stem = "_".join(Path(rel_path).parts[-2:])[: -len(".adl")]
+        main([rel_path, "--lint", "--json"])
+        outputs = {".json": capsys.readouterr().out}
+        sarif = tmp_path / "out.sarif"
+        main([rel_path, "--lint", "--sarif", str(sarif)])
+        capsys.readouterr()
+        outputs[".sarif"] = sarif.read_text()
+        for suffix, text in outputs.items():
+            golden = LINT_GOLDEN_DIR / (stem + suffix)
+            if REGEN:
+                golden.write_text(text)
+            else:
+                assert text == golden.read_text(), golden.name
+        if REGEN:
+            pytest.skip(f"regenerated goldens for {rel_path}")
+
+    def test_no_clg_object_is_built(self, monkeypatch):
+        from repro.syncgraph import clg
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("a CLG object was built")
+
+        monkeypatch.setattr(clg.CLG, "__init__", forbidden)
+        for entry in lint_corpus().values():
+            lint_source(entry.source)
+        result = lint_source(CROSSED_SRC)
+        assert {"ADL010", "ADL012"} <= rules_of(result)
+        import repro
+
+        naive = repro.analyze(CROSSED_SRC, algorithm="naive")
+        assert not naive.deadlock.deadlock_free
+
+    def test_prepared_and_index_are_reused(self, monkeypatch):
+        from repro import api
+        from repro.analysis.index import AnalysisIndex
+        from repro.lint import run_lint
+
+        expected = lint_source(CROSSED_SRC).diagnostics
+        prepared = api.prepare(parse_program(CROSSED_SRC))
+        index = AnalysisIndex(prepared.sync_graph)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lint rebuilt a layer it was handed")
+
+        monkeypatch.setattr(api, "prepare", forbidden)
+        monkeypatch.setattr(AnalysisIndex, "__init__", forbidden)
+        result = run_lint(
+            prepared.source_program,
+            source=CROSSED_SRC,
+            prepared=prepared,
+            index=index,
+        )
+        assert result.diagnostics == expected
 
 
 def _bounded_config(seed: int) -> Program:

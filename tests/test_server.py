@@ -34,6 +34,7 @@ import pytest
 
 import repro
 from repro import obs
+from repro.errors import ReproError
 from repro.farm.cache import ResultCache
 from repro.lang.pretty import pretty
 from repro.reporting import analysis_result_to_dict, render_json
@@ -80,6 +81,8 @@ program crossed;
 task t1 is begin send t2.a; accept x; end;
 task t2 is begin send t1.x; accept a; end;  -- trailing note
 """
+
+TWO_COMMENT_LINES = "-- first note\n-- second note\n"
 
 # Keys whose values depend on the machine or the clock, never on the
 # analysis: replaced before golden comparison.
@@ -175,14 +178,21 @@ class TestDocumentInvalidation:
         prepared = doc.prepared()
         index = doc.index()
         engine = doc.engine()
-        kind, reason = doc.apply_change(CROSSED_COMMENTED)
+        kind, reason = doc.apply_change(TWO_COMMENT_LINES + CROSSED_SRC)
         assert kind == "partial"
         assert reason == "whitespace-or-comments"
-        # The expensive layers are the *same objects*, not rebuilds.
-        assert doc.prepared() is prepared
+        # The uid-only kernels are the *same objects*, not rebuilds.
         assert doc.index() is index
         assert doc.engine() is engine
-        # The parse tracks the new text (spans shifted by the comment).
+        # The front half carries spans, so it follows the new text.
+        rebuilt = doc.prepared()
+        assert rebuilt is not prepared
+        assert rebuilt.source_program is doc.program()
+        old_nodes = prepared.sync_graph.rendezvous_nodes
+        new_nodes = rebuilt.sync_graph.rendezvous_nodes
+        assert new_nodes == old_nodes
+        for old, new in zip(old_nodes, new_nodes):
+            assert new.cfg_node.stmt.loc.line == old.cfg_node.stmt.loc.line + 2
         assert doc.program().tasks[0].loc.line > 1
 
     def test_task_body_edit_rebuilds(self):
@@ -368,6 +378,120 @@ class TestSession:
         assert reg.counter_value("server.cache_hits") == 1
         assert reg.counter_value("server.invalidations.partial") == 1
 
+    def test_status_does_not_serialize_spans(self, monkeypatch):
+        from repro.obs.trace import Span
+
+        calls = []
+        to_dict = Span.to_dict
+
+        def counting(span):
+            calls.append(span.name)
+            return to_dict(span)
+
+        with obs.observed():
+            session = Session(store=None)
+            session.analyze_document(uri="mem:a", text=CROSSED_SRC)
+            for _ in range(5_000):
+                with obs.span("filler"):
+                    pass
+            monkeypatch.setattr(Span, "to_dict", counting)
+            status = session.status()
+            assert calls == []
+            snapshot = obs.snapshot()
+        assert calls  # the full snapshot still walks the spans
+        assert status["metrics"] == {
+            "counters": snapshot["counters"],
+            "gauges": snapshot["gauges"],
+        }
+        assert status["metrics"]["counters"]["server.computed"] == 1
+
+
+def _lint_sources():
+    from repro.workloads.adl_corpus import adl_corpus, lint_corpus
+
+    return [
+        pytest.param(f"{tag}/{name}", entry.source, id=f"{tag}/{name}")
+        for tag, corpus in (("adl", adl_corpus()), ("adl_lint", lint_corpus()))
+        for name, entry in sorted(corpus.items())
+    ]
+
+
+class TestLintOnDocumentLayers:
+    """Daemon lint runs on the document's prepared pipeline and index;
+    its reports must equal a one-shot lint of the same text."""
+
+    @staticmethod
+    def _one_shot(text, uri):
+        from repro.lint import lint_source, lint_to_dict, sarif_report
+
+        result = lint_source(text, path=uri)
+        return lint_to_dict(result), sarif_report([result])
+
+    def _check(self, session, uri, text):
+        payload, sarif, cache = session.lint_document(uri=uri, sarif=True)
+        assert cache == "computed"
+        assert (payload, sarif) == self._one_shot(text, uri)
+
+    @staticmethod
+    def _analyze(session, uri):
+        # An editor analyzes, then lints: lint then finds the layers
+        # the analysis built (programs that fail validation have none).
+        try:
+            session.analyze_document(uri=uri)
+        except ReproError:
+            pass
+
+    @pytest.mark.parametrize("name, source", _lint_sources())
+    def test_lint_equals_one_shot_across_edits(self, name, source):
+        session = Session(store=None)
+        uri = f"mem:{name}.adl"
+        session.open_document(uri, source)
+        self._analyze(session, uri)
+        self._check(session, uri, source)
+
+        semantic = source + (
+            "\ntask extra_a is begin send extra_b.ping; end;"
+            "\ntask extra_b is begin accept ping; end;\n"
+        )
+        assert session.change_document(uri, semantic)["invalidation"] == "full"
+        self._analyze(session, uri)
+        self._check(session, uri, semantic)
+
+        shifted = TWO_COMMENT_LINES + semantic
+        info = session.change_document(uri, shifted)
+        assert info["invalidation"] == "partial"
+        self._analyze(session, uri)
+        self._check(session, uri, shifted)
+
+    def test_uncached_analyze_after_comment_edit_has_fresh_spans(self):
+        from repro.workloads.adl_corpus import lint_corpus
+
+        source = lint_corpus()["stall_candidates"].source
+        session = Session(store=None)
+        session.analyze_document(uri="mem:s", text=source)
+        shifted = TWO_COMMENT_LINES + source
+        assert session.change_document("mem:s", shifted)["invalidation"] == (
+            "partial"
+        )
+        # Another algorithm misses the resident front: the index is
+        # the kept one, the front half is rebuilt from the new text.
+        payload, cache = session.analyze_document(
+            uri="mem:s", algorithm="head-pairs"
+        )
+        assert cache == "computed"
+        expected = analysis_result_to_dict(
+            repro.analyze(shifted, algorithm="head-pairs")
+        )
+        assert payload == expected
+        before = analysis_result_to_dict(repro.analyze(source))
+
+        def lines(report):
+            diagnostics = report["validation"]["diagnostics"]
+            return [d["span"]["line"] for d in diagnostics]
+
+        assert lines(payload)
+        assert lines(payload) == [line + 2 for line in lines(before)]
+
 
 # ---------------------------------------------------------------------------
 # CLI parity
@@ -538,6 +662,38 @@ class TestDaemonDispatch:
         reply = rpc(make_server(), method, params)
         assert reply["error"]["code"] == INVALID_PARAMS, reply
         assert field in reply["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "value",
+        [-3, True, 2.7, "5", None],
+        ids=["negative", "true", "float", "string", "null"],
+    )
+    @pytest.mark.parametrize("method", ["didOpen", "didChange"])
+    def test_invalid_version_is_invalid_params(self, method, value):
+        server = make_server()
+        rpc(server, "didOpen", {"uri": "mem:v", "text": CROSSED_SRC})
+        reply = rpc(
+            server,
+            method,
+            {"uri": "mem:v", "text": HANDSHAKE_SRC, "version": value},
+        )
+        assert reply["error"]["code"] == INVALID_PARAMS, reply
+        assert "version" in reply["error"]["message"]
+        status = rpc(server, "status")["result"]
+        assert [d["version"] for d in status["documents"]] == [1]
+
+    @pytest.mark.parametrize("method", ["didOpen", "didChange"])
+    def test_version_zero_and_absent(self, method):
+        # Version 0 is kept as sent, also when didChange opens the
+        # document.  Absent, didOpen starts at 1 and didChange counts
+        # up from the current version.
+        server = make_server()
+        reply = rpc(
+            server, method, {"uri": "mem:v", "text": CROSSED_SRC, "version": 0}
+        )
+        assert reply["result"]["version"] == 0
+        reply = rpc(server, method, {"uri": "mem:v", "text": HANDSHAKE_SRC})
+        assert reply["result"]["version"] == 1
 
     def test_shutdown_sets_flag_and_flushes(self):
         server = make_server()
