@@ -55,7 +55,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..syncgraph.clg import CLG, build_clg
-from ..syncgraph.model import SyncGraph, SyncNode
+from ..syncgraph.model import SyncGraph, SyncNode, bit_ids
 from .coexec import CoExecInfo, compute_coexec
 from .orderings import OrderingInfo, compute_orderings
 
@@ -115,15 +115,6 @@ def _spread(row: int) -> int:
     with zeros doubles every bit index, and the shift skips ``b``/``e``.
     """
     return int("0".join(format(row, "b")), 2) << 2
-
-
-def _bit_ids(bits: int) -> List[int]:
-    ids = []
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        ids.append(low.bit_length() - 1)
-    return ids
 
 
 class AnalysisIndex:
@@ -351,7 +342,7 @@ class AnalysisIndex:
                     sync |= sync_rows[v]
             frontier = ((plain & fwd) | (sync & sync_keep)) & ~bwd
             bwd |= frontier
-        return _bit_ids(bwd), reached
+        return bit_ids(bwd), reached
 
     def cyclic_components(self) -> List[List[int]]:
         """Cyclic SCCs of the unpruned CLG, as sorted id lists.

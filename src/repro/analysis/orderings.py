@@ -297,17 +297,9 @@ def compute_orderings(
     if n == 0:
         return OrderingInfo(nodes=(), precedes_rows=[], sequenceable_rows=[])
     position = _positions(nodes)
-    # Through the public function (not its row helper), so a tracer
-    # that wraps it still times dominators as a layer of their own.
-    doms = strict_dominators(graph)
+    dom_bits = _strict_dominator_rows(graph, nodes, position)
     acyclic = not graph.has_control_cycle()
 
-    dom_bits = [0] * n
-    for x, ds in doms.items():
-        row = 0
-        for d in ds:
-            row |= 1 << position[d.uid]
-        dom_bits[position[x.uid]] = row
     partner_ids: List[Tuple[int, ...]] = [
         tuple(position[p.uid] for p in graph.sync_neighbors(x)) for x in nodes
     ]

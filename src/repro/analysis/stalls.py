@@ -15,7 +15,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..lang.ast_nodes import (
     Accept,
@@ -128,6 +128,16 @@ def lemma3_stall_analysis(
     conditional-rendezvous obstruction.  A wrong certification makes
     the verdict unsafe — exactly the trade-off the paper states.
     """
+    return _lemma3(program, certified_codependent, None)
+
+
+def _lemma3(
+    program: Program,
+    certified_codependent: Iterable[Signal],
+    signal_counts: Optional[Dict[Signal, Tuple[int, int]]],
+) -> StallReport:
+    """:func:`lemma3_stall_analysis`, with ``signal_counts`` the
+    :func:`signal_balance` of ``program`` when the caller has it."""
     certified = set(certified_codependent)
     conditional = _conditional_signal_occurrences(program)
     blocking = {
@@ -151,8 +161,10 @@ def lemma3_stall_analysis(
                 "does not apply (see Lemma 4)"
             ],
         )
+    if signal_counts is None:
+        signal_counts = signal_balance(program)
     imbalanced = {}
-    for sig, (sends, accepts) in signal_balance(program).items():
+    for sig, (sends, accepts) in signal_counts.items():
         if sig in certified:
             # a certified pair contributes one send and one accept that
             # either both execute or both do not: discount them
@@ -178,6 +190,7 @@ def stall_analysis(
     program: Program,
     apply_transforms: bool = True,
     certified_codependent: Iterable[Signal] = (),
+    signal_counts: Optional[Dict[Signal, Tuple[int, int]]] = None,
 ) -> StallReport:
     """Stall certification pipeline (Section 5.1).
 
@@ -187,7 +200,9 @@ def stall_analysis(
     conditional rendezvous, Lemma 3 decides the transformed program.
     Otherwise UNKNOWN.  ``certified_codependent`` passes programmer
     certifications through to the count check (see
-    :func:`lemma3_stall_analysis`).
+    :func:`lemma3_stall_analysis`), and ``signal_counts``, the
+    :func:`signal_balance` of ``program`` (validation has it), spares
+    that check a recount when no transform fired.
     """
     transforms: List[str] = []
     current = program
@@ -205,7 +220,11 @@ def stall_analysis(
         if pairs:
             current = factored
             transforms.append(f"codependent-factoring x{len(pairs)}")
-    report = lemma3_stall_analysis(current, certified_codependent)
+    report = _lemma3(
+        current,
+        certified_codependent,
+        signal_counts if current is program else None,
+    )
     if report.verdict == StallVerdict.UNKNOWN:
         # Lemma 4's O(|N|) balance decision certifies programs whose
         # conditional arms carry identical signal counts, with no

@@ -269,7 +269,9 @@ def _finish(
         )
 
     with obs.span("analyze.stall"):
-        stall = stall_analysis(prep.inlined)
+        stall = stall_analysis(
+            prep.inlined, signal_counts=prep.validation.signal_counts
+        )
     if obs.is_enabled():
         obs.counter("analyze.runs").inc()
         obs.gauge("syncgraph.rendezvous_nodes").set(

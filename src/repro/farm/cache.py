@@ -73,7 +73,10 @@ __all__ = [
 # options in uid order, and the extension analyses visit candidate
 # tails in uid order; v6 entries of budget-limited exact runs, witness
 # choices and extension evidence followed the string hash seed.
-PIPELINE_VERSION = 7
+# v8: SyncGraph keeps uid-list adjacency (``_succ``/``_pred``/``_sync``)
+# built from the AST; v7 pickles carry node-keyed dicts the new class
+# cannot read.
+PIPELINE_VERSION = 8
 
 # On-disk envelope format, independent of analysis semantics.
 CACHE_FORMAT = 1

@@ -20,18 +20,22 @@ Grammar (EBNF; ``[]`` optional, ``{}`` repeated, terminals quoted)::
 
 ``elsif`` chains desugar into nested :class:`~repro.lang.ast_nodes.If`
 nodes, so the AST only ever has two-way branches.
+
+The parser reads the lexer's plain token tuples through one list of
+token *kinds* (a keyword's own text, else its token type), so most
+productions check a fixed run of tokens with one slice comparison, and
+it builds every node once, with its source span.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Tuple
 
 from ..errors import ParseError
 from .ast_nodes import (
     Accept,
-    Call,
     Assign,
+    Call,
     Condition,
     For,
     If,
@@ -43,272 +47,296 @@ from .ast_nodes import (
     TaskDecl,
     While,
 )
-from .lexer import Token, TokenType, tokenize
+from .lexer import RawToken, TokenType, scan
 from .source import Span
 
 __all__ = ["parse_program", "parse_task_body"]
 
+_KEYWORD = TokenType.KEYWORD
+_IDENT = TokenType.IDENT
+_INT = TokenType.INT
+_SEMI = TokenType.SEMI
+_EOF = TokenType.EOF
+
+# Fixed token runs, as kinds.
+_PROGRAM = ["program", _IDENT, _SEMI]
+_TASK = ["task", _IDENT, "is", "begin"]
+_PROCEDURE = ["procedure", _IDENT, "is", "begin"]
+_END = ["end", _SEMI]
+_SEND = ["send", _IDENT, TokenType.DOT, _IDENT, _SEMI]
+_ACCEPT = ["accept", _IDENT]
+_BINDS = [TokenType.LPAREN, _IDENT, TokenType.RPAREN]
+_ASSIGN = [_IDENT, TokenType.ASSIGN]
+_FOR = ["for", _IDENT, "in", _INT]
+_UPPER = [TokenType.DOTDOT, _INT]
+_END_IF = ["end", "if", _SEMI]
+_END_LOOP = ["end", "loop", _SEMI]
+_NULL = ["null", _SEMI]
+_CALL = ["call", _IDENT, _SEMI]
+_THEN = ["then"]
+_LOOP = ["loop"]
+_SEMICOLON = [_SEMI]
+
+_BLOCK_END = frozenset({"end", "elsif", "else", _EOF})
+_EXPRESSIONS = frozenset({_IDENT, _INT, TokenType.QUESTION, "true", "false"})
+
 
 class _Parser:
-    def __init__(self, tokens: List[Token]) -> None:
+    def __init__(self, tokens: List[RawToken]) -> None:
         self._tokens = tokens
+        self._kinds = [
+            value if type_ == _KEYWORD else type_
+            for type_, value, _, _ in tokens
+        ]
         self._pos = 0
 
     # -- token plumbing -------------------------------------------------
 
-    @property
-    def _cur(self) -> Token:
-        return self._tokens[self._pos]
+    def _expected(self, want: str, pos: int) -> ParseError:
+        type_, value, line, column = self._tokens[pos]
+        return ParseError(
+            f"expected {want!r}, found {value or type_!r}", line, column
+        )
 
-    def _advance(self) -> Token:
-        tok = self._cur
-        if tok.type != TokenType.EOF:
-            self._pos += 1
-        return tok
+    def _seq(self, kinds: List[str]) -> int:
+        """Consume a run of tokens of ``kinds``; return its first index."""
+        pos = self._pos
+        end = pos + len(kinds)
+        if self._kinds[pos:end] != kinds:
+            # The run stops at the first mismatch, at the latest at EOF.
+            for i, kind in enumerate(kinds, pos):
+                if self._kinds[i] != kind:
+                    raise self._expected(kind, i)
+        self._pos = end
+        return pos
 
-    def _check(self, type_: str, value: str | None = None) -> bool:
-        tok = self._cur
-        return tok.type == type_ and (value is None or tok.value == value)
+    def _expect_eof(self) -> None:
+        if self._kinds[self._pos] != _EOF:
+            raise self._expected(_EOF, self._pos)
 
-    def _accept(self, type_: str, value: str | None = None) -> Token | None:
-        if self._check(type_, value):
-            return self._advance()
-        return None
-
-    def _expect(self, type_: str, value: str | None = None) -> Token:
-        tok = self._accept(type_, value)
-        if tok is None:
-            want = value if value is not None else type_
-            got = self._cur.value or self._cur.type
-            raise ParseError(
-                f"expected {want!r}, found {got!r}",
-                self._cur.line,
-                self._cur.column,
-            )
-        return tok
-
-    def _expect_kw(self, kw: str) -> Token:
-        return self._expect(TokenType.KEYWORD, kw)
-
-    def _span_from(self, start: Token) -> Span:
-        """Span from ``start`` through the most recently consumed token."""
-        end = self._tokens[self._pos - 1] if self._pos > 0 else start
-        return Span.from_tokens(start, end)
+    def _span_from(self, start: int) -> Span:
+        """Span from token ``start`` through the last consumed token."""
+        tokens = self._tokens
+        return Span.from_tokens(tokens[start], tokens[self._pos - 1])
 
     # -- grammar productions --------------------------------------------
 
     def parse_program(self) -> Program:
-        self._expect_kw("program")
-        name_tok = self._expect(TokenType.IDENT)
-        name = name_tok.value
-        self._expect(TokenType.SEMI)
+        name_tok = self._tokens[self._seq(_PROGRAM) + 1]
         tasks: List[TaskDecl] = []
         procedures: List[ProcDecl] = []
+        kinds = self._kinds
         while True:
-            if self._check(TokenType.KEYWORD, "task"):
-                tasks.append(self._parse_task())
-            elif self._check(TokenType.KEYWORD, "procedure"):
-                procedures.append(self._parse_procedure())
+            kind = kinds[self._pos]
+            if kind == "task":
+                start, name, body = self._declaration(_TASK)
+                tasks.append(
+                    TaskDecl(
+                        name=name[1],
+                        body=body,
+                        loc=Span.from_tokens(name, name),
+                        decl_loc=self._span_from(start),
+                    )
+                )
+            elif kind == "procedure":
+                _, name, body = self._declaration(_PROCEDURE)
+                procedures.append(
+                    ProcDecl(
+                        name=name[1],
+                        body=body,
+                        loc=Span.from_tokens(name, name),
+                    )
+                )
             else:
                 break
-        self._expect(TokenType.EOF)
+        self._expect_eof()
         if not tasks:
             raise ParseError("program has no tasks")
         return Program(
-            name=name,
+            name=name_tok[1],
             tasks=tuple(tasks),
             procedures=tuple(procedures),
-            loc=Span.of_token(name_tok),
+            loc=Span.from_tokens(name_tok, name_tok),
         )
 
-    def _parse_task(self) -> TaskDecl:
-        start_tok = self._expect_kw("task")
-        name_tok = self._expect(TokenType.IDENT)
-        self._expect_kw("is")
-        self._expect_kw("begin")
-        body = self._parse_stmts()
-        self._expect_kw("end")
-        self._expect(TokenType.SEMI)
-        return TaskDecl(
-            name=name_tok.value,
-            body=tuple(body),
-            loc=Span.of_token(name_tok),
-            decl_loc=self._span_from(start_tok),
-        )
+    def _declaration(
+        self, header: List[str]
+    ) -> Tuple[int, RawToken, Tuple[Statement, ...]]:
+        """A task or procedure: its first token's index, its name token
+        and its body."""
+        start = self._seq(header)
+        body = self._stmts()
+        self._seq(_END)
+        return start, self._tokens[start + 1], body
 
-    def _parse_procedure(self) -> ProcDecl:
-        self._expect_kw("procedure")
-        name_tok = self._expect(TokenType.IDENT)
-        self._expect_kw("is")
-        self._expect_kw("begin")
-        body = self._parse_stmts()
-        self._expect_kw("end")
-        self._expect(TokenType.SEMI)
-        return ProcDecl(
-            name=name_tok.value,
-            body=tuple(body),
-            loc=Span.of_token(name_tok),
-        )
-
-    def _parse_stmts(self) -> List[Statement]:
+    def _stmts(self) -> Tuple[Statement, ...]:
         stmts: List[Statement] = []
+        kinds = self._kinds
         while True:
-            tok = self._cur
-            if tok.type == TokenType.KEYWORD and tok.value in (
-                "end",
-                "elsif",
-                "else",
-            ):
-                return stmts
-            if tok.type == TokenType.EOF:
-                return stmts
-            stmts.append(self._parse_stmt())
-
-    def _parse_stmt(self) -> Statement:
-        tok = self._cur
-        if tok.type == TokenType.KEYWORD:
-            handler = {
-                "send": self._parse_send,
-                "accept": self._parse_accept,
-                "if": self._parse_if,
-                "while": self._parse_while,
-                "for": self._parse_for,
-                "null": self._parse_null,
-                "call": self._parse_call,
-            }.get(tok.value)
+            start = self._pos
+            kind = kinds[start]
+            if kind in _BLOCK_END:
+                return tuple(stmts)
+            handler = _STATEMENTS.get(kind)
             if handler is None:
+                type_, value, line, column = self._tokens[start]
+                if type_ == _KEYWORD:
+                    raise ParseError(
+                        f"unexpected keyword {value!r}", line, column
+                    )
                 raise ParseError(
-                    f"unexpected keyword {tok.value!r}", tok.line, tok.column
+                    f"unexpected token {value or type_!r}", line, column
                 )
-            stmt = handler()
-        elif tok.type == TokenType.IDENT:
-            stmt = self._parse_assign()
-        else:
-            raise ParseError(
-                f"unexpected token {tok.value or tok.type!r}",
-                tok.line,
-                tok.column,
-            )
-        return replace(stmt, loc=self._span_from(tok))
+            stmts.append(handler(self, start))
 
-    def _parse_send(self) -> Send:
-        self._expect_kw("send")
-        task = self._expect(TokenType.IDENT).value
-        self._expect(TokenType.DOT)
-        message = self._expect(TokenType.IDENT).value
-        self._expect(TokenType.SEMI)
-        return Send(task=task, message=message)
-
-    def _parse_accept(self) -> Accept:
-        self._expect_kw("accept")
-        message = self._expect(TokenType.IDENT).value
-        binds = None
-        if self._accept(TokenType.LPAREN):
-            binds = self._expect(TokenType.IDENT).value
-            self._expect(TokenType.RPAREN)
-        self._expect(TokenType.SEMI)
-        return Accept(message=message, binds=binds)
-
-    def _parse_assign(self) -> Assign:
-        var = self._expect(TokenType.IDENT).value
-        self._expect(TokenType.ASSIGN)
-        tok = self._cur
-        if tok.type in (TokenType.IDENT, TokenType.INT, TokenType.QUESTION):
-            expr = self._advance().value
-        elif tok.type == TokenType.KEYWORD and tok.value in ("true", "false"):
-            expr = self._advance().value
-        else:
-            raise ParseError(
-                f"expected expression, found {tok.value!r}",
-                tok.line,
-                tok.column,
-            )
-        self._expect(TokenType.SEMI)
-        return Assign(var=var, expr=expr)
-
-    def _parse_cond(self) -> Condition:
-        if self._accept(TokenType.QUESTION):
-            return Condition.unknown()
-        negated = self._accept(TokenType.KEYWORD, "not") is not None
-        tok = self._cur
-        if tok.type == TokenType.IDENT:
-            self._advance()
-            return Condition.of_var(tok.value, negated)
-        if tok.type == TokenType.KEYWORD and tok.value in ("true", "false"):
-            self._advance()
-            text = f"not {tok.value}" if negated else tok.value
-            return Condition(text=text)
-        raise ParseError(
-            f"expected condition, found {tok.value or tok.type!r}",
-            tok.line,
-            tok.column,
-        )
-
-    def _parse_if(self) -> If:
-        self._expect_kw("if")
-        return self._parse_if_tail()
-
-    def _parse_if_tail(self) -> If:
-        # An elsif chain shares the single trailing "end if;": the
-        # innermost recursive call consumes it on behalf of the chain.
-        start = self._cur
-        condition = self._parse_cond()
-        self._expect_kw("then")
-        then_body = self._parse_stmts()
-        if self._accept(TokenType.KEYWORD, "elsif"):
-            return If(
-                condition=condition,
-                then_body=tuple(then_body),
-                else_body=(self._parse_if_tail(),),
-                loc=self._span_from(start),
-            )
-        else_body: Tuple[Statement, ...] = ()
-        if self._accept(TokenType.KEYWORD, "else"):
-            else_body = tuple(self._parse_stmts())
-        self._expect_kw("end")
-        self._expect_kw("if")
-        self._expect(TokenType.SEMI)
-        return If(
-            condition=condition,
-            then_body=tuple(then_body),
-            else_body=else_body,
+    def _send(self, start: int) -> Send:
+        self._seq(_SEND)
+        tokens = self._tokens
+        return Send(
+            task=tokens[start + 1][1],
+            message=tokens[start + 3][1],
             loc=self._span_from(start),
         )
 
-    def _parse_while(self) -> While:
-        self._expect_kw("while")
-        condition = self._parse_cond()
-        self._expect_kw("loop")
-        body = self._parse_stmts()
-        self._expect_kw("end")
-        self._expect_kw("loop")
-        self._expect(TokenType.SEMI)
-        return While(condition=condition, body=tuple(body))
+    def _accept(self, start: int) -> Accept:
+        self._seq(_ACCEPT)
+        binds = None
+        if self._kinds[self._pos] == TokenType.LPAREN:
+            binds = self._tokens[self._seq(_BINDS) + 1][1]
+        self._seq(_SEMICOLON)
+        return Accept(
+            message=self._tokens[start + 1][1],
+            binds=binds,
+            loc=self._span_from(start),
+        )
 
-    def _parse_for(self) -> For:
-        self._expect_kw("for")
-        var = self._expect(TokenType.IDENT).value
-        self._expect_kw("in")
-        lower = int(self._expect(TokenType.INT).value)
-        self._expect(TokenType.DOTDOT)
-        upper = int(self._expect(TokenType.INT).value)
-        self._expect_kw("loop")
-        body = self._parse_stmts()
-        self._expect_kw("end")
-        self._expect_kw("loop")
-        self._expect(TokenType.SEMI)
-        return For(var=var, lower=lower, upper=upper, body=tuple(body))
+    def _assign(self, start: int) -> Assign:
+        self._seq(_ASSIGN)
+        pos = self._pos
+        type_, value, line, column = self._tokens[pos]
+        if self._kinds[pos] not in _EXPRESSIONS:
+            raise ParseError(
+                f"expected expression, found {value!r}", line, column
+            )
+        self._pos = pos + 1
+        self._seq(_SEMICOLON)
+        return Assign(
+            var=self._tokens[start][1],
+            expr=value,
+            loc=self._span_from(start),
+        )
 
-    def _parse_null(self) -> Null:
-        self._expect_kw("null")
-        self._expect(TokenType.SEMI)
-        return Null()
+    def _cond(self) -> Condition:
+        kinds = self._kinds
+        pos = self._pos
+        if kinds[pos] == TokenType.QUESTION:
+            self._pos = pos + 1
+            return Condition.unknown()
+        negated = kinds[pos] == "not"
+        if negated:
+            pos += 1
+        type_, value, line, column = self._tokens[pos]
+        kind = kinds[pos]
+        if kind == _IDENT:
+            self._pos = pos + 1
+            return Condition.of_var(value, negated)
+        if kind == "true" or kind == "false":
+            self._pos = pos + 1
+            return Condition(text=f"not {value}" if negated else value)
+        raise ParseError(
+            f"expected condition, found {value or type_!r}", line, column
+        )
 
-    def _parse_call(self) -> Call:
-        self._expect_kw("call")
-        name = self._expect(TokenType.IDENT).value
-        self._expect(TokenType.SEMI)
-        return Call(name=name)
+    def _if(self, start: int) -> If:
+        # The arms of an elsif chain share the one trailing "end if;".
+        # The chain nests from the last arm outwards: each arm's span
+        # runs from its condition (the first arm's from "if") to ";".
+        kinds = self._kinds
+        self._pos = start + 1
+        arms: List[Tuple[int, Condition, Tuple[Statement, ...]]] = []
+        arm_start = start
+        while True:
+            condition = self._cond()
+            self._seq(_THEN)
+            arms.append((arm_start, condition, self._stmts()))
+            if kinds[self._pos] != "elsif":
+                break
+            self._pos += 1
+            arm_start = self._pos
+        else_body: Tuple[Statement, ...] = ()
+        if kinds[self._pos] == "else":
+            self._pos += 1
+            else_body = self._stmts()
+        self._seq(_END_IF)
+        for arm_start, condition, then_body in reversed(arms):
+            node = If(
+                condition=condition,
+                then_body=then_body,
+                else_body=else_body,
+                loc=self._span_from(arm_start),
+            )
+            else_body = (node,)
+        return node
+
+    def _while(self, start: int) -> While:
+        self._pos = start + 1
+        condition = self._cond()
+        self._seq(_LOOP)
+        body = self._stmts()
+        self._seq(_END_LOOP)
+        return While(
+            condition=condition, body=body, loc=self._span_from(start)
+        )
+
+    def _int(self, pos: int) -> int:
+        """The value of INT token ``pos``.  ``str.isdigit`` admits digits
+        ``int`` rejects (``²``), and ``int`` limits the digit count."""
+        _, value, line, column = self._tokens[pos]
+        try:
+            return int(value)
+        except ValueError:
+            raise ParseError(
+                f"invalid integer {value!r}", line, column
+            ) from None
+
+    def _for(self, start: int) -> For:
+        self._seq(_FOR)
+        lower = self._int(start + 3)
+        upper = self._int(self._seq(_UPPER) + 1)
+        self._seq(_LOOP)
+        body = self._stmts()
+        self._seq(_END_LOOP)
+        return For(
+            var=self._tokens[start + 1][1],
+            lower=lower,
+            upper=upper,
+            body=body,
+            loc=self._span_from(start),
+        )
+
+    def _null(self, start: int) -> Null:
+        self._seq(_NULL)
+        return Null(loc=self._span_from(start))
+
+    def _call(self, start: int) -> Call:
+        self._seq(_CALL)
+        return Call(
+            name=self._tokens[start + 1][1], loc=self._span_from(start)
+        )
+
+
+# Statement productions by their first token's kind; each is called
+# with that token's index as the current position.
+_STATEMENTS = {
+    "send": _Parser._send,
+    "accept": _Parser._accept,
+    "if": _Parser._if,
+    "while": _Parser._while,
+    "for": _Parser._for,
+    "null": _Parser._null,
+    "call": _Parser._call,
+    _IDENT: _Parser._assign,
+}
 
 
 def parse_program(source: str) -> Program:
@@ -318,12 +346,12 @@ def parse_program(source: str) -> Program:
     :class:`~repro.errors.ParseError` on malformed input.  The result is
     *not* semantically validated; see :mod:`repro.lang.validate`.
     """
-    return _Parser(tokenize(source)).parse_program()
+    return _Parser(scan(source)).parse_program()
 
 
 def parse_task_body(source: str) -> Tuple[Statement, ...]:
     """Parse a bare statement sequence (convenience for tests)."""
-    parser = _Parser(tokenize(source))
-    stmts = parser._parse_stmts()
-    parser._expect(TokenType.EOF)
-    return tuple(stmts)
+    parser = _Parser(scan(source))
+    stmts = parser._stmts()
+    parser._expect_eof()
+    return stmts

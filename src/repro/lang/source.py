@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .lexer import Token
+    from .lexer import RawToken
 
 __all__ = ["Span"]
 
@@ -35,18 +35,11 @@ class Span:
     end_column: int
 
     @staticmethod
-    def from_tokens(start: "Token", end: "Token") -> "Span":
-        """The span covering ``start`` through ``end`` inclusive."""
-        return Span(
-            line=start.line,
-            column=start.column,
-            end_line=end.line,
-            end_column=end.column + max(1, len(end.value)),
-        )
-
-    @staticmethod
-    def of_token(token: "Token") -> "Span":
-        return Span.from_tokens(token, token)
+    def from_tokens(start: "RawToken", end: "RawToken") -> "Span":
+        """The span covering ``start`` through ``end`` inclusive: two
+        :class:`~repro.lang.lexer.Token` values or the lexer's plain
+        ``(type, value, line, column)`` tuples."""
+        return Span(start[2], start[3], end[2], end[3] + max(1, len(end[1])))
 
     def cover(self, other: Optional["Span"]) -> "Span":
         """The smallest span containing both ``self`` and ``other``."""

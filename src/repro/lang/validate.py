@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import warnings as _warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..diagnostics import Diagnostic, Severity
 from ..errors import ValidationError
@@ -44,7 +44,9 @@ class ValidationReport:
     ``unmatched_sends`` / ``unmatched_accepts`` list signals with no
     complementary rendezvous point anywhere in the program;
     ``diagnostics`` carries one source-located finding per offending
-    rendezvous statement.
+    rendezvous statement.  ``signal_counts`` is the
+    :func:`collect_signals` table they come from, kept so the stall
+    analysis of the same program does not count again.
     """
 
     program_name: str
@@ -53,6 +55,9 @@ class ValidationReport:
     unmatched_sends: Tuple[Signal, ...] = ()
     unmatched_accepts: Tuple[Signal, ...] = ()
     diagnostics: Tuple[Diagnostic, ...] = ()
+    signal_counts: Optional[Dict[Signal, Tuple[int, int]]] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def fully_matched(self) -> bool:
@@ -97,7 +102,12 @@ def unmatched_signal_diagnostics(
     candidates).  Shared by validation and the lint rules so both report
     identical findings.
     """
-    counts = collect_signals(program)
+    return _unmatched_signal_diagnostics(program, collect_signals(program))
+
+
+def _unmatched_signal_diagnostics(
+    program: Program, counts: Dict[Signal, Tuple[int, int]]
+) -> Tuple[Diagnostic, ...]:
     task_names = {t.name for t in program.tasks}
     found: List[Diagnostic] = []
     for task in program.tasks:
@@ -199,7 +209,8 @@ def validate_program(program: Program) -> ValidationReport:
         signals=tuple(sorted(counts, key=lambda s: (s.task, s.message))),
         unmatched_sends=unmatched_sends,
         unmatched_accepts=unmatched_accepts,
-        diagnostics=unmatched_signal_diagnostics(program),
+        diagnostics=_unmatched_signal_diagnostics(program, counts),
+        signal_counts=counts,
     )
 
 

@@ -216,7 +216,11 @@ class LintContext:
     def signal_counts(self):
         """``{signal: (sends, accepts)}`` over the effective program."""
         if self._counts is None:
-            self._counts = collect_signals(self.effective)
+            prepared = self.prepared
+            if prepared is not None:  # validation counted them
+                self._counts = prepared.validation.signal_counts
+            if self._counts is None:
+                self._counts = collect_signals(self.effective)
         return self._counts
 
     @property

@@ -1,13 +1,27 @@
-"""Sync graph construction from a program's per-task CFGs.
+"""Sync graph construction straight from a program's AST.
 
-For each task CFG, non-rendezvous nodes are erased: a control edge
-``(r, s)`` is added to ``E_C`` whenever the CFG has a path from ``r`` to
-``s`` through non-rendezvous nodes only.  ``b`` gets an edge to each
-rendezvous point reachable from the task entry without crossing another
-rendezvous, each rendezvous with a rendezvous-free path to the task exit
-gets an edge to ``e``, and a task whose entry reaches its exit without
-any rendezvous contributes a ``(b, e)`` edge (the task may terminate
-without synchronizing).
+The paper builds ``SG_P`` from each task's control flow graph by
+erasing every non-rendezvous node: a control edge ``(r, s)`` is added
+to ``E_C`` whenever the CFG has a path from ``r`` to ``s`` through
+non-rendezvous nodes only.  ``b`` gets an edge to each rendezvous point
+reachable from the task entry without crossing another rendezvous, each
+rendezvous with a rendezvous-free path to the task exit gets an edge to
+``e``, and a task whose entry reaches its exit without any rendezvous
+contributes a ``(b, e)`` edge (the task may terminate without
+synchronizing).
+
+ADL is structured, so that erasure is a first/follow computation over
+the AST, with no CFG built.  One forward pass creates the nodes in
+source order (which is CFG uid order) and records each loop body's
+first set; one backward pass then carries the *follow* set, what can
+come next, from the task exit to its entry:
+
+* a rendezvous's successors are the follow set at its position, and the
+  follow set in front of it is just itself;
+* in front of ``if``, the follow set is the union of both arms' (an
+  empty arm passes it through);
+* in front of a loop, and after its body's last statement, it is the
+  loop header's: the body's first set plus whatever follows the loop.
 
 Loops in the source produce control cycles in ``E_C``; analyses that
 require acyclic control flow (the CLG algorithms) apply the Lemma-1
@@ -16,91 +30,138 @@ unroll transform *before* building the sync graph.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Sequence, Tuple, Union
 
-from ..cfg.build import build_cfgs
-from ..cfg.graph import CFGNode, NodeKind, TaskCFG
-from ..lang.ast_nodes import Accept, Program, Send, Signal
-from .model import SyncGraph, SyncNode
+from ..cfg.graph import CFGNode, NodeKind
+from ..lang.ast_nodes import (
+    Accept,
+    Assign,
+    For,
+    If,
+    Null,
+    Program,
+    Send,
+    Signal,
+    Statement,
+    While,
+)
+from .model import SyncGraph, SyncNode, bit_ids
 
 __all__ = ["build_sync_graph"]
 
+# A task body with everything but rendezvous and control flow erased:
+# an int is a rendezvous (its index within the task), a pair
+# ``(then, else)`` an ``if``, and a pair ``(body, first)`` a loop with
+# its body's first set.
+_Item = Union[int, Tuple[list, list], Tuple[list, int]]
+
 
 def build_sync_graph(program: Program) -> SyncGraph:
-    """Build ``SG_P`` for ``program`` (CFG construction included)."""
-    cfgs = build_cfgs(program)
+    """Build ``SG_P`` for ``program``."""
     sg = SyncGraph([t.name for t in program.tasks])
-
-    node_map: Dict[CFGNode, SyncNode] = {}
     for task in program.tasks:
-        cfg = cfgs[task.name]
-        for cfg_node in cfg.rendezvous_nodes:
-            stmt = cfg_node.stmt
-            if isinstance(stmt, Send):
-                signal = Signal(stmt.task, stmt.message)
-                node_map[cfg_node] = sg.add_rendezvous(
-                    "send", task.name, signal, cfg_node
-                )
-            elif isinstance(stmt, Accept):
-                signal = Signal(task.name, stmt.message)
-                node_map[cfg_node] = sg.add_rendezvous(
-                    "accept", task.name, signal, cfg_node
-                )
-            else:  # pragma: no cover - builder guarantees rendezvous stmt
-                raise TypeError(f"rendezvous CFG node without statement: {cfg_node}")
-
-    for task in program.tasks:
-        _add_task_control_edges(sg, cfgs[task.name], node_map)
-
+        walk = _TaskWalk(sg, task.name)
+        items, _, _ = walk.forward(task.body)
+        nodes = walk.nodes
+        exit_bit = 1 << len(nodes)
+        succ = [0] * len(nodes)
+        entry = _follow(items, exit_bit, succ)
+        for j in bit_ids(entry & ~exit_bit):
+            sg.add_control_edge(sg.b, nodes[j])
+        if entry & exit_bit:
+            sg.mark_task_skippable(task.name)
+        for node, row in zip(nodes, succ):
+            for j in bit_ids(row & ~exit_bit):
+                sg.add_control_edge(node, nodes[j])
+            if row & exit_bit:
+                sg.add_control_edge(node, sg.e)
     sg.connect_sync_edges()
     return sg
 
 
-def _rendezvous_frontier(
-    cfg: TaskCFG, start: CFGNode
-) -> tuple[List[CFGNode], bool]:
-    """Rendezvous nodes reachable from ``start`` through non-rendezvous
-    nodes, in uid order, and whether the task exit is reachable the
-    same way.
+class _TaskWalk:
+    """The forward pass over one task: its rendezvous nodes, numbered
+    like :func:`repro.cfg.build.build_task_cfg` numbers CFG nodes."""
 
-    ``start`` itself is *not* treated as a barrier (so the frontier of a
-    rendezvous node is the set of next rendezvous after it).  The uid
-    order makes ``control_successors`` and ``initial_options`` — and
-    with them budget-limited searches and witness choice — independent
-    of the string hash seed.
-    """
-    frontier: List[CFGNode] = []
-    reaches_exit = False
-    seen: Set[CFGNode] = set()
-    stack: List[CFGNode] = list(cfg.successors(start))
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if node.is_rendezvous:
-            frontier.append(node)
-            continue
-        if node is cfg.exit:
-            reaches_exit = True
-            continue
-        stack.extend(cfg.successors(node))
-    frontier.sort(key=lambda node: node.uid)
-    return frontier, reaches_exit
+    def __init__(self, sg: SyncGraph, task: str) -> None:
+        self.sg = sg
+        self.task = task
+        self.nodes: List[SyncNode] = []
+        self.cfg_uid = 2  # the CFG's entry is 0, its exit 1
+
+    def forward(
+        self, body: Sequence[Statement]
+    ) -> Tuple[List[_Item], int, bool]:
+        """``body`` as items, its first set, and whether it can finish
+        without a rendezvous."""
+        items: List[_Item] = []
+        first = 0
+        passable = True
+        for stmt in body:
+            if isinstance(stmt, (Send, Accept)):
+                i = len(self.nodes)
+                self.nodes.append(self._rendezvous(stmt))
+                items.append(i)
+                if passable:
+                    first |= 1 << i
+                    passable = False
+            elif isinstance(stmt, If):
+                self.cfg_uid += 2  # branch and join
+                then_items, then_first, then_passable = self.forward(
+                    stmt.then_body
+                )
+                else_items, else_first, else_passable = self.forward(
+                    stmt.else_body
+                )
+                items.append((then_items, else_items))
+                if passable:
+                    first |= then_first | else_first
+                    passable = then_passable or else_passable
+            elif isinstance(stmt, (While, For)):
+                self.cfg_uid += 2  # header and exit
+                body_items, body_first, _ = self.forward(stmt.body)
+                items.append((body_items, body_first))
+                if passable:
+                    first |= body_first
+            elif isinstance(stmt, (Assign, Null)):
+                self.cfg_uid += 1
+            else:
+                raise TypeError(f"unknown statement {stmt!r}")
+        return items, first, passable
+
+    def _rendezvous(self, stmt: Union[Send, Accept]) -> SyncNode:
+        if isinstance(stmt, Send):
+            signal = Signal(stmt.task, stmt.message)
+            kind, label = "send", f"send {stmt.task}.{stmt.message}"
+            cfg_kind = NodeKind.SEND
+        else:
+            signal = Signal(self.task, stmt.message)
+            kind, label = "accept", f"accept {stmt.message}"
+            cfg_kind = NodeKind.ACCEPT
+        cfg_node = CFGNode(
+            task=self.task,
+            uid=self.cfg_uid,
+            kind=cfg_kind,
+            label=label,
+            stmt=stmt,
+        )
+        self.cfg_uid += 1
+        return self.sg.add_rendezvous(kind, self.task, signal, cfg_node)
 
 
-def _add_task_control_edges(
-    sg: SyncGraph, cfg: TaskCFG, node_map: Dict[CFGNode, SyncNode]
-) -> None:
-    frontier, skips = _rendezvous_frontier(cfg, cfg.entry)
-    for cfg_node in frontier:
-        sg.add_control_edge(sg.b, node_map[cfg_node])
-    if skips:
-        sg.mark_task_skippable(cfg.task)
-    for cfg_node in cfg.rendezvous_nodes:
-        src = node_map[cfg_node]
-        nxt, reaches_exit = _rendezvous_frontier(cfg, cfg_node)
-        for dst_cfg in nxt:
-            sg.add_control_edge(src, node_map[dst_cfg])
-        if reaches_exit:
-            sg.add_control_edge(src, sg.e)
+def _follow(items: List[_Item], follow: int, succ: List[int]) -> int:
+    """The backward pass: set ``succ[i]`` for every rendezvous ``i`` in
+    ``items`` when ``follow`` comes after them; return the first set of
+    ``items`` followed by ``follow``."""
+    for item in reversed(items):
+        if isinstance(item, int):
+            succ[item] = follow
+            follow = 1 << item
+        elif isinstance(item[1], list):  # if
+            follow = _follow(item[0], follow, succ) | _follow(
+                item[1], follow, succ
+            )
+        else:  # loop: the header's follow set
+            follow |= item[1]
+            _follow(item[0], follow, succ)
+    return follow

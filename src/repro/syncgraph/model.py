@@ -17,7 +17,7 @@ signaling (send) point and ``-`` for an accepting point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..cfg.graph import CFGNode
 from ..errors import UnknownTaskError
@@ -89,7 +89,9 @@ class SyncGraph:
     nodes follow as 2, 3, … in :attr:`rendezvous_nodes` order, so a
     rendezvous node's position there is ``uid - 2``.  The dense-id
     analyses (orderings, coexec, :class:`~repro.analysis.index.
-    AnalysisIndex`) index their rows by it.
+    AnalysisIndex`) index their rows by it.  The adjacency itself is
+    uid lists indexed by uid, so no query hashes or compares a
+    :class:`SyncNode`.
     """
 
     def __init__(self, tasks: Sequence[str]) -> None:
@@ -98,20 +100,20 @@ class SyncGraph:
             t: i for i, t in enumerate(self.tasks)
         }
         self._nodes: List[SyncNode] = []
+        # Per uid: control successor uids, control predecessor uids and
+        # sync partner uids, each in insertion order.
+        self._succ: List[List[int]] = []
+        self._pred: List[List[int]] = []
+        self._sync: List[List[int]] = []
+        self._by_task: Dict[str, List[SyncNode]] = {t: [] for t in tasks}
+        self._initial: Dict[str, List[int]] = {t: [] for t in tasks}
+        # (task, message) -> the signal, its senders and its accepters.
+        self._by_signal: Dict[
+            Tuple[str, str], Tuple[Signal, List[SyncNode], List[SyncNode]]
+        ] = {}
+        self._cyclic: Optional[bool] = None  # has_control_cycle, cached
         self.b = self._make_node("b", label="b")
         self.e = self._make_node("e", label="e")
-        self._control_succ: Dict[SyncNode, List[SyncNode]] = {
-            self.b: [],
-            self.e: [],
-        }
-        self._control_pred: Dict[SyncNode, List[SyncNode]] = {
-            self.b: [],
-            self.e: [],
-        }
-        self._sync_adj: Dict[SyncNode, List[SyncNode]] = {}
-        self._by_task: Dict[str, List[SyncNode]] = {t: [] for t in tasks}
-        self._initial: Dict[str, List[SyncNode]] = {t: [] for t in tasks}
-        self._by_signal: Dict[Tuple[Signal, str], List[SyncNode]] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -132,6 +134,9 @@ class SyncGraph:
             cfg_node=cfg_node,
         )
         self._nodes.append(node)
+        self._succ.append([])
+        self._pred.append([])
+        self._sync.append([])
         return node
 
     def add_rendezvous(
@@ -147,21 +152,24 @@ class SyncGraph:
         sign = SIGN_SEND if kind == "send" else SIGN_ACCEPT
         label = f"({signal.task},{signal.message},{sign})"
         node = self._make_node(kind, task, signal, label, cfg_node)
-        self._control_succ[node] = []
-        self._control_pred[node] = []
-        self._sync_adj[node] = []
         self._by_task[task].append(node)
-        self._by_signal.setdefault((signal, sign), []).append(node)
+        key = (signal.task, signal.message)
+        entry = self._by_signal.get(key)
+        if entry is None:
+            entry = self._by_signal[key] = (signal, [], [])
+        entry[1 if kind == "send" else 2].append(node)
         return node
 
     def add_control_edge(self, src: SyncNode, dst: SyncNode) -> None:
-        if dst not in self._control_succ[src]:
-            self._control_succ[src].append(dst)
-            self._control_pred[dst].append(src)
-        if src is self.b:
-            task = dst.task if dst.is_rendezvous else None
-            if task is not None and dst not in self._initial[task]:
-                self._initial[task].append(dst)
+        succ = self._succ[src.uid]
+        if dst.uid not in succ:
+            succ.append(dst.uid)
+            self._pred[dst.uid].append(src.uid)
+            self._cyclic = None
+        if src is self.b and dst.is_rendezvous:
+            initial = self._initial[dst.task]
+            if dst.uid not in initial:
+                initial.append(dst.uid)
 
     def mark_task_skippable(self, task: str) -> None:
         """Record a rendezvous-free entry→exit path in ``task``.
@@ -169,8 +177,9 @@ class SyncGraph:
         Models the paper's ``(b, e)`` control edge: the task's initial
         wave entry may be ``e``.
         """
-        if self.e not in self._initial[task]:
-            self._initial[task].append(self.e)
+        initial = self._initial[task]
+        if self.e.uid not in initial:
+            initial.append(self.e.uid)
         self.add_control_edge(self.b, self.e)
 
     def add_sync_edge(self, r: SyncNode, s: SyncNode) -> None:
@@ -182,21 +191,25 @@ class SyncGraph:
         graph "cannot in general correspond to an actual program"
         (paper, Appendix A).
         """
-        if s not in self._sync_adj[r]:
-            self._sync_adj[r].append(s)
-            self._sync_adj[s].append(r)
+        if s.uid not in self._sync[r.uid]:
+            self._sync[r.uid].append(s.uid)
+            self._sync[s.uid].append(r.uid)
 
     def connect_sync_edges(self) -> None:
-        """Create ``E_S``: one undirected edge per complementary pair."""
-        for (signal, sign), senders in self._by_signal.items():
-            if sign != SIGN_SEND:
-                continue
-            accepters = self._by_signal.get((signal, SIGN_ACCEPT), [])
+        """Create ``E_S``: one undirected edge per complementary pair.
+
+        A node has one signal, so it gains its partners in uid order;
+        edges already present (:meth:`add_sync_edge`) are skipped.
+        """
+        sync = self._sync
+        present = {(u, v) for u, partners in enumerate(sync) for v in partners}
+        for _, senders, accepters in self._by_signal.values():
             for r in senders:
+                out = sync[r.uid]
                 for s in accepters:
-                    if s not in self._sync_adj[r]:
-                        self._sync_adj[r].append(s)
-                        self._sync_adj[s].append(r)
+                    if not present or (r.uid, s.uid) not in present:
+                        out.append(s.uid)
+                        sync[s.uid].append(r.uid)
 
     # -- queries -----------------------------------------------------------
 
@@ -206,7 +219,7 @@ class SyncGraph:
 
     @property
     def rendezvous_nodes(self) -> Tuple[SyncNode, ...]:
-        return tuple(n for n in self._nodes if n.is_rendezvous)
+        return tuple(self._nodes[2:])
 
     def task_index(self, task: str) -> int:
         """Dense position of ``task`` in :attr:`tasks` (cached map).
@@ -222,44 +235,53 @@ class SyncGraph:
     def nodes_of_task(self, task: str) -> Tuple[SyncNode, ...]:
         return tuple(self._by_task[task])
 
+    def _node_tuple(self, uids: List[int]) -> Tuple[SyncNode, ...]:
+        nodes = self._nodes
+        return tuple([nodes[u] for u in uids])
+
     def initial_options(self, task: str) -> Tuple[SyncNode, ...]:
         """Possible initial wave entries of ``task`` (successors of ``b``)."""
-        return tuple(self._initial[task])
+        return self._node_tuple(self._initial[task])
 
     def control_successors(self, node: SyncNode) -> Tuple[SyncNode, ...]:
-        return tuple(self._control_succ[node])
+        return self._node_tuple(self._succ[node.uid])
 
     def control_predecessors(self, node: SyncNode) -> Tuple[SyncNode, ...]:
-        return tuple(self._control_pred[node])
+        return self._node_tuple(self._pred[node.uid])
 
     def control_edges(self) -> Iterator[Tuple[SyncNode, SyncNode]]:
-        for src, dsts in self._control_succ.items():
-            for dst in dsts:
-                yield (src, dst)
+        nodes = self._nodes
+        for src, dsts in zip(nodes, self._succ):
+            for v in dsts:
+                yield (src, nodes[v])
 
     def sync_neighbors(self, node: SyncNode) -> Tuple[SyncNode, ...]:
-        return tuple(self._sync_adj.get(node, ()))
+        return self._node_tuple(self._sync[node.uid])
 
     def sync_edges(self) -> Iterator[Tuple[SyncNode, SyncNode]]:
         """Each undirected sync edge once (lower uid first)."""
-        for node, neighbors in self._sync_adj.items():
-            for other in neighbors:
-                if node.uid < other.uid:
-                    yield (node, other)
+        nodes = self._nodes
+        for u, partners in enumerate(self._sync):
+            for v in partners:
+                if u < v:
+                    yield (nodes[u], nodes[v])
 
     def has_sync_edge(self, a: SyncNode, b: SyncNode) -> bool:
-        return b in self._sync_adj.get(a, ())
+        return b.uid in self._sync[a.uid]
 
     def senders_of(self, signal: Signal) -> Tuple[SyncNode, ...]:
-        return tuple(self._by_signal.get((signal, SIGN_SEND), ()))
+        entry = self._by_signal.get((signal.task, signal.message))
+        return tuple(entry[1]) if entry is not None else ()
 
     def accepters_of(self, signal: Signal) -> Tuple[SyncNode, ...]:
-        return tuple(self._by_signal.get((signal, SIGN_ACCEPT), ()))
+        entry = self._by_signal.get((signal.task, signal.message))
+        return tuple(entry[2]) if entry is not None else ()
 
     @property
     def signals(self) -> Tuple[Signal, ...]:
-        return tuple(sorted({sig for (sig, _) in self._by_signal},
-                            key=lambda s: (s.task, s.message)))
+        return tuple(
+            self._by_signal[key][0] for key in sorted(self._by_signal)
+        )
 
     # -- reachability -----------------------------------------------------
 
@@ -271,17 +293,18 @@ class SyncGraph:
         With ``strict=True`` the node itself is excluded unless it lies
         on a control cycle through itself.
         """
-        seen: Set[SyncNode] = set()
-        stack = list(self._control_succ.get(node, ()))
+        succ = self._succ
+        seen = [False] * len(succ)
+        stack = list(succ[node.uid])
         while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(self._control_succ.get(cur, ()))
+            u = stack.pop()
+            if not seen[u]:
+                seen[u] = True
+                stack.extend(succ[u])
         if not strict:
-            seen.add(node)
-        return frozenset(seen)
+            seen[node.uid] = True
+        nodes = self._nodes
+        return frozenset([nodes[u] for u, hit in enumerate(seen) if hit])
 
     def control_reaches(self, src: SyncNode, dst: SyncNode) -> bool:
         """True iff ``dst`` is reachable from ``src`` (reflexively)."""
@@ -290,26 +313,11 @@ class SyncGraph:
     def has_control_cycle(self) -> bool:
         """True iff the control edges contain a directed cycle.
 
-        Kahn's algorithm over ``uid``s: the graph is acyclic iff
-        repeatedly removing nodes without incoming edges removes all.
+        Computed once and kept until the next :meth:`add_control_edge`.
         """
-        indegree = [0] * len(self._nodes)
-        succ: List[List[int]] = [[] for _ in self._nodes]
-        for src, dsts in self._control_succ.items():
-            out = succ[src.uid]
-            for dst in dsts:
-                out.append(dst.uid)
-                indegree[dst.uid] += 1
-        ready = [u for u, d in enumerate(indegree) if d == 0]
-        removed = 0
-        while ready:
-            u = ready.pop()
-            removed += 1
-            for v in succ[u]:
-                indegree[v] -= 1
-                if indegree[v] == 0:
-                    ready.append(v)
-        return removed < len(indegree)
+        if self._cyclic is None:
+            self._cyclic = _has_cycle(self._succ)
+        return self._cyclic
 
     # -- export ------------------------------------------------------------
 
@@ -334,9 +342,38 @@ class SyncGraph:
         return {
             "tasks": len(self.tasks),
             "nodes": len(self._nodes),
-            "control_edges": sum(1 for _ in self.control_edges()),
-            "sync_edges": sum(1 for _ in self.sync_edges()),
+            "control_edges": sum(map(len, self._succ)),
+            "sync_edges": sum(map(len, self._sync)) // 2,
         }
 
     def __len__(self) -> int:
         return len(self._nodes)
+
+
+def bit_ids(bits: int) -> List[int]:
+    """The indices of the set bits of ``bits``, lowest first."""
+    ids = []
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        ids.append(low.bit_length() - 1)
+    return ids
+
+
+def _has_cycle(succ: List[List[int]]) -> bool:
+    """Kahn's algorithm over uid lists: the graph is acyclic iff
+    repeatedly removing nodes without incoming edges removes all."""
+    indegree = [0] * len(succ)
+    for dsts in succ:
+        for v in dsts:
+            indegree[v] += 1
+    ready = [u for u, d in enumerate(indegree) if d == 0]
+    removed = 0
+    while ready:
+        u = ready.pop()
+        removed += 1
+        for v in succ[u]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                ready.append(v)
+    return removed < len(indegree)

@@ -27,6 +27,17 @@ task t1 is begin accept a; send t2.b; end;
 task t2 is begin accept b; send t1.a; end;
 """
 
+# "²" is a digit to str.isdigit, so the lexer reads it as an INT; int()
+# rejects it.  A for bound written with it must be a parse error at the
+# token, like any other malformed program.
+SUPERSCRIPT_BOUND_SRC = """\
+program superscript;
+task t is begin
+    for i in \u00b2 .. 3 loop null; end loop;
+end;
+"""
+SUPERSCRIPT_BOUND_ERROR = "invalid integer '\u00b2' (line 3, column 14)"
+
 STALL_SRC = """
 program stall;
 task t1 is begin send t2.m; end;

@@ -1,4 +1,4 @@
-"""Set-based oracles for the product's indexed kernels.
+"""Oracles for the product's indexed kernels and its front half.
 
 Each analysis has one implementation in ``src/``; these are the simple,
 literal implementations the differential tests compare it against:
@@ -9,11 +9,19 @@ literal implementations the differential tests compare it against:
 * ``extensions`` — the set-based marking/search engine, plugged into
   the product's own extension loops;
 * ``explore`` / ``witness`` — breadth-first search over tuple-of-nodes
-  waves (vs the packed-integer :class:`~repro.waves.engine.WaveIndex`).
+  waves (vs the packed-integer :class:`~repro.waves.engine.WaveIndex`);
+* ``lexer`` / ``parser`` — a character loop making frozen-dataclass
+  tokens and a token-cursor parser that attaches each statement's span
+  with ``dataclasses.replace`` (vs the regex lexer and build-once
+  parser of :mod:`repro.lang`);
+* ``syncgraph_build`` — the sync graph by erasing a per-task
+  :class:`~repro.cfg.graph.TaskCFG`, one search per rendezvous (vs the
+  first/follow pass of :mod:`repro.syncgraph.build`).
 
 Every entry point takes the product's arguments and returns the
 product's result type, so a test can swap one for the other.  The
-comparing tests are ``tests/test_index.py`` and ``tests/test_engine.py``;
+comparing tests are ``tests/test_index.py``, ``tests/test_engine.py`` and
+``tests/test_frontend_oracles.py``;
 ``benchmarks/bench_refined_kernel.py`` and ``benchmarks/bench_explore.py``
 time the same pairs.
 """

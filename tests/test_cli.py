@@ -8,7 +8,12 @@ import sys
 import pytest
 
 from repro.cli import main
-from tests.conftest import CROSSED_SRC, HANDSHAKE_SRC
+from tests.conftest import (
+    CROSSED_SRC,
+    HANDSHAKE_SRC,
+    SUPERSCRIPT_BOUND_ERROR,
+    SUPERSCRIPT_BOUND_SRC,
+)
 
 
 @pytest.fixture
@@ -41,6 +46,46 @@ class TestExitCodes:
         bad.write_text("program ;")
         assert main([str(bad)]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestUnparsableForBound:
+    @pytest.fixture
+    def bad_file(self, tmp_path):
+        path = tmp_path / "superscript.adl"
+        path.write_text(SUPERSCRIPT_BOUND_SRC, encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--lint"]])
+    def test_exits_two_with_located_error(self, bad_file, flags, capsys):
+        assert main([str(bad_file), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {SUPERSCRIPT_BOUND_ERROR}\n"
+
+    def test_batch_item_fails_and_the_others_run(
+        self, bad_file, tmp_path, capsys
+    ):
+        (tmp_path / "handshake.adl").write_text(HANDSHAKE_SRC)
+        (tmp_path / "crossed.adl").write_text(CROSSED_SRC)
+        rc = main(["--batch", str(tmp_path), "--no-cache", "--json"])
+        assert rc == 1  # crossed is a possible deadlock
+        payload = json.loads(capsys.readouterr().out)
+        status = {
+            item["label"].rsplit("/", 1)[-1]: item["status"]
+            for item in payload["item_reports"]
+        }
+        assert status == {
+            "crossed.adl": "ok",
+            "handshake.adl": "ok",
+            "superscript.adl": "failed",
+        }
+        (failed,) = [
+            item for item in payload["item_reports"]
+            if item["status"] == "failed"
+        ]
+        assert failed["error"].endswith(
+            f"ParseError: {SUPERSCRIPT_BOUND_ERROR}\n"
+        )
 
 
 class TestOutput:

@@ -316,7 +316,7 @@ class TestWaveFixes:
         graph.add_control_edge(send, graph.e)
         graph.add_control_edge(acc, graph.e)
         graph.connect_sync_edges()
-        graph._control_succ[send].append(graph.e)  # the duplicate
+        graph._succ[send.uid].append(graph.e.uid)  # the duplicate
         return graph, send, acc
 
     def test_next_waves_dedups_duplicate_successors(self):

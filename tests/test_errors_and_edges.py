@@ -149,3 +149,24 @@ class TestAnalyzeRobustness:
         assert not report.deadlock_free
         assert report.stats["exploration_limited"] is True
         assert report.stats["feasible_waves"] <= 3
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # 245 nested ifs and a 491-arm elsif chain: the deepest
+            # nesting an analysis reached before the front half was
+            # rewritten; it may grow, never shrink.
+            "program p; task a is begin "
+            + "if ? then " * 245
+            + "send b.m; "
+            + "end if; " * 245
+            + "end; task b is begin accept m; end;",
+            "program p; task a is begin if ? then send b.m; "
+            + "elsif ? then send b.m; " * 490
+            + "end if; end; task b is begin accept m; accept m; end;",
+        ],
+        ids=["nested-if-245", "elsif-491"],
+    )
+    def test_deep_nesting_analyzes(self, source):
+        result = repro.analyze(source)
+        assert result.deadlock.deadlock_free

@@ -155,12 +155,10 @@ def _observed(run):
 def _canonical_graph(program):
     """The exact-search graph with its adjacency lists in uid order."""
     graph = prepare(program).exact_graph
-    for table in (
-        graph._control_succ, graph._control_pred, graph._initial,
-        graph._sync_adj,
+    for uids in (
+        *graph._succ, *graph._pred, *graph._initial.values(), *graph._sync,
     ):
-        for nodes in table.values():
-            nodes.sort(key=lambda node: node.uid)
+        uids.sort()
     return graph
 
 

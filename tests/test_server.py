@@ -57,6 +57,7 @@ from repro.server.protocol import (
 )
 from repro.server.session import Document
 from repro.workloads.patterns import dining_philosophers
+from tests.conftest import SUPERSCRIPT_BOUND_ERROR, SUPERSCRIPT_BOUND_SRC
 
 GOLDEN_DIR = Path(__file__).parent / "golden_server"
 REGEN = bool(os.environ.get("REPRO_REGEN_GOLDEN"))
@@ -589,6 +590,28 @@ class TestDaemonDispatch:
         )
         assert reply["error"]["code"] == ANALYSIS_ERROR
         assert "ParseError" in reply["error"]["message"]
+
+    def test_unparsable_for_bound_after_good_text(self):
+        # "²" passes str.isdigit but not int(): the edit must drop the
+        # document's old program, so analyze and lint answer the parse
+        # error instead of the previous text's report.
+        server = make_server()
+        rpc(server, "didOpen", {"uri": "mem:sq", "text": HANDSHAKE_SRC})
+        assert "result" in rpc(server, "analyze", {"uri": "mem:sq"})
+        reply = rpc(
+            server, "didChange", {"uri": "mem:sq", "text": SUPERSCRIPT_BOUND_SRC}
+        )
+        assert reply["result"]["invalidation"] == "full"
+        for method in ("analyze", "lint"):
+            reply = rpc(server, method, {"uri": "mem:sq"})
+            assert reply["error"]["code"] == ANALYSIS_ERROR, reply
+            assert reply["error"]["message"] == (
+                f"ParseError: {SUPERSCRIPT_BOUND_ERROR}"
+            )
+        reply = rpc(
+            server, "analyze", {"uri": "mem:new", "text": SUPERSCRIPT_BOUND_SRC}
+        )
+        assert reply["error"]["code"] == ANALYSIS_ERROR, reply
 
     def test_invalid_params_code(self):
         reply = rpc(make_server(), "didOpen", {"text": "no uri"})

@@ -1,5 +1,7 @@
 """Sync graph construction tests (paper, Section 2)."""
 
+import json
+
 import pytest
 
 from repro.lang.ast_nodes import Signal
@@ -210,3 +212,100 @@ class TestMetrics:
 
         m = compute_metrics(build_sync_graph(handshake))
         assert json.loads(json.dumps(m.to_dict()))["tasks"] == 2
+
+
+class TestFrontHalfCost:
+    """The sync graph hashes no node, the pipeline builds no CFG, and
+    one analysis checks for control cycles and counts signals once."""
+
+    @staticmethod
+    def _pipeline_source():
+        from repro.lang.pretty import pretty
+        from repro.workloads.patterns import pipeline
+
+        return pretty(pipeline(16))
+
+    def test_analyze_hashes_no_sync_or_cfg_node(self, monkeypatch):
+        import repro
+        from repro.cfg.graph import CFGNode
+        from repro.syncgraph.model import SyncNode
+
+        def forbidden(self):
+            raise AssertionError(f"hashed {type(self).__name__}")
+
+        monkeypatch.setattr(SyncNode, "__hash__", forbidden)
+        monkeypatch.setattr(CFGNode, "__hash__", forbidden)
+        result = repro.analyze(self._pipeline_source())
+        assert result.deadlock.deadlock_free
+
+    def test_no_pipeline_path_builds_a_cfg(self, monkeypatch):
+        import repro
+        from repro.cfg import build as cfg_build
+        from repro.lint import lint_source
+        from repro.server import AnalysisServer, Session
+        from repro.workloads.adl_corpus import adl_corpus, lint_corpus
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a TaskCFG was built")
+
+        monkeypatch.setattr(cfg_build, "build_task_cfg", forbidden)
+        server = AnalysisServer(session=Session(store=None))
+        for entries in (adl_corpus(), lint_corpus()):
+            for name, entry in sorted(entries.items()):
+                lint_source(entry.source)
+                for method in ("analyze", "lint"):
+                    reply = server.handle_line(
+                        json.dumps(
+                            {
+                                "id": 1,
+                                "method": method,
+                                "params": {
+                                    "uri": f"mem:{name}",
+                                    "text": entry.source,
+                                },
+                            }
+                        )
+                    )
+                    assert "TaskCFG" not in json.dumps(reply)
+                try:
+                    repro.analyze(entry.source, algorithm="naive")
+                except repro.errors.ReproError:
+                    pass  # the lint showcase has invalid programs
+
+    def test_one_cycle_check_and_one_signal_count(self, monkeypatch):
+        import repro
+        from repro.analysis import stalls
+        from repro.lang import validate
+        from repro.syncgraph import model
+
+        calls = {"collect_signals": 0, "cycle": 0}
+
+        def counting(key, fn):
+            def spy(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return spy
+
+        spy = counting("collect_signals", validate.collect_signals)
+        monkeypatch.setattr(validate, "collect_signals", spy)
+        monkeypatch.setattr(stalls, "collect_signals", spy)
+        monkeypatch.setattr(
+            model, "_has_cycle", counting("cycle", model._has_cycle)
+        )
+        repro.analyze(self._pipeline_source())
+        assert calls == {"collect_signals": 1, "cycle": 1}
+
+    def test_cycle_answer_follows_added_edges(self):
+        from repro.syncgraph.model import SyncGraph
+
+        graph = SyncGraph(["a", "b"])
+        sig = Signal("b", "m")
+        first = graph.add_rendezvous("send", "a", sig)
+        second = graph.add_rendezvous("send", "a", sig)
+        graph.add_control_edge(graph.b, first)
+        graph.add_control_edge(first, second)
+        graph.add_control_edge(second, graph.e)
+        assert not graph.has_control_cycle()
+        graph.add_control_edge(second, first)
+        assert graph.has_control_cycle()
