@@ -12,10 +12,11 @@ from __future__ import annotations
 import pytest
 
 from _util import attach_metrics, print_pruning_summary, print_table
+from repro.analysis.index import project_ids
 from repro.analysis.naive import naive_deadlock_analysis
 from repro.analysis.refined import refined_deadlock_analysis
 from repro.syncgraph.build import build_sync_graph
-from repro.syncgraph.clg import build_clg
+from repro.syncgraph.clg import clg_out_edges, cyclic_components
 from repro.waves.explore import explore
 from repro.workloads.corpus import paper_corpus
 
@@ -28,12 +29,13 @@ def fig1_graph():
 def test_fig1_naive_reports_spurious_cycles(fig1_graph, benchmark):
     report = benchmark(naive_deadlock_analysis, fig1_graph)
     assert not report.deadlock_free
-    comps = build_clg(fig1_graph).cyclic_components()
+    comps = cyclic_components(clg_out_edges(fig1_graph))
+    rendezvous = fig1_graph.rendezvous_nodes
     print_table(
         "E1: naive CLG cycles on fig1 (all spurious)",
         ["component", "sync nodes involved"],
         [
-            (i, ", ".join(sorted(str(n.sync) for n in comp)))
+            (i, ", ".join(sorted(map(str, project_ids(rendezvous, comp)))))
             for i, comp in enumerate(comps)
         ],
     )

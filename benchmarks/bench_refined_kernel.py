@@ -28,11 +28,11 @@ from repro.analysis.index import AnalysisIndex
 from repro.analysis.orderings import compute_orderings
 from repro.analysis.refined import refined_deadlock_analysis
 from repro.syncgraph.build import build_sync_graph
-from repro.syncgraph.clg import build_clg
 from repro.transforms.unroll import remove_loops
 from repro.workloads.corpus import paper_corpus
 from repro.workloads.patterns import handshake_chain, pipeline
 from tests import oracles
+from tests.oracles.clg import build_clg
 
 SMOKE = os.environ.get("REPRO_PERF_SMOKE") == "1"
 PIPELINE_STAGES = (4, 8) if SMOKE else (4, 8, 16, 32)

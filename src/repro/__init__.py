@@ -35,7 +35,6 @@ from .api import (
 from .errors import (
     AnalysisError,
     ExplorationLimitError,
-    IrreducibleFlowError,
     LexError,
     ParseError,
     ReproError,
@@ -54,7 +53,6 @@ __all__ = [
     "AnalysisError",
     "AnalysisResult",
     "ExplorationLimitError",
-    "IrreducibleFlowError",
     "LexError",
     "ParseError",
     "PreparedProgram",

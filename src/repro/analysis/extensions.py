@@ -36,15 +36,10 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .. import obs
 from ..errors import AnalysisError
+from ..syncgraph.clg import in_id_of, out_id_of
 from ..syncgraph.model import SyncGraph, SyncNode
 from .coexec import CoExecInfo
-from .index import (
-    AnalysisIndex,
-    coaccept_of,
-    in_id_of,
-    out_id_of,
-    project_ids,
-)
+from .index import AnalysisIndex, coaccept_of, project_ids
 from .orderings import OrderingInfo
 from .refined import possible_heads
 from .results import DeadlockEvidence, DeadlockReport, Verdict

@@ -1,21 +1,17 @@
 """Integer-indexed bitset kernels for the refined algorithm family.
 
 A literal reading of the paper runs each head hypothesis through
-per-edge Python closures over hashed :class:`CLGNode` sets and
-re-enumerates *every* SCC of the pruned CLG.  That leaves large
-constant factors on the table.  This module provides
-:class:`AnalysisIndex`, the one implementation behind
-:mod:`repro.analysis.refined` and :mod:`repro.analysis.extensions`:
-built once per sync graph, it
+per-edge Python closures over hashed CLG node sets and re-enumerates
+*every* SCC of the pruned CLG.  That leaves large constant factors on
+the table.  This module provides :class:`AnalysisIndex`, the one
+implementation behind :mod:`repro.analysis.refined` and
+:mod:`repro.analysis.extensions`: built once per sync graph, it
 
-* numbers the CLG nodes straight from sync-graph uids — ``b`` = 0,
-  ``e`` = 1, ``r_i`` = 2·uid − 2, ``r_o`` = 2·uid − 1, the order
-  ``clg.node_index`` gives — and builds the CLG's adjacency by the
-  paper's six rules as int bitset rows, successor and predecessor,
-  split into sync and plain (control/internal) edges, the only
-  distinction the NO-SYNC marking needs.  No CLG object is built;
-  :attr:`AnalysisIndex.clg` builds one on first access for the
-  set-based oracles;
+* turns the CLG's out-edges (:func:`~repro.syncgraph.clg.clg_out_edges`,
+  ids ``b`` = 0, ``e`` = 1, ``r_i`` = 2·uid − 2, ``r_o`` = 2·uid − 1)
+  into int bitset rows, successor and predecessor, split into sync and
+  plain (control/internal) edges, the only distinction the NO-SYNC
+  marking needs;
 * precomputes, per rendezvous position (``uid - 2``), the pruning mark
   vectors of the refined algorithm as int bitsets over CLG ids:
   SEQUENCEABLE-with (symmetric), same-task (constraint 1c),
@@ -26,35 +22,31 @@ built once per sync graph, it
   of Fleischer, Hendrickson and Pınar — one frontier at a time over the
   rows, with the ``no_sync`` / ``do_not_enter`` exclusion bitsets
   applied as masks.  Nodes unreachable from ``h_i`` are never touched,
-  and when no edge re-enters ``h_i`` the backward pass is skipped;
-* lists every cyclic SCC of the *unpruned* CLG (the naive algorithm of
-  §3.1, and lint's coupling-cycle candidates) with one iterative Tarjan
-  pass over the same rows (:meth:`AnalysisIndex.cyclic_components`).
+  and when no edge re-enters ``h_i`` the backward pass is skipped.
 
-No :class:`SyncNode` or :class:`CLGNode` is hashed while the index is
-built or while a head hypothesis runs; ``SyncNode`` objects appear only
-at the evidence boundary (:func:`project_ids`), which takes the graph
-the caller analyzes rather than the one the index was built from: the
-index holds only uids, so one index serves every uid-equal graph — a
-comment edit rebuilds the sync graph with new spans but the same uids.
-Mark vectors are memoized per ``(head, use_coaccept)`` so the extension
-analyses stop recomputing them inside their O(N²)–O(N^k) combination
-loops.
+No :class:`SyncNode` is hashed while the index is built or while a
+head hypothesis runs; ``SyncNode`` objects appear only at the evidence
+boundary (:func:`project_ids`), which takes the graph the caller
+analyzes rather than the one the index was built from: the index holds
+only uids, so one index serves every uid-equal graph — a comment edit
+rebuilds the sync graph with new spans but the same uids.  Mark vectors
+are memoized per ``(head, use_coaccept)`` so the extension analyses
+stop recomputing them inside their O(N²)–O(N^k) combination loops.
 
 Everything here must be observationally equivalent to the set-based
 oracles in ``tests/oracles/`` (same verdicts, same evidence, same
 ``stats`` — including the per-rule pruning counters); the hypothesis
 differential tests in ``tests/test_index.py`` enforce that, and
-``tests/test_index_rows.py`` pins the rows to ``build_clg``.
+``tests/test_index_rows.py`` pins the rows to the object CLG oracle of
+``tests/oracles/clg.py``.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..syncgraph.clg import CLG, build_clg
+from ..syncgraph.clg import EdgeKind, clg_out_edges, in_id_of
 from ..syncgraph.model import SyncGraph, SyncNode, bit_ids
 from .coexec import CoExecInfo, compute_coexec
 from .orderings import OrderingInfo, compute_orderings
@@ -62,8 +54,6 @@ from .orderings import OrderingInfo, compute_orderings
 __all__ = [
     "AnalysisIndex",
     "coaccept_of",
-    "in_id_of",
-    "out_id_of",
     "project_ids",
 ]
 
@@ -79,20 +69,6 @@ def coaccept_of(graph: SyncGraph, node: SyncNode) -> Tuple[SyncNode, ...]:
     return tuple(
         other for other in graph.accepters_of(node.signal) if other is not node
     )
-
-
-def in_id_of(node: SyncNode) -> int:
-    """CLG id of rendezvous node ``r``'s ``r_i``: ``2·uid − 2``.
-
-    ``b`` is 0 and ``e`` is 1; the ``r_i``/``r_o`` pairs follow in uid
-    order, exactly as ``clg.node_index`` numbers them.
-    """
-    return 2 * node.uid - 2
-
-
-def out_id_of(node: SyncNode) -> int:
-    """CLG id of rendezvous node ``r``'s ``r_o``: ``2·uid − 1``."""
-    return 2 * node.uid - 1
 
 
 def project_ids(
@@ -123,8 +99,8 @@ class AnalysisIndex:
     Construct once and share across ``refined_deadlock_analysis``,
     ``constraint4`` and all four extension analyses via their
     ``index=`` parameter.  The precomputed ``orderings`` / ``coexec``
-    (and the lazily built ``clg``) are exposed so the differential
-    tests can hand the same objects to the set-based oracles.
+    are exposed so the differential tests can hand the same objects to
+    the set-based oracles.
     """
 
     def __init__(
@@ -139,9 +115,7 @@ class AnalysisIndex:
         )
         self.coexec = coexec if coexec is not None else compute_coexec(graph)
 
-        rendezvous = graph.rendezvous_nodes
-        self._rendezvous = rendezvous
-        count = len(rendezvous)
+        count = len(graph) - 2
         n = 2 + 2 * count
         self.node_count = n
         # r_i ids are the even ids from 2, r_o ids the odd ones from 3.
@@ -149,26 +123,21 @@ class AnalysisIndex:
         self.out_bits = self.in_bits << 1
         self.split_bits = self.in_bits | self.out_bits
 
-        # The CLG rules 3-6 as bit rows; rules 1-2 are the numbering.
+        # The CLG's edges as bit rows.
         plain_succ = [0] * n
         plain_pred = [0] * n
         sync_succ = [0] * n
         sync_pred = [0] * n
-        for o in range(3, n, 2):  # rule 3: internal (r_o, r_i)
-            plain_succ[o] = 1 << (o - 1)
-            plain_pred[o - 1] = 1 << o
-        b, e = graph.b, graph.e
-        for src, dst in graph.control_edges():  # rules 4-5
-            v = 0 if src is b else in_id_of(src)
-            w = 1 if dst is e else out_id_of(dst)
-            plain_succ[v] |= 1 << w
-            plain_pred[w] |= 1 << v
-        for r, s in graph.sync_edges():  # rule 6
-            for src, dst in ((r, s), (s, r)):
-                v = out_id_of(src)
-                w = in_id_of(dst)
-                sync_succ[v] |= 1 << w
-                sync_pred[w] |= 1 << v
+        sync = EdgeKind.SYNC
+        for v, out in enumerate(clg_out_edges(graph)):
+            bit = 1 << v
+            for w, kind in out:
+                if kind is sync:
+                    sync_succ[v] |= 1 << w
+                    sync_pred[w] |= bit
+                else:
+                    plain_succ[v] |= 1 << w
+                    plain_pred[w] |= bit
         self.plain_succ = plain_succ
         self.plain_pred = plain_pred
         self.sync_succ = sync_succ
@@ -215,24 +184,6 @@ class AnalysisIndex:
             obs.counter("index.builds").inc()
             obs.gauge("index.nodes").set(n)
             obs.histogram("index.nodes_per_build").observe(n)
-
-    # -- the object views ---------------------------------------------------
-
-    @cached_property
-    def clg(self) -> CLG:
-        """``build_clg(graph)``, whose ``node_index`` equals these ids;
-        built on first access, for the set-based oracles."""
-        return build_clg(self.graph)
-
-    @cached_property
-    def in_id(self) -> Dict[SyncNode, int]:
-        """CLG id of each rendezvous node's ``r_i``."""
-        return {s: in_id_of(s) for s in self._rendezvous}
-
-    @cached_property
-    def out_id(self) -> Dict[SyncNode, int]:
-        """CLG id of each rendezvous node's ``r_o``."""
-        return {s: out_id_of(s) for s in self._rendezvous}
 
     # -- mark vectors ------------------------------------------------------
 
@@ -343,77 +294,6 @@ class AnalysisIndex:
             frontier = ((plain & fwd) | (sync & sync_keep)) & ~bwd
             bwd |= frontier
         return bit_ids(bwd), reached
-
-    def cyclic_components(self) -> List[List[int]]:
-        """Cyclic SCCs of the unpruned CLG, as sorted id lists.
-
-        An iterative Tarjan pass, O(N + E), over int successor lists in
-        the CLG's rule order: roots in id order, an ``r_o``'s internal
-        edge before its sync edges (in ``sync_edges()`` order), control
-        edges in ``control_edges()`` order.  Tarjan emits components in
-        DFS completion order, so this is what makes the list equal
-        ``build_clg(graph).cyclic_components()``, order included
-        (pinned by ``tests/test_index_rows.py``); visiting successors
-        in id order does not.  A component is cyclic when it has two
-        or more nodes or a self-loop.
-        """
-        n = self.node_count
-        plain, sync = self.plain_succ, self.sync_succ
-        graph = self.graph
-        succ: List[List[int]] = [[] for _ in range(n)]
-        for o in range(3, n, 2):  # rule 3 first: add_edge order
-            succ[o].append(o - 1)
-        b, e = graph.b, graph.e
-        for src, dst in graph.control_edges():  # rules 4-5
-            succ[0 if src is b else in_id_of(src)].append(
-                1 if dst is e else out_id_of(dst)
-            )
-        for r, s in graph.sync_edges():  # rule 6
-            succ[out_id_of(r)].append(in_id_of(s))
-            succ[out_id_of(s)].append(in_id_of(r))
-        order = [-1] * n  # discovery index, -1 until visited
-        low = [0] * n
-        on_stack = [False] * n
-        stack: List[int] = []
-        counter = 0
-        components: List[List[int]] = []
-        for root in range(n):
-            if order[root] >= 0:
-                continue
-            order[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack[root] = True
-            work = [(root, iter(succ[root]))]
-            while work:
-                v, successors = work[-1]
-                for w in successors:
-                    if order[w] < 0:
-                        order[w] = low[w] = counter
-                        counter += 1
-                        stack.append(w)
-                        on_stack[w] = True
-                        work.append((w, iter(succ[w])))
-                        break
-                    if on_stack[w] and order[w] < low[v]:
-                        low[v] = order[w]
-                else:
-                    work.pop()
-                    if work:
-                        parent = work[-1][0]
-                        if low[v] < low[parent]:
-                            low[parent] = low[v]
-                    if low[v] == order[v]:
-                        component = []
-                        while True:
-                            w = stack.pop()
-                            on_stack[w] = False
-                            component.append(w)
-                            if w == v:
-                                break
-                        if len(component) > 1 or (plain[v] | sync[v]) >> v & 1:
-                            components.append(sorted(component))
-        return components
 
     # -- pruning-effectiveness counters ------------------------------------
 

@@ -5,9 +5,9 @@ cycle satisfying deadlock constraint 1 (the CLG's node splitting
 enforces 1b).  No cycle in the CLG certifies the program deadlock-free:
 every deadlock requires a constraint-1 cycle.
 
-The CLG is the one :class:`~repro.analysis.index.AnalysisIndex` holds
-as int rows; :meth:`AnalysisIndex.cyclic_components` lists its cyclic
-SCCs in the order a Tarjan pass over a ``build_clg`` object would.
+The search is one Tarjan pass over the CLG's out-edge lists
+(:func:`~repro.syncgraph.clg.cyclic_components`); it needs none of the
+orderings, co-executability or bit rows the refined family precomputes.
 
 The algorithm assumes acyclic control flow; callers hand it programs
 whose loops were removed by the Lemma-1 unroll transform (the
@@ -17,25 +17,23 @@ report).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .. import obs
 from ..errors import AnalysisError
+from ..syncgraph.clg import clg_out_edges, cyclic_components
 from ..syncgraph.model import SyncGraph
-from .index import AnalysisIndex, project_ids
+from .index import project_ids
 from .results import DeadlockEvidence, DeadlockReport, Verdict
 
 __all__ = ["naive_deadlock_analysis"]
 
 
-def naive_deadlock_analysis(
-    graph: SyncGraph, index: Optional[AnalysisIndex] = None
-) -> DeadlockReport:
+def naive_deadlock_analysis(graph: SyncGraph) -> DeadlockReport:
     """Certify deadlock-freedom by CLG cycle detection (Algorithm 1).
 
-    A prebuilt ``index`` over ``graph`` (or a uid-equal graph) may be
-    shared.  Raises :class:`AnalysisError` when the sync graph still has
-    control cycles — the CLG method is only valid on loop-free programs
+    Raises :class:`AnalysisError` when the sync graph still has control
+    cycles — the CLG method is only valid on loop-free programs
     (Section 3.1.4).
     """
     if graph.has_control_cycle():
@@ -43,10 +41,9 @@ def naive_deadlock_analysis(
             "naive CLG analysis requires acyclic control flow; apply "
             "repro.transforms.unroll.remove_loops first"
         )
-    if index is None:
-        index = AnalysisIndex(graph)
-    with obs.span("naive.scc", clg_nodes=index.node_count):
-        components = index.cyclic_components()
+    out_edges = clg_out_edges(graph)
+    with obs.span("naive.scc", clg_nodes=len(out_edges)):
+        components = cyclic_components(out_edges)
     if obs.is_enabled():
         obs.counter("naive.scc_passes").inc()
         obs.counter("naive.cyclic_components").inc(len(components))
@@ -61,8 +58,8 @@ def naive_deadlock_analysis(
         algorithm="naive-clg",
         evidence=evidence,
         stats={
-            "clg_nodes": index.node_count,
-            "clg_edges": index.edge_count,
+            "clg_nodes": len(out_edges),
+            "clg_edges": sum(map(len, out_edges)),
             "cyclic_components": len(components),
         },
     )

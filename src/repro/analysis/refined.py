@@ -40,9 +40,10 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .. import obs
 from ..budget import CHECK_EVERY, checkpoint
 from ..errors import AnalysisError
+from ..syncgraph.clg import in_id_of
 from ..syncgraph.model import SyncGraph, SyncNode
 from .coexec import CoExecInfo
-from .index import AnalysisIndex, coaccept_of, in_id_of, project_ids
+from .index import AnalysisIndex, coaccept_of, project_ids
 from .orderings import OrderingInfo
 from .results import DeadlockEvidence, DeadlockReport, Verdict
 

@@ -77,10 +77,10 @@ ALGORITHMS: Dict[str, Callable[[SyncGraph], DeadlockReport]] = {
 }
 
 # Algorithms whose runner accepts a prebuilt AnalysisIndex via index=
-# ("k-pairs-3" builds its own per k).  Long-lived callers (repro.server)
-# share one index per program across repeated analyses instead of
-# rebuilding the bitset mirrors each run.
-INDEX_AWARE = frozenset(ALGORITHMS) - {"k-pairs-3"}
+# ("k-pairs-3" builds its own per k; "naive" reads no index).  Long-lived
+# callers (repro.server) share one index per program across repeated
+# analyses instead of rebuilding the bitset mirrors each run.
+INDEX_AWARE = frozenset(ALGORITHMS) - {"k-pairs-3", "naive"}
 
 
 @dataclass

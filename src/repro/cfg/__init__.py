@@ -1,31 +1,14 @@
-"""Per-task control flow graphs: construction and structural analyses."""
+"""Per-task control flow graphs, for the Taylor concurrency-state-graph
+baseline (:mod:`repro.baselines.taylor_csg`) and the CFG-erasing
+sync-graph oracle in ``tests/oracles/``."""
 
 from .build import build_cfgs, build_task_cfg
-from .dominators import (
-    dominates,
-    dominator_sets,
-    immediate_dominators,
-    postdominator_sets,
-)
 from .graph import CFGNode, NodeKind, TaskCFG
-from .loops import NaturalLoop, ast_loop_depth, loop_nest_depth, natural_loops
-from .reducibility import back_edges, ensure_reducible, is_reducible
 
 __all__ = [
     "CFGNode",
-    "NaturalLoop",
     "NodeKind",
     "TaskCFG",
-    "ast_loop_depth",
-    "back_edges",
     "build_cfgs",
     "build_task_cfg",
-    "dominates",
-    "dominator_sets",
-    "ensure_reducible",
-    "immediate_dominators",
-    "is_reducible",
-    "loop_nest_depth",
-    "natural_loops",
-    "postdominator_sets",
 ]

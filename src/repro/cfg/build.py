@@ -12,7 +12,7 @@ Structured control flow maps onto the CFG in the usual way:
   matter to the exact unrolling transform).
 
 Because the source language is fully structured, the resulting CFGs are
-always reducible; :mod:`repro.cfg.reducibility` verifies this.
+always reducible: every loop is entered only through its header.
 """
 
 from __future__ import annotations

@@ -4,19 +4,15 @@ Each task of an ADL program gets a :class:`TaskCFG`: a directed graph
 over :class:`CFGNode` objects with a unique entry and exit.  Rendezvous
 statements become ``send``/``accept`` nodes; conditionals contribute
 ``branch``/``join`` nodes; everything else is a ``stmt`` node.  The
-sync-graph builder later erases non-rendezvous nodes, but dominator and
-co-executability analyses work on the full CFG.
+Taylor baseline steps through these graphs statement by statement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..lang.ast_nodes import Statement
-
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
 
 __all__ = ["CFGNode", "TaskCFG", "NodeKind"]
 
@@ -135,10 +131,6 @@ class TaskCFG:
                     stack.append(nxt)
         return seen
 
-    def reaches(self, src: CFGNode, dst: CFGNode) -> bool:
-        """True if there is a (possibly empty) control path src → dst."""
-        return dst in self.reachable_from(src)
-
     def check_connected(self) -> None:
         """Assert every node is on an entry→exit path; raises otherwise."""
         from_entry = self.reachable_from(self.entry)
@@ -148,14 +140,6 @@ class TaskCFG:
                 raise AssertionError(
                     f"CFG node {node} is not on an entry-to-exit path"
                 )
-
-    def to_networkx(self) -> "nx.DiGraph":
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(self._nodes)
-        g.add_edges_from(self.edges())
-        return g
 
     def __len__(self) -> int:
         return len(self._nodes)

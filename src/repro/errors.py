@@ -40,15 +40,6 @@ class ValidationError(ReproError):
     """
 
 
-class IrreducibleFlowError(ReproError):
-    """Raised when a control flow graph is not reducible.
-
-    The paper (following Hecht 1977) assumes each loop has a single
-    entry point; analyses refuse irreducible flow rather than produce
-    unsound answers.
-    """
-
-
 class AnalysisError(ReproError):
     """Raised when a static analysis is handed input it cannot process."""
 

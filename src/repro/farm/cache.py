@@ -76,7 +76,9 @@ __all__ = [
 # v8: SyncGraph keeps uid-list adjacency (``_succ``/``_pred``/``_sync``)
 # built from the AST; v7 pickles carry node-keyed dicts the new class
 # cannot read.
-PIPELINE_VERSION = 8
+# v9: SyncNode carries its AST statement as ``stmt`` instead of a
+# whole CFG node; v8 pickles carry a field the class no longer has.
+PIPELINE_VERSION = 9
 
 # On-disk envelope format, independent of analysis semantics.
 CACHE_FORMAT = 1

@@ -10,9 +10,9 @@ source-ordered diagnostics.
 
 Expensive shared inputs are the analysis's own layers: the prepared
 pipeline front half (:func:`repro.api.prepare` — inline, validate,
-unroll, sync graph) and one :class:`~repro.analysis.index.AnalysisIndex`
-over its graph, whose rows give ADL010 its cyclic CLG components and
-ADL012 its refined run.  No CLG object is built.  A caller that already
+unroll, sync graph), whose CLG gives ADL010 its cyclic components, and
+one :class:`~repro.analysis.index.AnalysisIndex` over its graph for
+ADL012's refined run.  No CLG object is built.  A caller that already
 holds them (the daemon's document) passes them to :func:`run_lint`;
 otherwise they are computed lazily, at most once per run.  They degrade
 to ``None`` when the program is too broken to build them (e.g.
@@ -245,7 +245,7 @@ class LintContext:
 
     @property
     def index(self) -> Optional["AnalysisIndex"]:
-        """The :class:`AnalysisIndex` shared by ADL010 and ADL012, or
+        """The :class:`AnalysisIndex` of ADL012's refined run, or
         ``None`` without an analysis graph."""
         if not self._index_built:
             self._index_built = True

@@ -46,8 +46,8 @@ ADL012   possible-deadlock       warning   §3: the refined polynomial
 =======  ======================  ========  ==============================
 
 Rules only read the AST and, for ADL010/ADL012, the analysis layers
-derived from it (the prepared sync graph and its ``AnalysisIndex``);
-they never mutate the program.
+derived from it (the prepared sync graph, its CLG and its
+``AnalysisIndex``); they never mutate the program.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ from ..lang.ast_nodes import (
     While,
     walk_statements,
 )
+from ..syncgraph.clg import clg_out_edges, cyclic_components
 from ..transforms.inline import call_graph
 from .engine import LintContext, LintRule, lint_rule
 
@@ -352,11 +353,11 @@ def check_while_rendezvous(
 def check_coupling_cycle(
     ctx: LintContext, rule: LintRule
 ) -> Iterable[Diagnostic]:
-    index = ctx.index
-    if index is None:
+    graph = ctx.analysis_graph
+    if graph is None:
         return
-    rendezvous = ctx.analysis_graph.rendezvous_nodes
-    for ids in index.cyclic_components():
+    rendezvous = graph.rendezvous_nodes
+    for ids in cyclic_components(clg_out_edges(graph)):
         sync_nodes = sorted(
             project_ids(rendezvous, ids), key=lambda n: n.uid
         )
@@ -366,8 +367,7 @@ def check_coupling_cycle(
         spans = []
         seen_spans = set()
         for node in sync_nodes:
-            stmt = getattr(node.cfg_node, "stmt", None)
-            loc = getattr(stmt, "loc", None)
+            loc = getattr(node.stmt, "loc", None)
             if loc is not None and loc not in seen_spans:
                 seen_spans.add(loc)
                 spans.append((loc, node))
@@ -478,8 +478,7 @@ def check_possible_deadlock(
         spans = []
         seen = set()
         for node in sorted(evidence.component, key=lambda n: n.uid):
-            stmt = getattr(node.cfg_node, "stmt", None)
-            loc = getattr(stmt, "loc", None)
+            loc = getattr(node.stmt, "loc", None)
             if loc is not None and loc not in seen:
                 seen.add(loc)
                 spans.append((loc, node))

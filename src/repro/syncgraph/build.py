@@ -12,9 +12,9 @@ synchronizing).
 
 ADL is structured, so that erasure is a first/follow computation over
 the AST, with no CFG built.  One forward pass creates the nodes in
-source order (which is CFG uid order) and records each loop body's
-first set; one backward pass then carries the *follow* set, what can
-come next, from the task exit to its entry:
+source order and records each loop body's first set; one backward pass
+then carries the *follow* set, what can come next, from the task exit
+to its entry:
 
 * a rendezvous's successors are the follow set at its position, and the
   follow set in front of it is just itself;
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple, Union
 
-from ..cfg.graph import CFGNode, NodeKind
 from ..lang.ast_nodes import (
     Accept,
     Assign,
@@ -80,14 +79,13 @@ def build_sync_graph(program: Program) -> SyncGraph:
 
 
 class _TaskWalk:
-    """The forward pass over one task: its rendezvous nodes, numbered
-    like :func:`repro.cfg.build.build_task_cfg` numbers CFG nodes."""
+    """The forward pass over one task: its rendezvous nodes in source
+    order."""
 
     def __init__(self, sg: SyncGraph, task: str) -> None:
         self.sg = sg
         self.task = task
         self.nodes: List[SyncNode] = []
-        self.cfg_uid = 2  # the CFG's entry is 0, its exit 1
 
     def forward(
         self, body: Sequence[Statement]
@@ -106,7 +104,6 @@ class _TaskWalk:
                     first |= 1 << i
                     passable = False
             elif isinstance(stmt, If):
-                self.cfg_uid += 2  # branch and join
                 then_items, then_first, then_passable = self.forward(
                     stmt.then_body
                 )
@@ -118,35 +115,20 @@ class _TaskWalk:
                     first |= then_first | else_first
                     passable = then_passable or else_passable
             elif isinstance(stmt, (While, For)):
-                self.cfg_uid += 2  # header and exit
                 body_items, body_first, _ = self.forward(stmt.body)
                 items.append((body_items, body_first))
                 if passable:
                     first |= body_first
-            elif isinstance(stmt, (Assign, Null)):
-                self.cfg_uid += 1
-            else:
+            elif not isinstance(stmt, (Assign, Null)):
                 raise TypeError(f"unknown statement {stmt!r}")
         return items, first, passable
 
     def _rendezvous(self, stmt: Union[Send, Accept]) -> SyncNode:
         if isinstance(stmt, Send):
-            signal = Signal(stmt.task, stmt.message)
-            kind, label = "send", f"send {stmt.task}.{stmt.message}"
-            cfg_kind = NodeKind.SEND
+            kind, signal = "send", Signal(stmt.task, stmt.message)
         else:
-            signal = Signal(self.task, stmt.message)
-            kind, label = "accept", f"accept {stmt.message}"
-            cfg_kind = NodeKind.ACCEPT
-        cfg_node = CFGNode(
-            task=self.task,
-            uid=self.cfg_uid,
-            kind=cfg_kind,
-            label=label,
-            stmt=stmt,
-        )
-        self.cfg_uid += 1
-        return self.sg.add_rendezvous(kind, self.task, signal, cfg_node)
+            kind, signal = "accept", Signal(self.task, stmt.message)
+        return self.sg.add_rendezvous(kind, self.task, signal, stmt)
 
 
 def _follow(items: List[_Item], follow: int, succ: List[int]) -> int:

@@ -16,6 +16,15 @@ Construction rules (paper, verbatim numbering):
 5. control edge ``(r, s)`` → ``(r_i, s_o)``;
 6. sync edge ``{r, s}`` → directed ``(r_o, s_i)`` and ``(s_o, r_i)``.
 
+Rules 1–2 are the id layout: ``b`` = 0, ``e`` = 1, and for the
+rendezvous node of uid ``u``, ``r_i`` = 2u − 2 and ``r_o`` = 2u − 1
+(:func:`in_id_of`, :func:`out_id_of`).  Rules 3–6 are applied in one
+place, :func:`clg_out_edges`, and everything else reads its list:
+:class:`~repro.analysis.index.AnalysisIndex` turns it into bit rows,
+:func:`cyclic_components` (the naive algorithm, lint's ADL010) runs
+Tarjan over it, and :func:`build_clg` turns it into node and edge
+objects for DOT, ``--stats`` and the paper-figure benches.
+
 Edges carry their provenance (``control``/``internal``/``sync``) because
 the refined algorithm's NO-SYNC marking suppresses only sync-derived
 edges.
@@ -24,21 +33,124 @@ edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from .. import obs
 from .model import SyncGraph, SyncNode
 
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
-
-__all__ = ["CLGNode", "CLGEdge", "CLG", "build_clg", "EdgeKind"]
+__all__ = [
+    "CLG",
+    "CLGEdge",
+    "CLGNode",
+    "EdgeKind",
+    "build_clg",
+    "clg_out_edges",
+    "cyclic_components",
+    "in_id_of",
+    "out_id_of",
+]
 
 
 class EdgeKind:
     CONTROL = "control"
     INTERNAL = "internal"
     SYNC = "sync"
+
+
+def in_id_of(node: SyncNode) -> int:
+    """CLG id of rendezvous node ``r``'s ``r_i``: ``2·uid − 2``."""
+    return 2 * node.uid - 2
+
+
+def out_id_of(node: SyncNode) -> int:
+    """CLG id of rendezvous node ``r``'s ``r_o``: ``2·uid − 1``."""
+    return 2 * node.uid - 1
+
+
+def clg_out_edges(graph: SyncGraph) -> List[List[Tuple[int, str]]]:
+    """Each CLG id's out-edges as ``(target id, kind)``, in rule order.
+
+    An ``r_o`` lists its rule-3 internal edge first, then its rule-6
+    sync edges in ``sync_edges()`` order; ``b`` and every ``r_i`` list
+    their rule 4–5 control edges in ``control_edges()`` order.  The
+    order is what :func:`cyclic_components` lists its components by.
+    """
+    control, internal = EdgeKind.CONTROL, EdgeKind.INTERNAL
+    sync = EdgeKind.SYNC
+    # The id arithmetic of in_id_of / out_id_of, inlined: this runs per
+    # edge on every analysis.
+    out: List[List[Tuple[int, str]]] = [[], []]
+    for i in range(2, 2 * len(graph) - 2, 2):  # rule 3: (r_o, r_i)
+        out += ([], [(i, internal)])
+    b, e = graph.b, graph.e
+    for src, dst in graph.control_edges():  # rules 4-5
+        out[0 if src is b else 2 * src.uid - 2].append(
+            (1 if dst is e else 2 * dst.uid - 1, control)
+        )
+    for r, s in graph.sync_edges():  # rule 6
+        out[2 * r.uid - 1].append((2 * s.uid - 2, sync))
+        out[2 * s.uid - 1].append((2 * r.uid - 2, sync))
+    return out
+
+
+def cyclic_components(
+    out_edges: List[List[Tuple[int, str]]],
+) -> List[List[int]]:
+    """Cyclic SCCs of the unpruned CLG, as sorted id lists.
+
+    One iterative Tarjan pass, O(N + E), over :func:`clg_out_edges`:
+    roots in id order, successors in rule order.  Tarjan emits
+    components in DFS completion order, so the successor order decides
+    the list's order; visiting successors in id order would list them
+    differently.  A component is cyclic when it has two or more nodes
+    or a self-loop.
+    """
+    n = len(out_edges)
+    order = [-1] * n  # discovery index, -1 until visited
+    low = [0] * n
+    on_stack = [False] * n
+    stack: List[int] = []
+    counter = 0
+    components: List[List[int]] = []
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(out_edges[root]))]
+        while work:
+            v, successors = work[-1]
+            for w, _ in successors:
+                if order[w] < 0:
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(out_edges[w])))
+                    break
+                if on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == order[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    if len(component) > 1 or any(
+                        w == v for w, _ in out_edges[v]
+                    ):
+                        components.append(sorted(component))
+    return components
 
 
 @dataclass(frozen=True)
@@ -64,194 +176,37 @@ class CLGEdge:
     kind: str
 
 
+@dataclass(frozen=True)
 class CLG:
-    """The cycle location graph ``C_P = (N_CLG, E_CLG)``."""
+    """The CLG ``C_P = (N_CLG, E_CLG)`` as objects: nodes in id order,
+    edges grouped by source id in :func:`clg_out_edges` order."""
 
-    def __init__(self, sync_graph: SyncGraph) -> None:
-        self.sync_graph = sync_graph
-        self.b = CLGNode("b")
-        self.e = CLGNode("e")
-        self._nodes: List[CLGNode] = [self.b, self.e]
-        self._in_node: Dict[SyncNode, CLGNode] = {}
-        self._out_node: Dict[SyncNode, CLGNode] = {}
-        self._succ: Dict[CLGNode, List[CLGEdge]] = {self.b: [], self.e: []}
-        self._pred: Dict[CLGNode, List[CLGEdge]] = {self.b: [], self.e: []}
-        self._node_index: Optional[Dict[CLGNode, int]] = None
-
-    # -- construction ----------------------------------------------------
-
-    def add_split_nodes(self, sync_node: SyncNode) -> Tuple[CLGNode, CLGNode]:
-        r_i = CLGNode("i", sync_node)
-        r_o = CLGNode("o", sync_node)
-        self._in_node[sync_node] = r_i
-        self._out_node[sync_node] = r_o
-        for node in (r_i, r_o):
-            self._nodes.append(node)
-            self._succ[node] = []
-            self._pred[node] = []
-        return r_i, r_o
-
-    def add_edge(self, src: CLGNode, dst: CLGNode, kind: str) -> None:
-        edge = CLGEdge(src, dst, kind)
-        if edge not in self._succ[src]:
-            self._succ[src].append(edge)
-            self._pred[dst].append(edge)
-
-    # -- mapping -----------------------------------------------------------
-
-    def in_node(self, sync_node: SyncNode) -> CLGNode:
-        """The ``r_i`` node of sync-graph node ``r``."""
-        return self._in_node[sync_node]
-
-    def out_node(self, sync_node: SyncNode) -> CLGNode:
-        """The ``r_o`` node of sync-graph node ``r``."""
-        return self._out_node[sync_node]
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def nodes(self) -> Tuple[CLGNode, ...]:
-        return tuple(self._nodes)
-
-    def out_edges(self, node: CLGNode) -> Tuple[CLGEdge, ...]:
-        return tuple(self._succ[node])
-
-    def in_edges(self, node: CLGNode) -> Tuple[CLGEdge, ...]:
-        return tuple(self._pred[node])
-
-    def edges(self) -> Iterator[CLGEdge]:
-        for edges in self._succ.values():
-            yield from edges
-
-    @property
-    def node_index(self) -> Dict[CLGNode, int]:
-        """Dense construction-order id per node (``b``=0, ``e``=1, then
-        the ``r_i``/``r_o`` pairs in sync-graph order).
-
-        Cached; rebuilt if nodes were added since the last call.
-        """
-        cached = self._node_index
-        if cached is None or len(cached) != len(self._nodes):
-            cached = {node: i for i, node in enumerate(self._nodes)}
-            self._node_index = cached
-        return cached
+    nodes: Tuple[CLGNode, ...]
+    edges: Tuple[CLGEdge, ...]
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self.nodes)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(e) for e in self._succ.values())
-
-    # -- cycle machinery ----------------------------------------------------
-
-    def strongly_connected_components(
-        self,
-        edge_filter: Optional[Callable[[CLGEdge], bool]] = None,
-        node_filter: Optional[Callable[[CLGNode], bool]] = None,
-    ) -> List[FrozenSet[CLGNode]]:
-        """Tarjan SCCs of the (optionally filtered) CLG.
-
-        ``node_filter``/``edge_filter`` return False to exclude a node or
-        edge; excluded nodes also drop their incident edges.  Iterative
-        implementation — CLGs of large generated programs overflow
-        Python's recursion limit otherwise.
-        """
-        index: Dict[CLGNode, int] = {}
-        lowlink: Dict[CLGNode, int] = {}
-        on_stack: Set[CLGNode] = set()
-        stack: List[CLGNode] = []
-        counter = 0
-        components: List[FrozenSet[CLGNode]] = []
-
-        def allowed(node: CLGNode) -> bool:
-            return node_filter is None or node_filter(node)
-
-        def neighbors(node: CLGNode) -> List[CLGNode]:
-            result = []
-            for edge in self._succ[node]:
-                if edge_filter is not None and not edge_filter(edge):
-                    continue
-                if allowed(edge.dst):
-                    result.append(edge.dst)
-            return result
-
-        for root in self._nodes:
-            if root in index or not allowed(root):
-                continue
-            work: List[Tuple[CLGNode, Iterator[CLGNode]]] = []
-            index[root] = lowlink[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack.add(root)
-            work.append((root, iter(neighbors(root))))
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for nxt in it:
-                    if nxt not in index:
-                        index[nxt] = lowlink[nxt] = counter
-                        counter += 1
-                        stack.append(nxt)
-                        on_stack.add(nxt)
-                        work.append((nxt, iter(neighbors(nxt))))
-                        advanced = True
-                        break
-                    if nxt in on_stack:
-                        lowlink[node] = min(lowlink[node], index[nxt])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index[node]:
-                    component: Set[CLGNode] = set()
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.add(member)
-                        if member is node:
-                            break
-                    components.append(frozenset(component))
-        return components
-
-    def _has_self_loop(self, node: CLGNode) -> bool:
-        return any(e.dst is node or e.dst == node for e in self._succ[node])
-
-    def cyclic_components(
-        self,
-        edge_filter: Optional[Callable[[CLGEdge], bool]] = None,
-        node_filter: Optional[Callable[[CLGNode], bool]] = None,
-    ) -> List[FrozenSet[CLGNode]]:
-        """SCCs that actually contain a cycle (size > 1 or a self-loop)."""
-        return [
-            comp
-            for comp in self.strongly_connected_components(
-                edge_filter, node_filter
-            )
-            if len(comp) > 1
-            or self._has_self_loop(next(iter(comp)))
-        ]
-
-    def has_cycle(self) -> bool:
-        return bool(self.cyclic_components())
-
-    def to_networkx(self) -> "nx.DiGraph":
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(self._nodes)
-        for edge in self.edges():
-            g.add_edge(edge.src, edge.dst, kind=edge.kind)
-        return g
+        return len(self.edges)
 
 
 def build_clg(sync_graph: SyncGraph) -> CLG:
-    """Construct the CLG of ``sync_graph`` by the six paper rules."""
+    """The CLG of ``sync_graph`` as objects, for export."""
     with obs.span("clg.build") as span:
-        clg = _build_clg(sync_graph)
+        nodes = [CLGNode("b"), CLGNode("e")]
+        for r in sync_graph.rendezvous_nodes:
+            nodes += (CLGNode("i", r), CLGNode("o", r))
+        clg = CLG(
+            tuple(nodes),
+            tuple(
+                CLGEdge(nodes[v], nodes[w], kind)
+                for v, out in enumerate(clg_out_edges(sync_graph))
+                for w, kind in out
+            ),
+        )
         span.set_attribute("nodes", clg.node_count)
         span.set_attribute("edges", clg.edge_count)
     if obs.is_enabled():
@@ -262,25 +217,4 @@ def build_clg(sync_graph: SyncGraph) -> CLG:
         obs.gauge("clg.nodes").set(clg.node_count)
         obs.gauge("clg.edges").set(clg.edge_count)
         obs.histogram("clg.nodes_per_build").observe(clg.node_count)
-    return clg
-
-
-def _build_clg(sync_graph: SyncGraph) -> CLG:
-    clg = CLG(sync_graph)
-    for node in sync_graph.rendezvous_nodes:  # rules 1-2
-        clg.add_split_nodes(node)
-    for node in sync_graph.rendezvous_nodes:  # rule 3
-        clg.add_edge(clg.out_node(node), clg.in_node(node), EdgeKind.INTERNAL)
-    for src, dst in sync_graph.control_edges():  # rules 4-5
-        if src is sync_graph.b and dst is sync_graph.e:
-            clg.add_edge(clg.b, clg.e, EdgeKind.CONTROL)
-        elif src is sync_graph.b:
-            clg.add_edge(clg.b, clg.out_node(dst), EdgeKind.CONTROL)
-        elif dst is sync_graph.e:
-            clg.add_edge(clg.in_node(src), clg.e, EdgeKind.CONTROL)
-        else:
-            clg.add_edge(clg.in_node(src), clg.out_node(dst), EdgeKind.CONTROL)
-    for r, s in sync_graph.sync_edges():  # rule 6
-        clg.add_edge(clg.out_node(r), clg.in_node(s), EdgeKind.SYNC)
-        clg.add_edge(clg.out_node(s), clg.in_node(r), EdgeKind.SYNC)
     return clg

@@ -59,7 +59,7 @@ def clg_to_dot(clg: CLG, name: str = "clg") -> str:
     for node in clg.nodes:
         label = str(node)
         lines.append(f"  {node_id(node)} [label={_quote(label)}];")
-    for edge in clg.edges():
+    for edge in clg.edges:
         style = "dashed" if edge.kind == EdgeKind.SYNC else "solid"
         lines.append(
             f"  {node_id(edge.src)} -> {node_id(edge.dst)} [style={style}];"

@@ -11,9 +11,9 @@ quantifies what exhaustive analysis would face.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
-from .clg import CLG, build_clg
+from .clg import build_clg
 from .model import SyncGraph
 
 __all__ = ["GraphMetrics", "compute_metrics"]
@@ -68,12 +68,9 @@ class GraphMetrics:
         return "\n".join(lines)
 
 
-def compute_metrics(
-    graph: SyncGraph, clg: Optional[CLG] = None
-) -> GraphMetrics:
-    """Compute all metrics for ``graph`` (builds the CLG if needed)."""
-    if clg is None:
-        clg = build_clg(graph)
+def compute_metrics(graph: SyncGraph) -> GraphMetrics:
+    """Compute all metrics for ``graph``."""
+    clg = build_clg(graph)
     per_task = [len(graph.nodes_of_task(t)) for t in graph.tasks]
     wave_bound = 1
     for count in per_task:

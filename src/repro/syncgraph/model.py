@@ -17,14 +17,10 @@ signaling (send) point and ``-`` for an accepting point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from ..cfg.graph import CFGNode
 from ..errors import UnknownTaskError
-from ..lang.ast_nodes import Signal
-
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
+from ..lang.ast_nodes import Signal, Statement
 
 __all__ = ["SyncNode", "SyncGraph", "SIGN_SEND", "SIGN_ACCEPT"]
 
@@ -39,7 +35,9 @@ class SyncNode:
     ``kind`` is ``"b"``, ``"e"``, ``"send"`` or ``"accept"``.  For
     rendezvous nodes, ``task`` is the task containing the statement and
     ``signal`` is the signal ``(t, m)``; the paper's triple notation is
-    available via :attr:`triple`.
+    available via :attr:`triple`.  ``stmt`` is the rendezvous statement
+    of the AST the graph was built from (None for ``b``/``e`` and for
+    hand-built graphs); lint reads its span.
     """
 
     uid: int
@@ -47,7 +45,7 @@ class SyncNode:
     task: str = ""
     signal: Optional[Signal] = None
     label: str = ""
-    cfg_node: Optional[CFGNode] = field(default=None, compare=False, repr=False)
+    stmt: Optional[Statement] = field(default=None, compare=False, repr=False)
 
     @property
     def is_rendezvous(self) -> bool:
@@ -123,7 +121,7 @@ class SyncGraph:
         task: str = "",
         signal: Optional[Signal] = None,
         label: str = "",
-        cfg_node: Optional[CFGNode] = None,
+        stmt: Optional[Statement] = None,
     ) -> SyncNode:
         node = SyncNode(
             uid=len(self._nodes),
@@ -131,7 +129,7 @@ class SyncGraph:
             task=task,
             signal=signal,
             label=label or kind,
-            cfg_node=cfg_node,
+            stmt=stmt,
         )
         self._nodes.append(node)
         self._succ.append([])
@@ -144,14 +142,14 @@ class SyncGraph:
         kind: str,
         task: str,
         signal: Signal,
-        cfg_node: Optional[CFGNode] = None,
+        stmt: Optional[Statement] = None,
     ) -> SyncNode:
         """Add a rendezvous node ``(signal.task, signal.message, ±)``."""
         if kind not in ("send", "accept"):
             raise ValueError(f"bad rendezvous kind {kind!r}")
         sign = SIGN_SEND if kind == "send" else SIGN_ACCEPT
         label = f"({signal.task},{signal.message},{sign})"
-        node = self._make_node(kind, task, signal, label, cfg_node)
+        node = self._make_node(kind, task, signal, label, stmt)
         self._by_task[task].append(node)
         key = (signal.task, signal.message)
         entry = self._by_signal.get(key)
@@ -320,23 +318,6 @@ class SyncGraph:
         return self._cyclic
 
     # -- export ------------------------------------------------------------
-
-    def to_networkx(self) -> "nx.DiGraph":
-        """Directed graph with both edge kinds, tagged ``kind=`` attribute.
-
-        Sync edges appear in both directions with ``kind="sync"``.
-        """
-        import networkx as nx
-
-        g = nx.DiGraph()
-        for node in self._nodes:
-            g.add_node(node, kind=node.kind, task=node.task)
-        for src, dst in self.control_edges():
-            g.add_edge(src, dst, kind="control")
-        for a, b in self.sync_edges():
-            g.add_edge(a, b, kind="sync")
-            g.add_edge(b, a, kind="sync")
-        return g
 
     def stats(self) -> Dict[str, int]:
         return {

@@ -3,9 +3,13 @@
 Each analysis has one implementation in ``src/``; these are the simple,
 literal implementations the differential tests compare it against:
 
-* ``refined`` — the per-head loop over hashed CLG node sets
-  (vs the :class:`~repro.analysis.index.AnalysisIndex` bitset kernels
-  in :mod:`repro.analysis.refined`);
+* ``clg`` — the CLG as node and edge objects built by the six rules
+  literally, with a filtered object Tarjan (vs the out-edge lists of
+  :mod:`repro.syncgraph.clg` and the bit rows, cycle list and export
+  read from them);
+* ``refined`` — the per-head loop over hashed CLG node sets of the
+  ``clg`` oracle (vs the :class:`~repro.analysis.index.AnalysisIndex`
+  bitset kernels in :mod:`repro.analysis.refined`);
 * ``extensions`` — the set-based marking/search engine, plugged into
   the product's own extension loops;
 * ``explore`` / ``witness`` — breadth-first search over tuple-of-nodes
@@ -18,10 +22,10 @@ literal implementations the differential tests compare it against:
   :class:`~repro.cfg.graph.TaskCFG`, one search per rendezvous (vs the
   first/follow pass of :mod:`repro.syncgraph.build`).
 
-Every entry point takes the product's arguments and returns the
-product's result type, so a test can swap one for the other.  The
-comparing tests are ``tests/test_index.py``, ``tests/test_engine.py`` and
-``tests/test_frontend_oracles.py``;
+Every analysis entry point takes the product's arguments and returns
+the product's result type, so a test can swap one for the other.  The
+comparing tests are ``tests/test_index.py``, ``tests/test_index_rows.py``,
+``tests/test_engine.py`` and ``tests/test_frontend_oracles.py``;
 ``benchmarks/bench_refined_kernel.py`` and ``benchmarks/bench_explore.py``
 time the same pairs.
 """

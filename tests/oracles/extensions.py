@@ -18,9 +18,10 @@ from repro.analysis.coexec import CoExecInfo, compute_coexec
 from repro.analysis.index import AnalysisIndex, coaccept_of
 from repro.analysis.orderings import OrderingInfo, compute_orderings
 from repro.analysis.results import DeadlockReport
-from repro.syncgraph.clg import CLG, CLGEdge, CLGNode, EdgeKind, build_clg
+from repro.syncgraph.clg import CLGEdge, CLGNode, EdgeKind
 from repro.syncgraph.model import SyncGraph, SyncNode
 
+from .clg import CLG, build_clg
 from .refined import project_component
 
 
@@ -127,7 +128,7 @@ def _head_marks(
 def _set_ops(graph: SyncGraph, index: Optional[AnalysisIndex]) -> SetOps:
     """A :class:`SetOps` over ``index``'s precompute, or a fresh one."""
     if index is not None:
-        return SetOps(graph, index.clg, index.orderings, index.coexec)
+        return SetOps(graph, build_clg(graph), index.orderings, index.coexec)
     return SetOps(
         graph, build_clg(graph), compute_orderings(graph),
         compute_coexec(graph),

@@ -20,8 +20,10 @@ from repro.analysis.orderings import OrderingInfo, compute_orderings
 from repro.analysis.refined import possible_heads
 from repro.analysis.results import DeadlockEvidence, DeadlockReport, Verdict
 from repro.errors import AnalysisError
-from repro.syncgraph.clg import CLG, CLGEdge, CLGNode, EdgeKind, build_clg
+from repro.syncgraph.clg import CLGEdge, CLGNode, EdgeKind
 from repro.syncgraph.model import SyncGraph, SyncNode
+
+from .clg import CLG, build_clg
 
 
 def project_component(component: FrozenSet[CLGNode]) -> FrozenSet[SyncNode]:
@@ -187,7 +189,7 @@ def refined_deadlock_analysis(
 ) -> DeadlockReport:
     """The product's contract, answered by :func:`component_for_head`.
 
-    A prebuilt ``index`` only contributes its ``clg`` / ``orderings`` /
+    A prebuilt ``index`` only contributes its ``orderings`` /
     ``coexec``; the hypotheses themselves never touch its bitsets.
     ``stats["pruning"]`` appears when observability is enabled, as in
     the product.
@@ -198,14 +200,13 @@ def refined_deadlock_analysis(
             "repro.transforms.unroll.remove_loops first"
         )
     if index is not None:
-        clg, orderings, coexec = index.clg, index.orderings, index.coexec
-    else:
-        if clg is None:
-            clg = build_clg(graph)
-        if orderings is None:
-            orderings = compute_orderings(graph)
-        if coexec is None:
-            coexec = compute_coexec(graph)
+        orderings, coexec = index.orderings, index.coexec
+    if clg is None:
+        clg = build_clg(graph)
+    if orderings is None:
+        orderings = compute_orderings(graph)
+    if coexec is None:
+        coexec = compute_coexec(graph)
 
     prune_counts: Optional[Dict[str, int]] = (
         {} if obs.is_enabled() else None

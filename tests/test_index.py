@@ -31,8 +31,10 @@ from repro.analysis.orderings import compute_orderings
 from repro.analysis.refined import possible_heads, refined_deadlock_analysis
 from repro.lang.parser import parse_program
 from repro.syncgraph.build import build_sync_graph
+from repro.syncgraph.clg import in_id_of
 from repro.transforms.unroll import remove_loops
 from tests import oracles
+from tests.oracles.clg import build_clg
 from tests.conftest import graph_of
 from tests.test_properties import FAST, small_programs
 
@@ -139,7 +141,7 @@ class TestEarlyExitTarjan:
             h for h in possible_heads(graph) if h.task in ("t1", "t2")
         )
         no_sync, do_not_enter = index.head_marks(head)
-        h_id = index.in_id[head]
+        h_id = in_id_of(head)
         assert not ((no_sync | do_not_enter) >> h_id) & 1
         ids, visited = index.cyclic_component_ids(h_id, no_sync, do_not_enter)
         assert ids is not None
@@ -152,22 +154,23 @@ class TestEarlyExitTarjan:
     def test_component_matches_reference_search(self):
         graph = self._graph()
         index = AnalysisIndex(graph)
+        clg = build_clg(graph)
         orderings, coexec = index.orderings, index.coexec
         for head in possible_heads(graph):
             reference = oracles.component_for_head(
-                graph, index.clg, head, orderings, coexec
+                graph, clg, head, orderings, coexec
             )
             no_sync, do_not_enter = index.head_marks(head)
-            if ((no_sync | do_not_enter) >> index.in_id[head]) & 1:
+            if ((no_sync | do_not_enter) >> in_id_of(head)) & 1:
                 assert reference is None
                 continue
             ids, _ = index.cyclic_component_ids(
-                index.in_id[head], no_sync, do_not_enter
+                in_id_of(head), no_sync, do_not_enter
             )
             if reference is None:
                 assert ids is None
             else:
-                node_index = index.clg.node_index
+                node_index = clg.node_index
                 assert ids is not None
                 assert sorted(node_index[n] for n in reference) == sorted(ids)
 

@@ -1,15 +1,19 @@
-"""The :class:`AnalysisIndex` rows against ``build_clg``.
+"""The product's CLG against the object oracle of ``tests/oracles/clg.py``.
 
-The index numbers CLG nodes from sync-graph uids (``b`` = 0, ``e`` = 1,
-``r_i`` = 2·uid − 2, ``r_o`` = 2·uid − 1) and builds the adjacency by
-the paper's six rules as int bit rows, without building a CLG object.
-Both must describe the same graph: node and edge counts, each node's
-plain and sync successors (mapped through ``clg.node_index``), the
-predecessor rows as their transpose, and ``in_id`` / ``out_id``.
+``repro.syncgraph.clg`` numbers CLG nodes from sync-graph uids
+(``b`` = 0, ``e`` = 1, ``r_i`` = 2·uid − 2, ``r_o`` = 2·uid − 1) and
+lists each id's out-edges by the paper's rules; the oracle builds node
+and edge objects by the six rules literally.  Three readers of the
+product's list must describe the oracle's graph:
 
-``AnalysisIndex.cyclic_components`` — the naive algorithm's and lint
-ADL010's cycle kernel — must list the cyclic SCCs of
-``build_clg(graph).cyclic_components()`` in the same order.
+* the :class:`AnalysisIndex` bit rows: node and edge counts, each
+  node's plain and sync successors (mapped through the oracle's
+  ``node_index``), the predecessor rows as their transpose, and
+  ``in_id_of`` / ``out_id_of``;
+* ``cyclic_components`` — the naive algorithm's and lint ADL010's
+  cycle search — lists the oracle's cyclic SCCs in the same order;
+* the export ``build_clg`` has the oracle's nodes, and its edges in
+  the oracle's order with the same kinds.
 """
 
 from __future__ import annotations
@@ -22,11 +26,19 @@ from repro.lang.parser import parse_program
 from repro.reductions.cnf import random_cnf
 from repro.reductions.theorem3 import build_theorem3_graph
 from repro.syncgraph.build import build_sync_graph
-from repro.syncgraph.clg import EdgeKind, build_clg
+from repro.syncgraph.clg import (
+    EdgeKind,
+    build_clg,
+    clg_out_edges,
+    cyclic_components,
+    in_id_of,
+    out_id_of,
+)
 from repro.transforms.inline import inline_procedures
 from repro.workloads.adl_corpus import adl_corpus, repair_corpus
 from repro.workloads.corpus import paper_corpus
 from tests.conftest import graph_of
+from tests.oracles import clg as oracle
 from tests.test_properties import FAST, rich_programs, small_programs
 
 
@@ -41,7 +53,7 @@ def _members(bits):
 
 def assert_rows_match_clg(graph):
     index = AnalysisIndex(graph)
-    clg = build_clg(graph)
+    clg = oracle.build_clg(graph)
     node_index = clg.node_index
     n = clg.node_count
     assert index.node_count == n
@@ -64,22 +76,31 @@ def assert_rows_match_clg(graph):
             }
 
     rendezvous = graph.rendezvous_nodes
-    assert len(index.in_id) == len(index.out_id) == len(rendezvous)
     for s in rendezvous:
-        assert index.in_id[s] == node_index[clg.in_node(s)]
-        assert index.out_id[s] == node_index[clg.out_node(s)]
+        assert in_id_of(s) == node_index[clg.in_node(s)]
+        assert out_id_of(s) == node_index[clg.out_node(s)]
     assert node_index[clg.b] == 0 and node_index[clg.e] == 1
     assert project_ids(rendezvous, range(n)) == frozenset(rendezvous)
-    assert_cycles_match_clg(index, clg)
+    assert_cycles_match_clg(graph, clg)
+    assert_export_matches_clg(graph, clg)
 
 
-def assert_cycles_match_clg(index, clg):
-    """Same cyclic components as the CLG's Tarjan pass, same order."""
+def assert_cycles_match_clg(graph, clg):
+    """Same cyclic components as the oracle's Tarjan pass, same order."""
     node_index = clg.node_index
-    assert index.cyclic_components() == [
+    assert cyclic_components(clg_out_edges(graph)) == [
         sorted(node_index[node] for node in component)
         for component in clg.cyclic_components()
     ]
+
+
+def assert_export_matches_clg(graph, clg):
+    """The export's nodes, edges and kinds, in the oracle's order."""
+    export = build_clg(graph)
+    assert export.nodes == clg.nodes
+    assert export.edges == tuple(clg.edges())
+    assert export.node_count == clg.node_count
+    assert export.edge_count == clg.edge_count
 
 
 @FAST
@@ -103,14 +124,14 @@ def test_cyclic_components_match_clg(left, right):
         "pair", prefix_program(left, "l"), prefix_program(right, "r")
     )
     graph = graph_of(program)
-    assert_cycles_match_clg(AnalysisIndex(graph), build_clg(graph))
+    assert_cycles_match_clg(graph, oracle.build_clg(graph))
 
 
 # Two cycles (t2-t5 and t3-t4) that neither reaches the other, both
 # first reached from t3's ``send t2.q`` node: its r_o lists its own r_i
 # (leading to t3-t4) before the sync edge into t2 (leading to t2-t5),
 # but t2's node has the lower uid.  Visiting successors in id order
-# would list the t2-t5 cycle first; the CLG lists t3-t4 first.
+# would list the t2-t5 cycle first; rule order lists t3-t4 first.
 SUCCESSOR_ORDER_SRC = """
 program successor_order;
 task t1 is begin send t3.p; end;
@@ -123,13 +144,11 @@ task t5 is begin send t2.v; accept u; end;
 
 def test_cyclic_components_follow_clg_successor_order():
     graph = graph_of(parse_program(SUCCESSOR_ORDER_SRC))
-    index = AnalysisIndex(graph)
-    clg = build_clg(graph)
-    assert_cycles_match_clg(index, clg)
+    assert_cycles_match_clg(graph, oracle.build_clg(graph))
     rendezvous = graph.rendezvous_nodes
     tasks = [
         sorted({n.task for n in project_ids(rendezvous, ids)})
-        for ids in index.cyclic_components()
+        for ids in cyclic_components(clg_out_edges(graph))
     ]
     assert tasks == [["t3", "t4"], ["t2", "t5"]]
 

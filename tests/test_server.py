@@ -193,7 +193,7 @@ class TestDocumentInvalidation:
         new_nodes = rebuilt.sync_graph.rendezvous_nodes
         assert new_nodes == old_nodes
         for old, new in zip(old_nodes, new_nodes):
-            assert new.cfg_node.stmt.loc.line == old.cfg_node.stmt.loc.line + 2
+            assert new.stmt.loc.line == old.stmt.loc.line + 2
         assert doc.program().tasks[0].loc.line > 1
 
     def test_task_body_edit_rebuilds(self):

@@ -169,9 +169,22 @@ class TestExport:
         }
 
     def test_networkx_export_tags_edges(self, handshake):
-        g = build_sync_graph(handshake).to_networkx()
+        nx = pytest.importorskip("networkx")
+        sg = build_sync_graph(handshake)
+        g = nx.DiGraph()
+        for node in sg.nodes:
+            g.add_node(node, kind=node.kind, task=node.task)
+        g.add_edges_from(sg.control_edges(), kind="control")
+        for a, b in sg.sync_edges():
+            g.add_edge(a, b, kind="sync")
+            g.add_edge(b, a, kind="sync")
         kinds = {d["kind"] for _, _, d in g.edges(data=True)}
         assert kinds == {"control", "sync"}
+        stats = sg.stats()
+        assert g.number_of_nodes() == stats["nodes"]
+        assert g.number_of_edges() == (
+            stats["control_edges"] + 2 * stats["sync_edges"]
+        )
 
     def test_dot_output_shape(self, handshake):
         dot = sync_graph_to_dot(build_sync_graph(handshake))
@@ -226,17 +239,38 @@ class TestFrontHalfCost:
         return pretty(pipeline(16))
 
     def test_analyze_hashes_no_sync_or_cfg_node(self, monkeypatch):
+        """analyze hashes no SyncNode, and analyze, lint and the daemon
+        construct no CFGNode at all: a sync node carries its statement."""
         import repro
         from repro.cfg.graph import CFGNode
+        from repro.lint import lint_source
+        from repro.server import AnalysisServer, Session
         from repro.syncgraph.model import SyncNode
 
-        def forbidden(self):
-            raise AssertionError(f"hashed {type(self).__name__}")
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError(f"used a {type(self).__name__}")
 
-        monkeypatch.setattr(SyncNode, "__hash__", forbidden)
-        monkeypatch.setattr(CFGNode, "__hash__", forbidden)
-        result = repro.analyze(self._pipeline_source())
+        source = self._pipeline_source()
+        monkeypatch.setattr(CFGNode, "__init__", forbidden)
+        with monkeypatch.context() as hashing:
+            hashing.setattr(SyncNode, "__hash__", forbidden)
+            result = repro.analyze(source)
         assert result.deadlock.deadlock_free
+        nodes = result.sync_graph.rendezvous_nodes
+        assert all(node.stmt is not None for node in nodes)
+        lint_source(source)
+        server = AnalysisServer(session=Session(store=None))
+        for method in ("analyze", "lint"):
+            reply = server.handle_line(
+                json.dumps(
+                    {
+                        "id": 1,
+                        "method": method,
+                        "params": {"uri": "mem:pipeline", "text": source},
+                    }
+                )
+            )
+            assert "error" not in reply, reply
 
     def test_no_pipeline_path_builds_a_cfg(self, monkeypatch):
         import repro
