@@ -79,6 +79,17 @@ class ConfirmedReport:
         return "\n".join(lines)
 
 
+def _unroll_approximated(report: DeadlockReport) -> bool:
+    """Whether the unrolled graph of ``report``'s program
+    under-approximates its loops; exact reports, which searched the
+    pre-unroll graph instead, say ``explored_pre_unroll_graph``."""
+    stats = report.stats
+    return bool(
+        stats.get("unroll_approximated")
+        or stats.get("explored_pre_unroll_graph")
+    )
+
+
 def confirm_deadlock_report(
     graph: SyncGraph,
     report: DeadlockReport,
@@ -100,8 +111,8 @@ def confirm_deadlock_report(
 
     ``loop_faithful`` states whether ``graph`` reflects the program's
     true loop semantics.  When it does not (an approximate Lemma-1
-    unroll — inferred from ``report.stats["unroll_approximated"]`` when
-    left ``None``), an exhausted witness search yields
+    unroll — inferred from the report by :func:`_unroll_approximated`
+    when left ``None``), an exhausted witness search yields
     :data:`ConfirmationOutcome.UNROLL_LIMITED` instead of REFUTED: the
     unrolled graph under-approximates loop behaviours, so absence of a
     witness there cannot certify the program.
@@ -110,7 +121,7 @@ def confirm_deadlock_report(
     built over ``graph`` (with its cached guide).
     """
     if loop_faithful is None:
-        loop_faithful = not report.stats.get("unroll_approximated", False)
+        loop_faithful = not _unroll_approximated(report)
     if report.deadlock_free:
         return ConfirmedReport(
             report=report,
@@ -166,7 +177,7 @@ def confirm_analysis(
     """
     graph = result.sync_graph
     engine = None
-    if result.deadlock.stats.get("unroll_approximated"):
+    if _unroll_approximated(result.deadlock):
         from ..syncgraph.build import build_sync_graph
         from ..transforms.inline import inline_procedures
 

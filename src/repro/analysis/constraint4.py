@@ -35,7 +35,6 @@ from __future__ import annotations
 from typing import FrozenSet, Optional, Set
 
 from ..syncgraph.model import SyncGraph, SyncNode
-from .coexec import CoExecInfo
 from .index import AnalysisIndex
 from .orderings import OrderingInfo, compute_orderings
 from .refined import refined_deadlock_analysis
@@ -79,29 +78,21 @@ def breakable_nodes(
 
 
 def constraint4_deadlock_analysis(
-    graph: SyncGraph,
-    orderings: Optional[OrderingInfo] = None,
-    coexec: Optional[CoExecInfo] = None,
-    index: Optional[AnalysisIndex] = None,
+    graph: SyncGraph, index: Optional[AnalysisIndex] = None
 ) -> DeadlockReport:
     """Refined analysis strengthened with constraint-4 breaker marks.
 
     Every breakable node loses head-entry sync edges in every head
     hypothesis, so cycles that can only be completed through a
     breakable head disappear.  ``index`` passes through to
-    :func:`refined_deadlock_analysis`.
+    :func:`refined_deadlock_analysis`, and its orderings find the
+    breakers.
     """
-    if index is not None:
-        orderings = index.orderings
-    elif orderings is None:
-        orderings = compute_orderings(graph)
-    breakable = breakable_nodes(graph, orderings)
+    if index is None:
+        index = AnalysisIndex(graph)
+    breakable = breakable_nodes(graph, index.orderings)
     report = refined_deadlock_analysis(
-        graph,
-        orderings=orderings,
-        coexec=coexec,
-        global_no_sync=breakable,
-        index=index,
+        graph, global_no_sync=breakable, index=index
     )
     report.algorithm = "refined+constraint4"
     report.stats["breakable_nodes"] = len(breakable)

@@ -40,7 +40,6 @@ from ..syncgraph.clg import in_id_of, out_id_of
 from ..syncgraph.model import SyncGraph, SyncNode
 from .coexec import CoExecInfo
 from .index import AnalysisIndex, coaccept_of, project_ids
-from .orderings import OrderingInfo
 from .refined import possible_heads
 from .results import DeadlockEvidence, DeadlockReport, Verdict
 
@@ -108,10 +107,7 @@ class _IndexOps:
 
 
 def _index_ops(
-    graph: SyncGraph,
-    orderings: Optional[OrderingInfo],
-    coexec: Optional[CoExecInfo],
-    index: Optional[AnalysisIndex],
+    graph: SyncGraph, index: Optional[AnalysisIndex]
 ) -> _IndexOps:
     if graph.has_control_cycle():
         raise AnalysisError(
@@ -119,15 +115,12 @@ def _index_ops(
             "repro.transforms.unroll.remove_loops first"
         )
     if index is None:
-        index = AnalysisIndex(graph, orderings=orderings, coexec=coexec)
+        index = AnalysisIndex(graph)
     return _IndexOps(index, graph)
 
 
 def head_pairs_analysis(
-    graph: SyncGraph,
-    orderings: Optional[OrderingInfo] = None,
-    coexec: Optional[CoExecInfo] = None,
-    index: Optional[AnalysisIndex] = None,
+    graph: SyncGraph, index: Optional[AnalysisIndex] = None
 ) -> DeadlockReport:
     """Extension 1: hypothesize pairs of head nodes.
 
@@ -136,7 +129,7 @@ def head_pairs_analysis(
     other (constraint 2 — co-heads joined by a sync edge would let the
     wave advance).
     """
-    return _head_pairs(graph, _index_ops(graph, orderings, coexec, index))
+    return _head_pairs(graph, _index_ops(graph, index))
 
 
 def _head_pairs(graph: SyncGraph, ops: _IndexOps) -> DeadlockReport:
@@ -214,10 +207,7 @@ def _candidate_tails(
 
 
 def head_tail_analysis(
-    graph: SyncGraph,
-    orderings: Optional[OrderingInfo] = None,
-    coexec: Optional[CoExecInfo] = None,
-    index: Optional[AnalysisIndex] = None,
+    graph: SyncGraph, index: Optional[AnalysisIndex] = None
 ) -> DeadlockReport:
     """Extension 2: hypothesize (head, tail) pairs within one task.
 
@@ -226,7 +216,7 @@ def head_tail_analysis(
     and COACCEPT marking is unnecessary (the exit node is fixed).  A
     head with no viable tail cannot head any cycle.
     """
-    return _head_tail(graph, _index_ops(graph, orderings, coexec, index))
+    return _head_tail(graph, _index_ops(graph, index))
 
 
 def _head_tail(graph: SyncGraph, ops: _IndexOps) -> DeadlockReport:
@@ -273,8 +263,6 @@ def _head_tail(graph: SyncGraph, ops: _IndexOps) -> DeadlockReport:
 
 def combined_pairs_analysis(
     graph: SyncGraph,
-    orderings: Optional[OrderingInfo] = None,
-    coexec: Optional[CoExecInfo] = None,
     max_hypotheses: int = 250_000,
     index: Optional[AnalysisIndex] = None,
 ) -> DeadlockReport:
@@ -288,8 +276,7 @@ def combined_pairs_analysis(
     the hypothesis space exceeds ``max_hypotheses`` — this extension is
     the expensive end of the paper's accuracy/cost spectrum.
     """
-    ops = _index_ops(graph, orderings, coexec, index)
-    return _combined_pairs(graph, ops, max_hypotheses)
+    return _combined_pairs(graph, _index_ops(graph, index), max_hypotheses)
 
 
 def _combined_pairs(
@@ -390,8 +377,6 @@ def _restricted_two_task_search(
 def k_pairs_analysis(
     graph: SyncGraph,
     k: int = 3,
-    orderings: Optional[OrderingInfo] = None,
-    coexec: Optional[CoExecInfo] = None,
     max_hypotheses: int = 500_000,
     index: Optional[AnalysisIndex] = None,
 ) -> DeadlockReport:
@@ -410,8 +395,7 @@ def k_pairs_analysis(
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    ops = _index_ops(graph, orderings, coexec, index)
-    return _k_pairs(graph, ops, k, max_hypotheses)
+    return _k_pairs(graph, _index_ops(graph, index), k, max_hypotheses)
 
 
 def _k_pairs(
@@ -499,11 +483,13 @@ def _k_pairs(
     )
 
 
-def k_pairs_3_analysis(graph: SyncGraph) -> DeadlockReport:
+def k_pairs_3_analysis(
+    graph: SyncGraph, index: Optional[AnalysisIndex] = None
+) -> DeadlockReport:
     """:func:`k_pairs_analysis` fixed at ``k = 3``.
 
     A named, picklable registry entry for ``repro.api.ALGORITHMS`` — a
     lambda there would make the registry unpicklable and leak into any
     state that captures an algorithm callable (farm workers, caches).
     """
-    return k_pairs_analysis(graph, k=3)
+    return k_pairs_analysis(graph, k=3, index=index)

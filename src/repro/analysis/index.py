@@ -98,9 +98,11 @@ class AnalysisIndex:
 
     Construct once and share across ``refined_deadlock_analysis``,
     ``constraint4`` and all four extension analyses via their
-    ``index=`` parameter.  The precomputed ``orderings`` / ``coexec``
-    are exposed so the differential tests can hand the same objects to
-    the set-based oracles.
+    ``index=`` parameter (:attr:`repro.api.PreparedProgram.index` is
+    the one the pipeline builds).  ``orderings`` / ``coexec`` are the
+    one way to hand an analysis precomputed or externally enriched
+    facts; they are exposed so the differential tests can hand the
+    same objects to the set-based oracles.
     """
 
     def __init__(

@@ -42,9 +42,7 @@ from ..budget import CHECK_EVERY, checkpoint
 from ..errors import AnalysisError
 from ..syncgraph.clg import in_id_of
 from ..syncgraph.model import SyncGraph, SyncNode
-from .coexec import CoExecInfo
 from .index import AnalysisIndex, coaccept_of, project_ids
-from .orderings import OrderingInfo
 from .results import DeadlockEvidence, DeadlockReport, Verdict
 
 __all__ = [
@@ -87,23 +85,19 @@ def possible_heads(graph: SyncGraph) -> Tuple[SyncNode, ...]:
 
 def refined_deadlock_analysis(
     graph: SyncGraph,
-    orderings: Optional[OrderingInfo] = None,
-    coexec: Optional[CoExecInfo] = None,
     use_coaccept: bool = True,
     global_no_sync: FrozenSet[SyncNode] = frozenset(),
     index: Optional[AnalysisIndex] = None,
 ) -> DeadlockReport:
     """Algorithm 2: per-head SCC search with spurious-cycle elimination.
 
-    Precomputed ``orderings``/``coexec`` may be passed in (e.g. enriched
-    with external co-executability facts); otherwise the built-in
-    conservative approximations are used.  The hypotheses run on the
-    forward–backward bitset kernel of :class:`AnalysisIndex`, whose
-    rows come straight from the sync graph (no CLG object is built); a
-    prebuilt ``index`` may be shared across analyses and supersedes
-    ``orderings``/``coexec``.  It may come from another graph with the
-    same uids (a comment edit's rebuild): evidence nodes are always
-    ``graph``'s own.
+    The hypotheses run on the forward–backward bitset kernel of
+    :class:`AnalysisIndex`, whose rows come straight from the sync
+    graph (no CLG object is built).  A prebuilt ``index`` may be shared
+    across analyses, and carries any precomputed or external
+    orderings/co-executability facts; it may come from another graph
+    with the same uids (a comment edit's rebuild): evidence nodes are
+    always ``graph``'s own.
     """
     if graph.has_control_cycle():
         raise AnalysisError(
@@ -112,7 +106,7 @@ def refined_deadlock_analysis(
         )
     with obs.span("refined.precompute"):
         if index is None:
-            index = AnalysisIndex(graph, orderings=orderings, coexec=coexec)
+            index = AnalysisIndex(graph)
 
     observing = obs.is_enabled()
     prune_counts: Optional[Dict[str, int]] = {} if observing else None

@@ -20,7 +20,7 @@ the requested deadlock algorithm plus the stall pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple, Union
 
@@ -32,6 +32,7 @@ from .analysis.extensions import (
     head_tail_analysis,
     k_pairs_3_analysis,
 )
+from .analysis.index import AnalysisIndex
 from .analysis.naive import naive_deadlock_analysis
 from .analysis.refined import refined_deadlock_analysis
 from .analysis.results import DeadlockReport, StallReport, Verdict
@@ -44,6 +45,7 @@ from .syncgraph.build import build_sync_graph
 from .syncgraph.model import SyncGraph
 from .transforms.inline import inline_procedures
 from .transforms.unroll import has_approximated_loops, remove_loops
+from .waves.engine import WaveIndex
 from .waves.explore import explore
 from .waves.guide import DEFAULT_BEAM_WIDTH, validate_strategy
 
@@ -53,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - farm imports api at runtime
 
 __all__ = [
     "ALGORITHMS",
-    "INDEX_AWARE",
     "AnalysisResult",
     "PreparedProgram",
     "analyze",
@@ -75,12 +76,6 @@ ALGORITHMS: Dict[str, Callable[[SyncGraph], DeadlockReport]] = {
     "combined-pairs": combined_pairs_analysis,
     "k-pairs-3": k_pairs_3_analysis,
 }
-
-# Algorithms whose runner accepts a prebuilt AnalysisIndex via index=
-# ("k-pairs-3" builds its own per k; "naive" reads no index).  Long-lived
-# callers (repro.server) share one index per program across repeated
-# analyses instead of rebuilding the bitset mirrors each run.
-INDEX_AWARE = frozenset(ALGORITHMS) - {"k-pairs-3", "naive"}
 
 
 @dataclass
@@ -127,10 +122,10 @@ class PreparedProgram:
 
     The front half of the pipeline — parse, inline, validate, Lemma-1
     unroll, sync-graph build — depends only on the program, not on the
-    algorithm/budget of a particular request.  Long-lived callers
-    (:mod:`repro.server`) prepare once per document and run
-    :func:`analyze_prepared` per request, so repeated analyses of the
-    same source never re-pay the front half.
+    algorithm/budget of a particular request, and so do the layers it
+    builds lazily, once: :attr:`index`, :attr:`engine` and
+    :attr:`refined`.  Callers prepare once per program text and run
+    :func:`analyze_prepared` and :func:`repro.lint.run_lint` on it.
     """
 
     source_program: Program
@@ -145,6 +140,12 @@ class PreparedProgram:
     # pre-unroll graph.
     approximated: bool
     _exact_graph: Optional[SyncGraph] = None
+    _index: Optional[AnalysisIndex] = field(default=None, init=False)
+    _engine: Optional[WaveIndex] = field(default=None, init=False)
+    # (whether obs was on, report): see `refined`.
+    _refined: Optional[Tuple[bool, DeadlockReport]] = field(
+        default=None, init=False
+    )
 
     @property
     def exact_graph(self) -> SyncGraph:
@@ -161,6 +162,45 @@ class PreparedProgram:
         if self._exact_graph is None:
             self._exact_graph = build_sync_graph(self.inlined)
         return self._exact_graph
+
+    @property
+    def index(self) -> AnalysisIndex:
+        """The :class:`AnalysisIndex` over :attr:`sync_graph`."""
+        if self._index is None:
+            self._index = AnalysisIndex(self.sync_graph)
+        return self._index
+
+    @property
+    def engine(self) -> WaveIndex:
+        """The :class:`WaveIndex` over :attr:`exact_graph`."""
+        if self._engine is None:
+            self._engine = WaveIndex(self.exact_graph)
+        return self._engine
+
+    @property
+    def refined(self) -> DeadlockReport:
+        """The refined report of :attr:`sync_graph`: the
+        ``algorithm="refined"`` answer and what lint's ADL012 reads.
+        Built again when the obs state differs from its run's, since
+        ``stats["pruning"]`` exists only for runs made with obs on."""
+        observing = obs.is_enabled()
+        if self._refined is None or self._refined[0] != observing:
+            report = refined_deadlock_analysis(
+                self.sync_graph, index=self.index
+            )
+            self._refined = (observing, report)
+        return self._refined[1]
+
+    def built(self, layer: str) -> bool:
+        """Whether the lazy ``index`` or ``engine`` exists."""
+        return getattr(self, f"_{layer}") is not None
+
+    def adopt_kernels(self, earlier: "PreparedProgram") -> None:
+        """Take over the ``index`` and ``engine`` ``earlier`` built: they
+        hold only uids, and a canonically equal program (a comment
+        edit's rebuild) builds a uid-equal graph.  ``refined`` is not
+        taken over, as its evidence nodes carry ``earlier``'s spans."""
+        self._index, self._engine = earlier._index, earlier._engine
 
 
 def prepare(program: Union[str, Program]) -> PreparedProgram:
@@ -194,8 +234,6 @@ def _finish(
     algorithm: str,
     exact: bool,
     state_limit: int,
-    index=None,
-    engine=None,
     uri: Optional[str] = None,
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
@@ -207,7 +245,7 @@ def _finish(
             result = explore(
                 prep.exact_graph,
                 state_limit=state_limit,
-                engine=engine,
+                engine=prep.engine,
                 on_limit="partial",
                 strategy=strategy,
                 beam_width=beam_width,
@@ -252,10 +290,14 @@ def _finish(
                     f"unknown algorithm {algorithm!r}; choose one of "
                     f"{sorted(ALGORITHMS)} or 'exact'"
                 ) from None
-            if algorithm in INDEX_AWARE and index is not None:
-                deadlock = runner(graph, index=index)
-            else:
+            if algorithm == "refined":
+                # Shared with lint: what is added to it below depends
+                # only on ``prep``, so adding it again changes nothing.
+                deadlock = prep.refined
+            elif algorithm == "naive":  # reads no index
                 deadlock = runner(graph)
+            else:
+                deadlock = runner(graph, index=prep.index)
     deadlock.loops_transformed = prep.transformed
     if prep.approximated and not (exact or algorithm == "exact"):
         # Static verdicts on a guarded-copy unroll are conservative
@@ -297,8 +339,6 @@ def analyze_prepared(
     algorithm: str = "refined",
     exact: bool = False,
     state_limit: int = 200_000,
-    index=None,
-    engine=None,
     uri: Optional[str] = None,
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
@@ -307,13 +347,9 @@ def analyze_prepared(
 
     Verdicts, evidence, stats, and the serialized report are identical
     to a fresh :func:`analyze` of the same source — the split only
-    skips re-computing the front half.  ``index`` optionally shares a
-    prebuilt :class:`~repro.analysis.index.AnalysisIndex` with the
-    :data:`INDEX_AWARE` algorithms; ``engine`` shares a prebuilt
-    :class:`~repro.waves.engine.WaveIndex` with exact exploration (it
-    must have been built over ``prep.exact_graph``).  ``strategy`` /
-    ``beam_width`` steer exact exploration exactly as in
-    :func:`analyze`.
+    skips re-computing the front half, and ``prep``'s index, wave
+    engine and refined report.  ``strategy`` / ``beam_width`` steer
+    exact exploration exactly as in :func:`analyze`.
     """
     with obs.span("analyze", algorithm=algorithm):
         return _finish(
@@ -321,8 +357,6 @@ def analyze_prepared(
             algorithm=algorithm,
             exact=exact,
             state_limit=state_limit,
-            index=index,
-            engine=engine,
             uri=uri,
             strategy=strategy,
             beam_width=beam_width,

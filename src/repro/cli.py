@@ -43,7 +43,7 @@ from typing import List, Optional
 
 from . import obs
 from .analysis.confirm import confirm_analysis
-from .api import ALGORITHMS, analyze
+from .api import ALGORITHMS, analyze_prepared, prepare
 from .errors import ReproError
 from .interp.runtime import sample_runs
 from .reporting import render_json
@@ -335,17 +335,20 @@ def _split_rules(spec: str) -> List[str]:
     return [token.strip() for token in spec.split(",") if token.strip()]
 
 
-def _suggest_fixes(args, source: str, result=None):
-    """Run the repair pipeline; ``None`` when the program never reaches
-    a verdict (the caller's lint diagnostics already explain why)."""
+def _suggest_fixes(args, result=None, prepared=None):
+    """Run the repair pipeline on ``result`` (else on ``prepared``'s
+    analysis); ``None`` when the program never reaches a verdict (the
+    caller's lint diagnostics already explain why)."""
     from .repair import suggest_repairs
 
+    algorithm = args.algorithm if args.algorithm != "exact" else "refined"
     try:
+        if result is None:
+            result = analyze_prepared(
+                prepared, algorithm=algorithm, state_limit=args.state_limit
+            )
         return suggest_repairs(
-            source if result is None else None,
-            algorithm=(
-                args.algorithm if args.algorithm != "exact" else "refined"
-            ),
+            algorithm=algorithm,
             state_limit=args.state_limit,
             max_fixes=args.max_fixes,
             result=result,
@@ -356,25 +359,56 @@ def _suggest_fixes(args, source: str, result=None):
         return None
 
 
+def _write_metrics(args, session) -> Optional[dict]:
+    """The obs snapshot of ``session`` (``None`` when obs was off),
+    also written to ``--metrics-out``."""
+    if session is None:
+        return None
+    from .obs.export import session_to_dict, session_to_prometheus
+
+    snapshot = session_to_dict(session)
+    if args.metrics_out:
+        out = Path(args.metrics_out)
+        if out.suffix.lower() == ".prom":
+            out.write_text(session_to_prometheus(session))
+        else:
+            out.write_text(json.dumps(snapshot, indent=2) + "\n")
+    return snapshot
+
+
 def _lint_main(args, source: str, source_path: str) -> int:
+    from .lang.parser import parse_program
     from .lint import (
         RepairAttachment,
-        lint_source,
         lint_to_dict,
         render_text,
+        run_lint,
         sarif_report,
     )
 
     session = obs.enable() if (args.trace or args.metrics_out) else None
     try:
-        result = lint_source(
-            source,
+        # One parse and one front half serve lint, repair and SARIF;
+        # without repair, lint prepares the program itself.
+        program = parse_program(source)
+        prepared = None
+        if args.suggest_fixes:
+            try:
+                prepared = prepare(program)
+            except ReproError:
+                pass  # no verdict to repair; lint degrades on its own
+        result = run_lint(
+            program,
+            source=source,
             path=source_path if source_path != "-" else "stdin",
             disable=_split_rules(args.disable),
             select=_split_rules(args.select) or None,
+            prepared=prepared,
         )
         repair = (
-            _suggest_fixes(args, source) if args.suggest_fixes else None
+            _suggest_fixes(args, prepared=prepared)
+            if prepared is not None
+            else None
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -390,38 +424,23 @@ def _lint_main(args, source: str, source_path: str) -> int:
     if args.sarif:
         repairs = None
         if repair is not None and repair.fixed:
-            from .lang.parser import parse_program
-
             repairs = {
                 result.path: RepairAttachment(
-                    program=parse_program(source),
-                    report=repair,
-                    source=source,
+                    program=program, report=repair, source=source
                 )
             }
         doc = sarif_report([result], repairs=repairs)
         Path(args.sarif).write_text(json.dumps(doc, indent=2) + "\n")
 
-    snapshot = None
-    if session is not None:
-        from .obs.export import session_to_dict, session_to_prometheus
-
-        snapshot = session_to_dict(session)
-        if args.metrics_out:
-            out = Path(args.metrics_out)
-            if out.suffix.lower() == ".prom":
-                out.write_text(session_to_prometheus(session))
-            else:
-                out.write_text(json.dumps(snapshot, indent=2) + "\n")
+    snapshot = _write_metrics(args, session)
 
     if args.json:
         payload = lint_to_dict(result)
         if repair is not None:
-            from .lang.parser import parse_program
             from .reporting import repair_report_to_dict
 
             payload["repair"] = repair_report_to_dict(
-                repair, original=parse_program(source)
+                repair, original=program
             )
         if snapshot is not None:
             payload["metrics"] = snapshot
@@ -464,17 +483,7 @@ def _batch_main(args) -> int:
     if args.jsonl_out:
         Path(args.jsonl_out).write_text(report.to_jsonl())
 
-    snapshot = None
-    if session is not None:
-        from .obs.export import session_to_dict, session_to_prometheus
-
-        snapshot = session_to_dict(session)
-        if args.metrics_out:
-            out = Path(args.metrics_out)
-            if out.suffix.lower() == ".prom":
-                out.write_text(session_to_prometheus(session))
-            else:
-                out.write_text(json.dumps(snapshot, indent=2) + "\n")
+    snapshot = _write_metrics(args, session)
 
     if args.json:
         payload = report.to_dict()
@@ -527,8 +536,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         obs.enable() if (args.trace or args.metrics_out) else None
     )
     try:
-        result = analyze(
-            source,
+        # One parse and one front half serve analysis, repair and SARIF.
+        prepared = prepare(source)
+        result = analyze_prepared(
+            prepared,
             algorithm=args.algorithm,
             state_limit=args.state_limit,
             strategy=args.strategy,
@@ -549,11 +560,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.confirm
             else None
         )
-        repair = (
-            _suggest_fixes(args, source, result=result)
-            if args.suggest_fixes
-            else None
-        )
+        repair = _suggest_fixes(args, result) if args.suggest_fixes else None
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -567,10 +574,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         clg = build_clg(result.sync_graph)
         Path(args.clg_dot).write_text(clg_to_dot(clg))
     if args.sarif:
-        from .lint import RepairAttachment, lint_source, sarif_report
+        from .lint import RepairAttachment, run_lint, sarif_report
 
-        lint_result = lint_source(
-            source, path=source_path if source_path != "-" else "stdin"
+        lint_result = run_lint(
+            result.program,
+            source=source,
+            path=source_path if source_path != "-" else "stdin",
+            prepared=prepared,
         )
         repairs = None
         if repair is not None and repair.fixed:
@@ -582,17 +592,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         doc = sarif_report([lint_result], repairs=repairs)
         Path(args.sarif).write_text(json.dumps(doc, indent=2) + "\n")
 
-    snapshot = None
-    if session is not None:
-        from .obs.export import session_to_dict, session_to_prometheus
-
-        snapshot = session_to_dict(session)
-        if args.metrics_out:
-            out = Path(args.metrics_out)
-            if out.suffix.lower() == ".prom":
-                out.write_text(session_to_prometheus(session))
-            else:
-                out.write_text(json.dumps(snapshot, indent=2) + "\n")
+    snapshot = _write_metrics(args, session)
 
     if args.json:
         print(

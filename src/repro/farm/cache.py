@@ -115,11 +115,16 @@ def cache_key(
     ``lint`` switch: everything that can change the stored entry is
     hashed, nothing else is.  Lint-enabled entries carry extra payload
     (per-rule diagnostic counts), so they live under distinct keys
-    rather than shadowing plain analysis results.  ``strategy`` and
+    rather than shadowing plain analysis results, and they hash the
+    exact source text: ``-- lint: disable=`` comments change the
+    counts, and the canonical form drops comments.  ``strategy`` and
     ``beam_width`` are part of the key because a *budget-limited* exact
     run's verdict legitimately depends on expansion order (an
     exhaustive run does not, but the stats payload still differs).
     """
+    body = canonical_source(program)  # parse errors propagate
+    if lint and isinstance(program, str):
+        body = program
     stamp = "\n".join(
         (
             f"pipeline={PIPELINE_VERSION}",
@@ -129,7 +134,7 @@ def cache_key(
             f"lint={lint}",
             f"strategy={strategy}",
             f"beam_width={beam_width}",
-            canonical_source(program),
+            body,
         )
     )
     return hashlib.sha256(stamp.encode("utf-8")).hexdigest()

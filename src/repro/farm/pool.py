@@ -39,7 +39,7 @@ import os
 import signal
 import time
 import traceback
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -126,10 +126,11 @@ def analyze_item(item: WorkItem) -> WorkOutcome:
     _maybe_inject_fault(item.label)
     start = time.perf_counter()
     try:
-        from ..api import analyze
+        from ..api import analyze_prepared, prepare
 
-        result = analyze(
-            item.source,
+        prepared = prepare(item.source)
+        result = analyze_prepared(
+            prepared,
             algorithm=item.algorithm,
             exact=item.exact,
             state_limit=item.state_limit,
@@ -138,12 +139,17 @@ def analyze_item(item: WorkItem) -> WorkOutcome:
         )
         lint_counts = None
         if item.lint:
-            from ..lint import lint_source
+            from ..lint import run_lint
 
-            counts: Dict[str, int] = {}
-            for diag in lint_source(item.source, path=item.label).diagnostics:
-                counts[diag.rule_id] = counts.get(diag.rule_id, 0) + 1
-            lint_counts = counts
+            # The analysis's own prepared program: one parse, one front
+            # half and one refined run serve both.
+            lint = run_lint(
+                prepared.source_program,
+                source=item.source,
+                path=item.label,
+                prepared=prepared,
+            )
+            lint_counts = dict(Counter(d.rule_id for d in lint.diagnostics))
         return WorkOutcome(
             label=item.label,
             status=STATUS_OK,

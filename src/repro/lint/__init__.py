@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..diagnostics import Diagnostic, Related, Severity
-from ..lang.ast_nodes import Program
 from ..lang.parser import parse_program
 from .engine import (
     LintContext,
@@ -61,7 +60,6 @@ __all__ = [
     "Severity",
     "all_rules",
     "get_rule",
-    "lint_program",
     "lint_rule",
     "lint_source",
     "lint_to_dict",
@@ -71,19 +69,6 @@ __all__ = [
     "scan_suppressions",
     "validate_sarif_shape",
 ]
-
-
-def lint_program(
-    program: Program,
-    source: Optional[str] = None,
-    path: str = "<source>",
-    disable: Sequence[str] = (),
-    select: Optional[Sequence[str]] = None,
-) -> LintResult:
-    """Lint an already-parsed :class:`Program` (alias of :func:`run_lint`)."""
-    return run_lint(
-        program, source=source, path=path, disable=disable, select=select
-    )
 
 
 def lint_source(

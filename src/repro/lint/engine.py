@@ -11,13 +11,14 @@ source-ordered diagnostics.
 Expensive shared inputs are the analysis's own layers: the prepared
 pipeline front half (:func:`repro.api.prepare` — inline, validate,
 unroll, sync graph), whose CLG gives ADL010 its cyclic components, and
-one :class:`~repro.analysis.index.AnalysisIndex` over its graph for
-ADL012's refined run.  No CLG object is built.  A caller that already
-holds them (the daemon's document) passes them to :func:`run_lint`;
-otherwise they are computed lazily, at most once per run.  They degrade
-to ``None`` when the program is too broken to build them (e.g.
-duplicate task names), so structural rules still report on programs the
-analysis pipeline would reject outright.
+its memoized refined report (:attr:`repro.api.PreparedProgram.refined`),
+which ADL012 reads.  No CLG object is built.  A caller that already
+holds the prepared program (the CLI, a farm worker, the daemon's
+document) passes it to :func:`run_lint`, so lint and the analysis share
+one refined run; otherwise lint prepares the program lazily, at most
+once per run.  The layers degrade to ``None`` when the program is too
+broken to build them (e.g. duplicate task names), so structural rules
+still report on programs the analysis pipeline would reject outright.
 
 Suppressions are pre-scanned from source comments::
 
@@ -53,7 +54,7 @@ from ..lang.ast_nodes import Program
 from ..lang.validate import collect_signals, unmatched_signal_diagnostics
 
 if TYPE_CHECKING:  # pragma: no cover - imported lazily at run time
-    from ..analysis.index import AnalysisIndex
+    from ..analysis.results import DeadlockReport
     from ..api import PreparedProgram
 
 __all__ = [
@@ -147,10 +148,8 @@ def get_rule(rule_id: str) -> LintRule:
 class LintContext:
     """Shared, lazily computed inputs for one lint run.
 
-    ``prepared`` must be :func:`repro.api.prepare` of ``program``, and
-    ``index`` an :class:`AnalysisIndex` over its sync graph or over a
-    uid-equal one (a layout edit's earlier graph): rules read nodes and
-    spans off ``prepared``, only ids off ``index``.
+    ``prepared`` must be :func:`repro.api.prepare` of ``program``: rules
+    read nodes and spans off it.
     """
 
     def __init__(
@@ -159,18 +158,13 @@ class LintContext:
         source: Optional[str] = None,
         path: str = "<source>",
         prepared: Optional["PreparedProgram"] = None,
-        index: Optional["AnalysisIndex"] = None,
     ) -> None:
         self.program = program
         self.source = source
         self.path = path
         self._prepared = prepared
         self._prepared_built = prepared is not None
-        self._index = index
-        self._index_built = index is not None
         self._fallback: Optional[Program] = None
-        self._deadlock = None
-        self._deadlock_built = False
         self._unmatched: Optional[Tuple[Diagnostic, ...]] = None
         self._counts = None
 
@@ -244,40 +238,17 @@ class LintContext:
         return prepared.sync_graph if prepared is not None else None
 
     @property
-    def index(self) -> Optional["AnalysisIndex"]:
-        """The :class:`AnalysisIndex` of ADL012's refined run, or
-        ``None`` without an analysis graph."""
-        if not self._index_built:
-            self._index_built = True
-            graph = self.analysis_graph
-            if graph is not None:
-                from ..analysis.index import AnalysisIndex
-
-                try:
-                    self._index = AnalysisIndex(graph)
-                except ReproError:
-                    self._index = None
-        return self._index
-
-    @property
-    def deadlock(self):
-        """The refined polynomial deadlock report, or ``None`` when the
-        program cannot reach the analysis pipeline.  Shared by ADL012
-        and any downstream consumer (e.g. SARIF fix attachment) so the
-        analysis runs at most once per lint."""
-        if not self._deadlock_built:
-            self._deadlock_built = True
-            from ..analysis.refined import refined_deadlock_analysis
-
-            index = self.index
-            if index is not None:
-                try:
-                    self._deadlock = refined_deadlock_analysis(
-                        self.analysis_graph, index=index
-                    )
-                except ReproError:
-                    self._deadlock = None
-        return self._deadlock
+    def deadlock(self) -> Optional["DeadlockReport"]:
+        """``prepared.refined``, the refined polynomial deadlock report
+        that is also the analysis's ``algorithm="refined"`` answer, or
+        ``None`` when the program cannot reach the analysis pipeline."""
+        prepared = self.prepared
+        if prepared is None:
+            return None
+        try:
+            return prepared.refined
+        except ReproError:
+            return None
 
 
 @dataclass
@@ -371,7 +342,6 @@ def run_lint(
     disable: Sequence[str] = (),
     select: Optional[Sequence[str]] = None,
     prepared: Optional["PreparedProgram"] = None,
-    index: Optional["AnalysisIndex"] = None,
 ) -> LintResult:
     """Run every (selected) registered rule over ``program``.
 
@@ -379,8 +349,8 @@ def run_lint(
     rules work from the AST and its attached spans.  The program is
     never mutated (statements are frozen dataclasses and rules only
     read).  A caller holding ``prepared = repro.api.prepare(program)``
-    and an ``index`` over its graph passes them in, so lint reuses the
-    analysis's layers (see :class:`LintContext`); the diagnostics are
+    passes it in, so lint reuses the analysis's layers, its refined
+    report included (see :class:`LintContext`); the diagnostics are
     the same either way.  Per-rule emission/suppression counters are
     recorded in :mod:`repro.obs` when a session is active.
     """
@@ -388,9 +358,7 @@ def run_lint(
     suppressions = (
         scan_suppressions(source) if source is not None else {}
     )
-    ctx = LintContext(
-        program, source=source, path=path, prepared=prepared, index=index
-    )
+    ctx = LintContext(program, source=source, path=path, prepared=prepared)
     found: List[Diagnostic] = []
     suppressed_count = 0
     with obs.span("lint.run", path=path, rules=len(rules)):

@@ -46,8 +46,8 @@ ADL012   possible-deadlock       warning   §3: the refined polynomial
 =======  ======================  ========  ==============================
 
 Rules only read the AST and, for ADL010/ADL012, the analysis layers
-derived from it (the prepared sync graph, its CLG and its
-``AnalysisIndex``); they never mutate the program.
+derived from it (the prepared sync graph, its CLG and its refined
+report, ``prepared.refined``); they never mutate the program.
 """
 
 from __future__ import annotations
@@ -457,7 +457,7 @@ def check_unreachable_after_stall(
 def check_possible_deadlock(
     ctx: LintContext, rule: LintRule
 ) -> Iterable[Diagnostic]:
-    """Full-conviction rule: runs the actual refined detector.
+    """Full-conviction rule: the refined detector's own report.
 
     Where ADL010 flags *candidate* coupling cycles (constraint 1 only),
     ADL012 fires only when the refined analysis fails to refute one —

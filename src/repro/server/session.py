@@ -4,10 +4,10 @@ A :class:`Session` is the daemon's memory.  It owns
 
 * **documents** keyed by URI with version numbers, each caching the
   algorithm-independent front half of the pipeline
-  (:class:`repro.api.PreparedProgram`) plus the shared
+  (:class:`repro.api.PreparedProgram`), which builds its
   :class:`~repro.analysis.index.AnalysisIndex` and
-  :class:`~repro.waves.engine.WaveIndex` kernels, built lazily and
-  reused across requests;
+  :class:`~repro.waves.engine.WaveIndex` kernels and its refined report
+  lazily and reuses them across requests;
 * a **resident result front** — one :class:`repro.farm.cache.LruFront`
   keyed by the farm's content-addressed :func:`cache_key`, holding
   ``(AnalysisResult, report payload)`` pairs so a repeat ``analyze`` of
@@ -21,13 +21,15 @@ Incremental invalidation lives in :meth:`Document.apply_change`: a
 ranges.  The edit keeps the cached span-free kernels, the
 ``AnalysisIndex`` and ``WaveIndex`` (*partial* invalidation), exactly
 when the new text still canonicalises to the same program —
-whitespace/comment-only edits and formatting churn — with the
-end-to-end spans the lint layer threads through the AST used to label
-the cheap case (every edited range outside every task/procedure
-declaration span).  Anything that changes the canonical program is a
-*full* invalidation of that one document; other documents are never
-touched.  ``analyze`` and ``lint`` of one document share its prepared
-front half and its index.
+whitespace/comment-only edits and formatting churn — and hands them to
+the rebuilt prepared program; the end-to-end spans the lint layer
+threads through the AST label the cheap case (every edited range
+outside every task/procedure declaration span).  Anything that changes
+the canonical program is a *full* invalidation of that one document;
+other documents are never touched.  ``analyze``, ``lint`` and
+``repair`` of one document version share its prepared program, so the
+refined analysis runs once for all three, and every reply carries the
+document's own spans, cache hits included (see :meth:`_own_spans`).
 
 **Multi-client namespaces.**  Document tables are keyed per client
 (the ``client`` field on protocol requests; HTTP clients default to a
@@ -59,7 +61,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .. import budget, obs
 from ..api import (
     ALGORITHMS,
-    INDEX_AWARE,
     AnalysisResult,
     PreparedProgram,
     analyze_prepared,
@@ -72,7 +73,7 @@ from ..lang.parser import parse_program
 from ..lang.pretty import pretty
 from ..obs.export import instrument_values
 from ..waves.guide import validate_strategy
-from ..reporting import analysis_result_to_dict, repair_report_to_dict
+from ..reporting import analysis_result_to_dict, validation_to_dict
 from .protocol import PROTOCOL_VERSION
 from .scheduler import DEFAULT_CLIENT
 
@@ -111,15 +112,16 @@ class Document:
 
     Derived state is strictly layered: ``program`` (the parse of the
     exact source, spans intact) feeds ``prepared`` (inline + validate +
-    unroll + sync graph), which feeds the shared ``index`` (CLG bitset
-    kernels) and ``engine`` (packed-wave kernels).  A partial
-    invalidation replaces the layers that carry source spans — the
-    parse, and ``prepared``, whose sync graph points at statements and
-    whose validation diagnostics are located — and keeps ``index`` and
-    ``engine``: they hold only uids, and a canonically equal program
-    builds a uid-equal graph (``SyncNode`` equality ignores the CFG
-    node).  Analyses read nodes off the rebuilt ``prepared`` graph and
-    only ids off the kept kernels.
+    unroll + sync graph), which owns the lazily built ``index`` (CLG
+    bitset kernels), ``engine`` (packed-wave kernels) and ``refined``
+    report.  A partial invalidation replaces the layers that carry
+    source spans — the parse, and ``prepared``, whose sync graph points
+    at statements, whose validation diagnostics are located and whose
+    refined evidence is made of those nodes — and hands ``index`` and
+    ``engine`` to the rebuilt ``prepared``: they hold only uids, and a
+    canonically equal program builds a uid-equal graph (``SyncNode``
+    equality ignores the ``stmt`` it carries).  Analyses read nodes off
+    the rebuilt graph and only ids off the kept kernels.
     """
 
     def __init__(self, uri: str, text: str, version: int = 1) -> None:
@@ -142,9 +144,11 @@ class Document:
         self._program: Optional[Program] = None
         self._canonical: Optional[str] = None
         self._prepared: Optional[PreparedProgram] = None
-        self._index = None
-        self._engine = None
+        # The previous version's prepared program after a partial
+        # invalidation: its kernels go to the next rebuild.
+        self._earlier: Optional[PreparedProgram] = None
         self._lint_cache: Dict[Tuple, Any] = {}
+        self._repair_cache: Dict[Tuple, Dict[str, Any]] = {}
 
     def program(self) -> Program:
         """The parsed AST of the current source (cached; spans intact)."""
@@ -159,34 +163,24 @@ class Document:
         return self._canonical
 
     def prepared(self) -> PreparedProgram:
-        """The algorithm-independent pipeline front half (cached)."""
+        """The algorithm-independent pipeline front half (cached), with
+        the kernels of the version before a comment edit."""
         if self._prepared is None:
-            self._prepared = prepare(self.program())
+            prepared = prepare(self.program())
+            if self._earlier is not None:
+                prepared.adopt_kernels(self._earlier)
+                self._earlier = None
+            self._prepared = prepared
         return self._prepared
-
-    def index(self):
-        """The shared :class:`AnalysisIndex` over the prepared graph."""
-        if self._index is None:
-            from ..analysis.index import AnalysisIndex
-
-            self._index = AnalysisIndex(self.prepared().sync_graph)
-        return self._index
-
-    def engine(self):
-        """The shared :class:`WaveIndex` over the exact-search graph."""
-        if self._engine is None:
-            from ..waves.engine import WaveIndex
-
-            self._engine = WaveIndex(self.prepared().exact_graph)
-        return self._engine
 
     def artifacts(self) -> Dict[str, bool]:
         """Which cached layers currently exist (status introspection)."""
+        holder = self._prepared or self._earlier
         return {
             "program": self._program is not None,
             "prepared": self._prepared is not None,
-            "index": self._index is not None,
-            "engine": self._engine is not None,
+            "index": holder is not None and holder.built("index"),
+            "engine": holder is not None and holder.built("engine"),
         }
 
     # -- invalidation ----------------------------------------------------
@@ -207,11 +201,12 @@ class Document:
           same program (whitespace/comments/formatting, or an edit
           entirely outside every task/procedure declaration span).
           The parse and the prepared pipeline are rebuilt so spans
-          track the new text, and the per-source lint cache drops
-          (suppression comments and diagnostic spans are
-          layout-sensitive), but the ``AnalysisIndex`` and
-          ``WaveIndex`` survive — as do the content-addressed analysis
-          results, whose key is the canonical form.
+          track the new text, and the per-source lint and repair
+          caches drop (suppression comments, diagnostic and fix spans
+          are layout-sensitive), but the ``AnalysisIndex`` and
+          ``WaveIndex`` pass to the rebuilt prepared program — and the
+          content-addressed analysis results, whose key is the
+          canonical form, survive.
         * ``"full"`` — the canonical program changed (or stopped
           parsing): every derived layer of *this document* is dropped.
         """
@@ -239,8 +234,11 @@ class Document:
             # drop the layers whose spans follow the old layout.
             self._program = new_program
             self._canonical = old_canonical
+            if self._prepared is not None:
+                self._earlier = self._prepared
             self._prepared = None
             self._lint_cache = {}
+            self._repair_cache = {}
             reason = (
                 "edit-outside-declarations"
                 if outside
@@ -526,31 +524,21 @@ class Session:
             cached = self.lru.get(key)
             if cached is not None:
                 self._count("cache_hits", "server.cache_hits")
-                return cached[0], cached[1], "memory"
+                return cached[0], self._own_spans(doc, cached[1]), "memory"
             if self.store is not None:
                 result = self.store.get(key)
                 if result is not None:
                     payload = analysis_result_to_dict(result)
                     self.lru.put(key, (result, payload))
                     self._count("store_hits", "server.store_hits")
-                    return result, payload, "store"
+                    return result, self._own_spans(doc, payload), "store"
 
             with budget.limit(timeout):
-                is_exact = exact or algorithm == "exact"
-                prep = doc.prepared()
-                index = (
-                    doc.index()
-                    if not is_exact and algorithm in INDEX_AWARE
-                    else None
-                )
-                engine = doc.engine() if is_exact else None
                 result = analyze_prepared(
-                    prep,
+                    doc.prepared(),
                     algorithm=algorithm,
                     exact=exact,
                     state_limit=state_limit,
-                    index=index,
-                    engine=engine,
                     uri=doc.uri,
                     strategy=strategy,
                     beam_width=beam_width,
@@ -562,6 +550,16 @@ class Session:
             self._count("computed", "server.computed")
             self._update_gauges()
             return result, payload, "computed"
+
+    @staticmethod
+    def _own_spans(doc: Document, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """A hit's payload with ``doc``'s own validation spans, the only
+        located part of it: the key is the canonical program, so the
+        entry may come from another comment variant of ``doc``."""
+        if not payload["validation"]["diagnostics"]:
+            return payload
+        own = validation_to_dict(doc.prepared().validation)
+        return dict(payload, validation=own)
 
     # -- lint ------------------------------------------------------------
 
@@ -580,8 +578,8 @@ class Session:
         ``--lint --json`` stdout — with the document URI as the
         diagnostic path / SARIF ``artifactLocation`` (synthetic URIs
         for unsaved buffers pass through untouched).  Lint runs on the
-        document's prepared front half and index, the ones ``analyze``
-        builds and reuses.
+        document's prepared program, so ADL012 reads the refined report
+        ``analyze`` built for this version, or builds it for both.
         """
         from ..lint import lint_to_dict, run_lint, sarif_report
 
@@ -599,10 +597,10 @@ class Session:
                 cache = "computed"
                 program = doc.program()
                 try:
-                    prepared, index = doc.prepared(), doc.index()
+                    prepared = doc.prepared()
                 except ReproError:
                     # Broken past parsing: lint degrades on its own.
-                    prepared = index = None
+                    prepared = None
                 result = run_lint(
                     program,
                     source=doc.source,
@@ -610,7 +608,6 @@ class Session:
                     disable=disable,
                     select=select,
                     prepared=prepared,
-                    index=index,
                 )
                 doc._lint_cache[key] = result
                 self._count("lint_runs", "server.lint_runs")
@@ -633,35 +630,37 @@ class Session:
         """One ``repair`` request: the CLI ``--suggest-fixes --json``
         payload (analysis report + ``"repair"`` key), cache-aware.
 
-        The underlying analysis comes from the resident front when the
-        document is unchanged; only the repair synthesis itself re-runs
-        on a cold repair key.
+        ``cache`` is the tier that answered the analysis.  Fixes must
+        carry the document's own spans, so a hit from another text (a
+        comment variant, or the store) is re-run on the document's
+        prepared program; payloads are cached per document.
         """
         from ..repair import suggest_repairs
 
         doc = self._resolve(uri, text, client)
-        repair_algorithm = "refined" if algorithm == "exact" else algorithm
         with doc.lock:
-            result, payload, cache = self._analysis(
+            result, _, cache = self._analysis(
                 doc,
                 algorithm=algorithm,
                 exact=False,
                 state_limit=state_limit,
             )
-            repair_key = "repair:" + cache_key(
-                doc.program(),
-                algorithm=repair_algorithm,
-                state_limit=state_limit,
-                strategy=strategy,
-                beam_width=beam_width,
-            ) + f":{max_fixes}"
-            cached = self.lru.get(repair_key)
-            if cached is not None:
+            key = (algorithm, state_limit, max_fixes, strategy, beam_width)
+            full = doc._repair_cache.get(key)
+            if full is not None:
                 self._count("cache_hits", "server.cache_hits")
-                return cached[1], "memory"
+                return full, "memory"
+            if result.program is not doc.program():
+                with budget.limit():
+                    result = analyze_prepared(
+                        doc.prepared(),
+                        algorithm=algorithm,
+                        state_limit=state_limit,
+                        uri=doc.uri,
+                    )
             report = suggest_repairs(
                 result=result,
-                algorithm=repair_algorithm,
+                algorithm="refined" if algorithm == "exact" else algorithm,
                 state_limit=state_limit,
                 max_fixes=max_fixes,
                 strategy=strategy,
@@ -671,7 +670,7 @@ class Session:
             # uses so the repair-bearing payload is byte-identical to
             # ``--suggest-fixes --json``.
             full = analysis_result_to_dict(result, repair=report)
-            self.lru.put(repair_key, (report, full))
+            doc._repair_cache[key] = full
             self._count("repairs", "server.repairs")
             return full, cache
 
@@ -771,12 +770,7 @@ class Session:
         if self.store is None:
             return 0
         written = 0
-        for key, value in self.lru.items():
-            result = value[0]
-            # Repair payload entries ride the LRU under "repair:" keys
-            # but are not AnalysisResults; the store only takes those.
-            if key.startswith("repair:"):
-                continue
+        for key, (result, _) in self.lru.items():
             if not self.store.on_disk(key):
                 self.store.put(key, result)
                 written += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from .clg import build_clg
+from .clg import clg_out_edges
 from .model import SyncGraph
 
 __all__ = ["GraphMetrics", "compute_metrics"]
@@ -70,7 +70,9 @@ class GraphMetrics:
 
 def compute_metrics(graph: SyncGraph) -> GraphMetrics:
     """Compute all metrics for ``graph``."""
-    clg = build_clg(graph)
+    out_edges = clg_out_edges(graph)
+    clg_nodes = len(out_edges)
+    clg_edges = sum(len(out) for out in out_edges)
     per_task = [len(graph.nodes_of_task(t)) for t in graph.tasks]
     wave_bound = 1
     for count in per_task:
@@ -83,10 +85,9 @@ def compute_metrics(graph: SyncGraph) -> GraphMetrics:
         sync_edges=sum(1 for _ in graph.sync_edges()),
         signals=len(graph.signals),
         max_task_nodes=max(per_task, default=0),
-        clg_nodes=clg.node_count,
-        clg_edges=clg.edge_count,
-        refined_work_bound=clg.node_count
-        * (clg.node_count + clg.edge_count),
+        clg_nodes=clg_nodes,
+        clg_edges=clg_edges,
+        refined_work_bound=clg_nodes * (clg_nodes + clg_edges),
         wave_space_bound=wave_bound,
         has_control_cycle=graph.has_control_cycle(),
     )

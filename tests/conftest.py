@@ -74,3 +74,65 @@ def graph_of(program):
     """Sync graph of ``program`` after loop removal (helper, not fixture)."""
     transformed, _ = remove_loops(program)
     return build_sync_graph(transformed)
+
+
+def spy_calls(monkeypatch, target):
+    """Record every call of the function ``"module:attr"`` wherever
+    repro looks it up: its module, every ``repro`` module that imported
+    it by name, and the :data:`repro.api.ALGORITHMS` registry.
+
+    Returns the list the positional-argument tuples are appended to.
+    """
+    import importlib
+    import sys
+
+    from repro.api import ALGORITHMS
+
+    module_name, attr = target.split(":")
+    original = getattr(importlib.import_module(module_name), attr)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            if vars(module).get(attr) is original:
+                monkeypatch.setattr(module, attr, spy)
+    for key, value in list(ALGORITHMS.items()):
+        if value is original:
+            monkeypatch.setitem(ALGORITHMS, key, spy)
+    return calls
+
+
+def front_half_counts(monkeypatch, source):
+    """Spies counting the parses and front halves run on ``source``.
+
+    Returns a function giving ``(parses, prepares)`` so far: parses
+    lex ``source`` itself, prepares take ``source`` or a program that
+    prints like its parse.  Other programs (repair candidates, say)
+    are not counted.
+    """
+    from repro.lang.ast_nodes import Program
+    from repro.lang.pretty import pretty
+
+    canonical = pretty(parse_program(source))
+    scans = spy_calls(monkeypatch, "repro.lang.parser:scan")
+    prepares = spy_calls(monkeypatch, "repro.api:prepare")
+
+    def counts():
+        return (
+            sum(1 for args in scans if args[0] == source),
+            sum(
+                1
+                for (program, *_) in prepares
+                if program == source
+                or (
+                    isinstance(program, Program)
+                    and pretty(program) == canonical
+                )
+            ),
+        )
+
+    return counts

@@ -116,13 +116,13 @@ class TestRefined:
 
     def test_precomputed_inputs_accepted(self, crossed):
         from repro.analysis.coexec import compute_coexec
+        from repro.analysis.index import AnalysisIndex
 
         sg = build_sync_graph(crossed)
-        report = refined_deadlock_analysis(
-            sg,
-            orderings=compute_orderings(sg),
-            coexec=compute_coexec(sg),
+        index = AnalysisIndex(
+            sg, orderings=compute_orderings(sg), coexec=compute_coexec(sg)
         )
+        report = refined_deadlock_analysis(sg, index=index)
         assert not report.deadlock_free
 
     def test_alarm_subset_of_naive(self, corpus):

@@ -102,25 +102,87 @@ class TestPreparedPipeline:
                 )
                 assert via_prep == direct, (name, algorithm)
 
-    def test_prebuilt_index_and_engine_are_used(self):
+    def test_prebuilt_index_and_engine_are_used(self, monkeypatch):
         from repro.analysis.index import AnalysisIndex
         from repro.api import analyze_prepared, prepare
         from repro.waves.engine import WaveIndex
         from tests.conftest import CROSSED_SRC
 
         prep = prepare(CROSSED_SRC)
-        index = AnalysisIndex(prep.sync_graph)
-        engine = WaveIndex(prep.exact_graph)
-        static = analyze_prepared(prep, index=index)
-        exact = analyze_prepared(prep, exact=True, engine=engine)
+        index, engine = prep.index, prep.engine
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rebuilt a layer the prepared program holds")
+
+        monkeypatch.setattr(AnalysisIndex, "__init__", forbidden)
+        monkeypatch.setattr(WaveIndex, "__init__", forbidden)
+        static = analyze_prepared(prep)
+        exact = analyze_prepared(prep, exact=True)
         assert static.deadlock.verdict == "possible-deadlock"
         assert exact.deadlock.verdict == "possible-deadlock"
+        assert prep.index is index and prep.engine is engine
 
-    def test_index_aware_excludes_k_pairs(self):
-        from repro.api import ALGORITHMS, INDEX_AWARE
+    def test_index_aware_excludes_k_pairs(self, monkeypatch):
+        # Every refined-family algorithm, k-pairs-3 included, reads the
+        # prepared program's one index; naive reads none.
+        from repro.analysis.index import AnalysisIndex
+        from repro.api import ALGORITHMS, analyze_prepared, prepare
+        from tests.conftest import CROSSED_SRC
 
-        # k-pairs-3 builds its own index per k; naive reads none.
-        assert INDEX_AWARE == frozenset(ALGORITHMS) - {"k-pairs-3", "naive"}
+        builds = []
+        original = AnalysisIndex.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnalysisIndex, "__init__", counting)
+        prep = prepare(CROSSED_SRC)
+        analyze_prepared(prep, algorithm="naive")
+        assert builds == []
+        for algorithm in sorted(ALGORITHMS):
+            analyze_prepared(prep, algorithm=algorithm)
+        assert builds == [prep.index]
+
+    @pytest.mark.parametrize("observing", [False, True], ids=["off", "on"])
+    def test_lint_first_leaves_the_payload_unchanged(self, observing):
+        import contextlib
+
+        from repro import obs
+        from repro.api import analyze_prepared, prepare
+        from repro.lint import run_lint
+        from repro.reporting import analysis_result_to_dict
+        from tests.test_obs import PRUNING_SRC
+
+        def payload(lint_first):
+            prep = prepare(PRUNING_SRC)
+            scope = obs.observed() if observing else contextlib.nullcontext()
+            with scope:
+                if lint_first:
+                    run_lint(
+                        prep.source_program, source=PRUNING_SRC, prepared=prep
+                    )
+                return analysis_result_to_dict(analyze_prepared(prep))
+
+        alone = payload(lint_first=False)
+        assert payload(lint_first=True) == alone
+        assert ("pruning" in alone["deadlock"]["stats"]) == observing
+
+    def test_refined_memo_follows_the_obs_state(self):
+        from repro import obs
+        from repro.api import analyze_prepared, prepare
+        from repro.lint import run_lint
+        from tests.test_obs import PRUNING_SRC
+
+        # stats["pruning"] belongs to runs made with obs on, only.
+        prep = prepare(PRUNING_SRC)
+        with obs.observed():
+            run_lint(prep.source_program, prepared=prep)
+        assert "pruning" not in analyze_prepared(prep).deadlock.stats
+        prep = prepare(PRUNING_SRC)
+        run_lint(prep.source_program, prepared=prep)
+        with obs.observed():
+            assert "pruning" in analyze_prepared(prep).deadlock.stats
 
     def test_daemon_naive_builds_no_index(self):
         from repro.server import Session

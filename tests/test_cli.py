@@ -16,6 +16,19 @@ from tests.conftest import (
 )
 
 
+# tests/test_properties.py::test_unroll_can_drop_exact_deadlocks_regression
+UNROLLGAP_SRC = """\
+program unrollgap;
+task t0 is begin
+    if ? then send t1.m1; end if;
+    while ? loop accept m0; end loop;
+    send t1.m0;
+end;
+task t1 is begin send t0.m0; accept m0; send t0.m0; end;
+task t2 is begin send t0.m0; end;
+"""
+
+
 @pytest.fixture
 def handshake_file(tmp_path):
     path = tmp_path / "handshake.adl"
@@ -162,6 +175,22 @@ class TestConfirm:
         assert payload["deadlock"]["verdict"] == "possible-deadlock"
         assert payload["confirmation"]["outcome"] == "false-alarm-refuted"
         assert code == 0
+
+    def test_exact_confirm_convicts_pre_unroll_deadlock(
+        self, tmp_path, capsys
+    ):
+        # The deadlock needs a third loop iteration: it exists in the
+        # pre-unroll graph the exact stage explores, not in the
+        # Lemma-1 unrolled graph, so confirmation must search the former.
+        path = tmp_path / "unrollgap.adl"
+        path.write_text(UNROLLGAP_SRC)
+        code = main(
+            [str(path), "--algorithm", "exact", "--confirm", "--json"]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["deadlock"]["stats"]["explored_pre_unroll_graph"]
+        assert payload["confirmation"]["outcome"] == "confirmed-deadlock"
+        assert code == 1
 
     @pytest.mark.parametrize("limit", ["0", "-3", "many"])
     def test_state_limit_below_one_exits_two(
@@ -334,6 +363,42 @@ def stally_file(tmp_path):
     path = tmp_path / "stally.adl"
     path.write_text(STALLY_SRC)
     return path
+
+
+class TestOneFrontHalfPerInput:
+    """Analysis, lint, repair and SARIF of one input share one parse
+    and one prepared program."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--json", "--sarif"],
+            ["--suggest-fixes", "--sarif", "--json"],
+            ["--lint", "--suggest-fixes", "--sarif", "--json"],
+        ],
+        ids=["json-sarif", "fixes-sarif", "lint-fixes-sarif"],
+    )
+    def test_input_parsed_and_prepared_once(
+        self, flags, tmp_path, monkeypatch, capsys
+    ):
+        from repro.lint import validate_sarif_shape
+        from repro.workloads.adl_corpus import load_repair_adl
+        from tests.conftest import front_half_counts
+
+        source = load_repair_adl("crossed_greeting")
+        path = tmp_path / "crossed_greeting.adl"
+        path.write_text(source)
+        sarif = tmp_path / "out.sarif"
+        argv = [str(path)]
+        for flag in flags:
+            argv += [flag, str(sarif)] if flag == "--sarif" else [flag]
+        counts = front_half_counts(monkeypatch, source)
+        code = main(argv)
+        payload = json.loads(capsys.readouterr().out)
+        assert code == (0 if "--lint" in flags else 1)
+        assert ("repair" in payload) == ("--suggest-fixes" in flags)
+        assert validate_sarif_shape(json.loads(sarif.read_text())) == []
+        assert counts() == (1, 1)
 
 
 class TestLintMode:

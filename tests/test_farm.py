@@ -477,6 +477,29 @@ class TestLintBatch:
         assert "lint_counts" not in payload["item_reports"][0]
         assert payload["lint"] == {"enabled": False, "diagnostics": 0}
 
+    def test_comment_variant_gets_its_own_lint_counts(self, tmp_path):
+        # Lint reads `-- lint: disable=` comments, which the canonical
+        # program drops: lint-enabled entries key on the exact text.
+        silenced = CROSSED_SRC.replace("task ", "-- lint: disable=all\ntask ")
+        uncached = run_batch([("silenced", silenced)], lint=True)
+        assert uncached.items[0].lint_counts == {}
+        run_batch([("plain", CROSSED_SRC)], cache=tmp_path, lint=True)
+        cached = run_batch([("silenced", silenced)], cache=tmp_path, lint=True)
+        assert cached.items[0].cache == "miss"
+        assert cached.items[0].lint_counts == {}
+        # Plain entries keep the canonical key: comment edits still hit.
+        run_batch([("plain", CROSSED_SRC)], cache=tmp_path)
+        plain = run_batch([("silenced", silenced)], cache=tmp_path)
+        assert plain.items[0].cache == "hit"
+
+    def test_item_is_parsed_and_prepared_once(self, monkeypatch):
+        from tests.conftest import front_half_counts
+
+        counts = front_half_counts(monkeypatch, CROSSED_SRC)
+        report = run_batch([("crossed", CROSSED_SRC)], lint=True)
+        assert report.items[0].lint_counts.get("ADL012") == 1
+        assert counts() == (1, 1)
+
     def test_parallel_lint_batch(self, tmp_path):
         corpus = adl_corpus()
         pairs = [

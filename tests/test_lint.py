@@ -18,10 +18,10 @@ from repro.lang.pretty import pretty
 from repro.lint import (
     all_rules,
     get_rule,
-    lint_program,
     lint_source,
     lint_to_dict,
     render_text,
+    run_lint,
     sarif_report,
     scan_suppressions,
     validate_sarif_shape,
@@ -89,7 +89,7 @@ class TestSpans:
 class TestDiagnostic:
     def test_format(self):
         program = parse_program(STALL_SRC)
-        result = lint_program(program, path="stall.adl")
+        result = run_lint(program, path="stall.adl")
         line = result.diagnostics[0].format("stall.adl")
         assert line.startswith("stall.adl:3:")
         assert "[ADL001]" in line
@@ -105,7 +105,7 @@ class TestDiagnostic:
 
     def test_to_dict_roundtrip_fields(self):
         program = parse_program(STALL_SRC)
-        diag = lint_program(program).diagnostics[0]
+        diag = run_lint(program).diagnostics[0]
         payload = diag.to_dict()
         assert payload["rule"] == diag.rule_id
         assert payload["span"]["line"] == diag.line
@@ -307,13 +307,13 @@ class TestSuppressions:
         assert result.suppressed >= 1
 
     def test_suppression_needs_source(self):
-        # lint_program without source text cannot see comments
+        # run_lint without source text cannot see comments
         src = (
             "program p;\n"
             "task t is begin send u.ghost; -- lint: disable=all\n"
             "end;\ntask u is begin null; end;\n"
         )
-        result = lint_program(parse_program(src))
+        result = run_lint(parse_program(src))
         assert "ADL001" in rules_of(result)
 
 
@@ -528,24 +528,25 @@ class TestLintOnAnalysisLayers:
     def test_prepared_and_index_are_reused(self, monkeypatch):
         from repro import api
         from repro.analysis.index import AnalysisIndex
-        from repro.lint import run_lint
 
         expected = lint_source(CROSSED_SRC).diagnostics
         prepared = api.prepare(parse_program(CROSSED_SRC))
-        index = AnalysisIndex(prepared.sync_graph)
+        assert prepared.index is not None
 
         def forbidden(*args, **kwargs):
             raise AssertionError("lint rebuilt a layer it was handed")
 
         monkeypatch.setattr(api, "prepare", forbidden)
         monkeypatch.setattr(AnalysisIndex, "__init__", forbidden)
-        result = run_lint(
-            prepared.source_program,
-            source=CROSSED_SRC,
-            prepared=prepared,
-            index=index,
+        first = run_lint(
+            prepared.source_program, source=CROSSED_SRC, prepared=prepared
         )
-        assert result.diagnostics == expected
+        # The refined report is the prepared program's, built once.
+        monkeypatch.setattr(api, "refined_deadlock_analysis", forbidden)
+        again = run_lint(
+            prepared.source_program, source=CROSSED_SRC, prepared=prepared
+        )
+        assert first.diagnostics == again.diagnostics == expected
 
 
 def _bounded_config(seed: int) -> Program:
@@ -591,5 +592,5 @@ class TestLintProperties:
     @given(seed=st.integers(0, 10_000))
     def test_sarif_always_valid(self, seed):
         program = _bounded_config(seed)
-        result = lint_program(program, source=pretty(program))
+        result = run_lint(program, source=pretty(program))
         assert validate_sarif_shape(sarif_report([result])) == []

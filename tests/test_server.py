@@ -177,17 +177,17 @@ class TestDocumentInvalidation:
     def test_comment_only_edit_keeps_pipeline(self):
         doc = Document("mem:a", CROSSED_SRC)
         prepared = doc.prepared()
-        index = doc.index()
-        engine = doc.engine()
+        index = prepared.index
+        engine = prepared.engine
         kind, reason = doc.apply_change(TWO_COMMENT_LINES + CROSSED_SRC)
         assert kind == "partial"
         assert reason == "whitespace-or-comments"
-        # The uid-only kernels are the *same objects*, not rebuilds.
-        assert doc.index() is index
-        assert doc.engine() is engine
-        # The front half carries spans, so it follows the new text.
+        # The front half carries spans, so it follows the new text...
         rebuilt = doc.prepared()
         assert rebuilt is not prepared
+        # ...and takes over the uid-only kernels: the *same objects*.
+        assert rebuilt.index is index
+        assert rebuilt.engine is engine
         assert rebuilt.source_program is doc.program()
         old_nodes = prepared.sync_graph.rendezvous_nodes
         new_nodes = rebuilt.sync_graph.rendezvous_nodes
@@ -492,6 +492,99 @@ class TestLintOnDocumentLayers:
 
         assert lines(payload)
         assert lines(payload) == [line + 2 for line in lines(before)]
+
+
+def _span_corpus():
+    from repro.workloads.adl_corpus import (
+        adl_corpus,
+        lint_corpus,
+        repair_corpus,
+    )
+
+    return [
+        (f"{tag}/{name}", entry.source)
+        for tag, corpus in (
+            ("adl", adl_corpus()),
+            ("adl_lint", lint_corpus()),
+            ("adl_repair", repair_corpus()),
+        )
+        for name, entry in sorted(corpus.items())
+    ]
+
+
+class TestRepliesUseOwnSpans:
+    """Cached results are keyed on the canonical program, which drops
+    comments; every reply must still equal a one-shot run of the
+    requesting document's own text."""
+
+    EXACT_LIMIT = 20_000
+
+    def _check(self, session, uri, text, tier):
+        for exact in (False, True):
+            limit = self.EXACT_LIMIT if exact else 200_000
+            try:
+                expected = analysis_result_to_dict(
+                    repro.analyze(text, exact=exact, state_limit=limit)
+                )
+            except ReproError:
+                with pytest.raises(ReproError):
+                    session.analyze_document(
+                        uri=uri, text=text, exact=exact, state_limit=limit
+                    )
+                continue
+            payload, cache = session.analyze_document(
+                uri=uri, text=text, exact=exact, state_limit=limit
+            )
+            assert (cache, payload) == (tier, expected), (uri, exact)
+
+    def test_memory_store_and_restart_replies(self, tmp_path):
+        corpus = _span_corpus()
+        store = tmp_path / "store"
+        session = Session(store=ResultCache(cache_dir=store))
+        for name, text in corpus:
+            self._check(session, f"mem:{name}/a.adl", text, "computed")
+            shifted = TWO_COMMENT_LINES + text
+            self._check(session, f"mem:{name}/b.adl", shifted, "memory")
+        restarted = Session(store=ResultCache(cache_dir=store))
+        for name, text in corpus:
+            shifted = TWO_COMMENT_LINES + text
+            self._check(restarted, f"mem:{name}/b.adl", shifted, "store")
+            self._check(restarted, f"mem:{name}/a.adl", text, "memory")
+
+    def test_repair_fix_spans_follow_the_document(self, tmp_path, capsys):
+        from repro.workloads.adl_corpus import load_repair_adl
+
+        text = load_repair_adl("crossed_greeting")
+        shifted = TWO_COMMENT_LINES + text
+        path = tmp_path / "crossed_greeting.adl"
+        path.write_text(shifted)
+        out, _ = cli_stdout([str(path), "--suggest-fixes", "--json"], capsys)
+        expected = normalize(json.loads(out))
+        assert expected["repair"]["fixes"]
+
+        session = Session(store=ResultCache(cache_dir=tmp_path / "store"))
+        session.repair_document(uri="mem:a.adl", text=text)
+        payload, cache = session.repair_document(uri="mem:b.adl", text=shifted)
+        assert (cache, normalize(payload)) == ("memory", expected)
+        # A comment edit drops the document's repair payloads too.
+        session.change_document("mem:a.adl", shifted)
+        payload, cache = session.repair_document(uri="mem:a.adl")
+        assert (cache, normalize(payload)) == ("memory", expected)
+        assert session.counters["repairs"] == 3
+        payload, cache = session.repair_document(uri="mem:a.adl")
+        assert (cache, normalize(payload)) == ("memory", expected)
+        assert session.counters["repairs"] == 3
+
+    def test_analyze_then_lint_runs_refined_once(self, monkeypatch):
+        from tests.conftest import spy_calls
+
+        calls = spy_calls(
+            monkeypatch, "repro.analysis.refined:refined_deadlock_analysis"
+        )
+        session = Session(store=None)
+        session.analyze_document(uri="mem:c", text=CROSSED_SRC)
+        session.lint_document(uri="mem:c")
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
