@@ -92,11 +92,6 @@ class AnalysisResult:
     # `analyzed_program is not program`: procedure inlining alone also
     # swaps the program object.
     loops_transformed: bool = False
-    # Where the source came from: a file path, or a synthetic URI for
-    # in-memory buffers (e.g. "untitled:scratch-1" from an editor via
-    # repro.server).  Provenance only — never part of the JSON report
-    # payload, so CLI and server output stay byte-identical.
-    uri: Optional[str] = None
 
     def describe(self) -> str:
         lines = [f"program {self.program.name}:"]
@@ -232,16 +227,14 @@ def prepare(program: Union[str, Program]) -> PreparedProgram:
 def _finish(
     prep: PreparedProgram,
     algorithm: str,
-    exact: bool,
     state_limit: int,
-    uri: Optional[str] = None,
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
 ) -> AnalysisResult:
     """Back half of the pipeline: detector + stall analysis + assembly."""
     graph = prep.sync_graph
     with obs.span("analyze.deadlock", algorithm=algorithm):
-        if exact or algorithm == "exact":
+        if algorithm == "exact":
             result = explore(
                 prep.exact_graph,
                 state_limit=state_limit,
@@ -299,7 +292,7 @@ def _finish(
             else:
                 deadlock = runner(graph, index=prep.index)
     deadlock.loops_transformed = prep.transformed
-    if prep.approximated and not (exact or algorithm == "exact"):
+    if prep.approximated and algorithm != "exact":
         # Static verdicts on a guarded-copy unroll are conservative
         # but exact *refutation* on that graph would not be: flag it
         # so confirmation (repro.analysis.confirm) knows the graph
@@ -330,16 +323,13 @@ def _finish(
         deadlock=deadlock,
         stall=stall,
         loops_transformed=prep.transformed,
-        uri=uri,
     )
 
 
 def analyze_prepared(
     prep: PreparedProgram,
     algorithm: str = "refined",
-    exact: bool = False,
     state_limit: int = 200_000,
-    uri: Optional[str] = None,
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
 ) -> AnalysisResult:
@@ -355,9 +345,7 @@ def analyze_prepared(
         return _finish(
             prep,
             algorithm=algorithm,
-            exact=exact,
             state_limit=state_limit,
-            uri=uri,
             strategy=strategy,
             beam_width=beam_width,
         )
@@ -368,15 +356,15 @@ def analyze(
     algorithm: str = "refined",
     exact: bool = False,
     state_limit: int = 200_000,
-    uri: Optional[str] = None,
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
 ) -> AnalysisResult:
     """Run the full static pipeline on ``program``.
 
     ``algorithm`` selects the deadlock detector (see :data:`ALGORITHMS`;
-    ``"exact"`` or ``exact=True`` uses exhaustive wave exploration —
-    exponential, for small programs only).  Loops are removed by the
+    ``"exact"`` uses exhaustive wave exploration — exponential, for
+    small programs only — and ``exact=True`` is shorthand for it, here
+    only: the layers below take ``algorithm``).  Loops are removed by the
     Lemma-1 double-unroll transform automatically; the report records
     whether that happened.
 
@@ -392,19 +380,15 @@ def analyze(
     which states are in hand when ``state_limit`` trips, so a guided
     run can settle programs whose budget-limited BFS verdict was
     inconclusive.  ``stats["strategy"]`` records the order used.
-
-    ``uri`` records where the source came from (file path or a
-    synthetic editor-buffer URI) on the result; it never changes the
-    analysis or the serialized report.
     """
+    if exact:
+        algorithm = "exact"
     with obs.span("analyze", algorithm=algorithm):
         prep = prepare(program)
         return _finish(
             prep,
             algorithm=algorithm,
-            exact=exact,
             state_limit=state_limit,
-            uri=uri,
             strategy=strategy,
             beam_width=beam_width,
         )
@@ -413,7 +397,6 @@ def analyze(
 def analyze_many(
     programs: Iterable[Union[str, Program, Tuple[str, str]]],
     algorithm: str = "refined",
-    exact: bool = False,
     state_limit: int = 200_000,
     jobs: int = 1,
     timeout: Optional[float] = None,
@@ -442,7 +425,6 @@ def analyze_many(
     return run_batch(
         programs,
         algorithm=algorithm,
-        exact=exact,
         state_limit=state_limit,
         jobs=jobs,
         timeout=timeout,

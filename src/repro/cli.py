@@ -43,12 +43,13 @@ from typing import List, Optional
 
 from . import obs
 from .analysis.confirm import confirm_analysis
-from .api import ALGORITHMS, analyze_prepared, prepare
+from .api import ALGORITHMS, AnalysisResult, analyze_prepared, prepare
 from .errors import ReproError
 from .interp.runtime import sample_runs
-from .reporting import render_json
+from .reporting import analysis_result_to_dict, render_json
 from .syncgraph.clg import build_clg
 from .syncgraph.dot import clg_to_dot, sync_graph_to_dot
+from .syncgraph.metrics import compute_metrics
 from .waves.guide import validate_strategy
 
 __all__ = ["main", "build_arg_parser"]
@@ -273,26 +274,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_json(
-    result, simulation, confirmation=None, stats=False, metrics=None,
-    repair=None,
-) -> str:
-    from .reporting import analysis_result_to_dict
-
-    payload = analysis_result_to_dict(
-        result, simulation, confirmation, metrics, repair
-    )
-    if stats:
-        from .syncgraph.metrics import compute_metrics
-
-        # Graph size metrics share the "metrics" key with the obs
-        # snapshot; key sets are disjoint, so merge rather than replace.
-        payload.setdefault("metrics", {}).update(
-            compute_metrics(result.sync_graph).to_dict()
-        )
-    return render_json(payload)
-
-
 def _positive_int(text: str) -> int:
     """argparse type: an integer >= 1 (anything else exits 2)."""
     try:
@@ -304,19 +285,6 @@ def _positive_int(text: str) -> int:
             f"must be an integer >= 1, got {text!r}"
         )
     return value
-
-
-def _check_strategy(args) -> Optional[str]:
-    """Strategy/beam-width combo error, or None when valid.
-
-    Checked once up front so every mode (one-shot, --confirm, batch)
-    rejects a bad combination with exit code 2 before any work runs.
-    """
-    try:
-        validate_strategy(args.strategy, args.beam_width)
-    except ValueError as exc:
-        return str(exc)
-    return None
 
 
 def _chatter(args, *values, **kwargs) -> None:
@@ -335,20 +303,22 @@ def _split_rules(spec: str) -> List[str]:
     return [token.strip() for token in spec.split(",") if token.strip()]
 
 
-def _suggest_fixes(args, result=None, prepared=None):
-    """Run the repair pipeline on ``result`` (else on ``prepared``'s
-    analysis); ``None`` when the program never reaches a verdict (the
-    caller's lint diagnostics already explain why)."""
+def _lint_path(args) -> str:
+    return args.sources[0] if args.sources[0] != "-" else "stdin"
+
+
+def _repair_algorithm(args) -> str:
+    return args.algorithm if args.algorithm != "exact" else "refined"
+
+
+def _suggest_fixes(args, result: AnalysisResult):
+    """The repair report of ``result``, or ``None`` when repair fails
+    (the rest of the output already explains why)."""
     from .repair import suggest_repairs
 
-    algorithm = args.algorithm if args.algorithm != "exact" else "refined"
     try:
-        if result is None:
-            result = analyze_prepared(
-                prepared, algorithm=algorithm, state_limit=args.state_limit
-            )
         return suggest_repairs(
-            algorithm=algorithm,
+            algorithm=_repair_algorithm(args),
             state_limit=args.state_limit,
             max_fixes=args.max_fixes,
             result=result,
@@ -359,143 +329,170 @@ def _suggest_fixes(args, result=None, prepared=None):
         return None
 
 
-def _write_metrics(args, session) -> Optional[dict]:
-    """The obs snapshot of ``session`` (``None`` when obs was off),
-    also written to ``--metrics-out``."""
-    if session is None:
-        return None
-    from .obs.export import session_to_dict, session_to_prometheus
+def _write_sarif(args, lint, program, source: str, repair) -> None:
+    """Write ``lint`` to ``--sarif``, with ``repair``'s certified fixes
+    attached to the deadlock diagnostics."""
+    from .lint import RepairAttachment, sarif_report
 
-    snapshot = session_to_dict(session)
-    if args.metrics_out:
-        out = Path(args.metrics_out)
-        if out.suffix.lower() == ".prom":
-            out.write_text(session_to_prometheus(session))
-        else:
-            out.write_text(json.dumps(snapshot, indent=2) + "\n")
-    return snapshot
+    repairs = None
+    if repair is not None and repair.fixed:
+        repairs = {
+            lint.path: RepairAttachment(
+                program=program, report=repair, source=source
+            )
+        }
+    doc = sarif_report([lint], repairs=repairs)
+    Path(args.sarif).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _lint_main(args, source: str, source_path: str) -> int:
-    from .lang.parser import parse_program
-    from .lint import (
-        RepairAttachment,
-        lint_to_dict,
-        render_text,
-        run_lint,
-        sarif_report,
+def _analysis_mode(args, source: str):
+    """Analysis, with ``--confirm``, ``--simulate``, ``--suggest-fixes``
+    and the artifact flags: ``(payload or text, exit code)``."""
+    # One parse and one front half serve analysis, repair and SARIF.
+    prepared = prepare(source)
+    result = analyze_prepared(
+        prepared,
+        algorithm=args.algorithm,
+        state_limit=args.state_limit,
+        strategy=args.strategy,
+        beam_width=args.beam_width,
     )
+    simulation = (
+        sample_runs(result.program, runs=args.simulate)
+        if args.simulate
+        else None
+    )
+    confirmation = (
+        confirm_analysis(
+            result,
+            state_limit=args.state_limit,
+            strategy=args.strategy,
+            beam_width=args.beam_width,
+        )
+        if args.confirm
+        else None
+    )
+    repair = _suggest_fixes(args, result) if args.suggest_fixes else None
 
-    session = obs.enable() if (args.trace or args.metrics_out) else None
+    if args.dot:
+        Path(args.dot).write_text(sync_graph_to_dot(result.sync_graph))
+    if args.clg_dot:
+        Path(args.clg_dot).write_text(clg_to_dot(build_clg(result.sync_graph)))
+    if args.sarif:
+        from .lint import run_lint
+
+        # Lint reads the analysis's own refined report.
+        lint = run_lint(
+            result.program,
+            source=source,
+            path=_lint_path(args),
+            prepared=prepared,
+        )
+        _write_sarif(args, lint, result.program, source, repair)
+
+    if args.json:
+        output = analysis_result_to_dict(
+            result, simulation, confirmation, repair=repair
+        )
+        if args.stats:
+            output["metrics"] = compute_metrics(result.sync_graph).to_dict()
+    else:
+        lines = [result.describe()]
+        if args.stats:
+            lines.append(compute_metrics(result.sync_graph).describe())
+        if simulation is not None:
+            lines.append(f"simulation: {simulation.describe()}")
+        if confirmation is not None:
+            lines.append(f"confirmation: {confirmation.outcome}")
+            if confirmation.witness is not None:
+                lines.append(confirmation.witness.describe())
+        if repair is not None:
+            from .repair import unified_fix_diff
+
+            lines.append(repair.describe())
+            for fix in repair.fixes:
+                diff = unified_fix_diff(
+                    result.program, fix, path=args.sources[0]
+                )
+                lines += ["", diff.removesuffix("\n")]
+        output = "\n".join(lines)
+    certified = (
+        confirmation.final_verdict == "certified-deadlock-free"
+        if confirmation is not None
+        else result.deadlock.deadlock_free
+    )
+    return output, 0 if certified else 1
+
+
+def _lint_mode(args, source: str):
+    """``--lint`` (with ``--suggest-fixes``): ``(payload or text, exit
+    code)``."""
+    from .lang.parser import parse_program
+    from .lint import lint_to_dict, render_text, run_lint
+
+    program = parse_program(source)
+    # With repair, one front half serves lint, repair and SARIF, and
+    # lint takes a failed one as final; without, lint prepares itself.
+    prepared = analysis = None
+    if args.suggest_fixes:
+        try:
+            prepared = prepare(program)
+            analysis = analyze_prepared(
+                prepared,
+                algorithm=_repair_algorithm(args),
+                state_limit=args.state_limit,
+            )
+        except ReproError as exc:  # no verdict to repair
+            if prepared is None:
+                prepared = exc
     try:
-        # One parse and one front half serve lint, repair and SARIF;
-        # without repair, lint prepares the program itself.
-        program = parse_program(source)
-        prepared = None
-        if args.suggest_fixes:
-            try:
-                prepared = prepare(program)
-            except ReproError:
-                pass  # no verdict to repair; lint degrades on its own
-        result = run_lint(
+        lint = run_lint(
             program,
             source=source,
-            path=source_path if source_path != "-" else "stdin",
+            path=_lint_path(args),
             disable=_split_rules(args.disable),
             select=_split_rules(args.select) or None,
             prepared=prepared,
         )
-        repair = (
-            _suggest_fixes(args, prepared=prepared)
-            if prepared is not None
-            else None
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        # unknown rule name in --disable/--select
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    finally:
-        if session is not None:
-            obs.disable()
+    except KeyError as exc:  # an unknown rule in --disable/--select
+        raise ReproError(exc.args[0]) from None
+    repair = _suggest_fixes(args, analysis) if analysis is not None else None
 
     if args.sarif:
-        repairs = None
-        if repair is not None and repair.fixed:
-            repairs = {
-                result.path: RepairAttachment(
-                    program=program, report=repair, source=source
-                )
-            }
-        doc = sarif_report([result], repairs=repairs)
-        Path(args.sarif).write_text(json.dumps(doc, indent=2) + "\n")
-
-    snapshot = _write_metrics(args, session)
+        _write_sarif(args, lint, program, source, repair)
 
     if args.json:
-        payload = lint_to_dict(result)
+        output = lint_to_dict(lint)
         if repair is not None:
             from .reporting import repair_report_to_dict
 
-            payload["repair"] = repair_report_to_dict(
-                repair, original=program
-            )
-        if snapshot is not None:
-            payload["metrics"] = snapshot
-        print(render_json(payload))
+            output["repair"] = repair_report_to_dict(repair, original=program)
     else:
-        print(render_text(result))
+        output = render_text(lint)
         if repair is not None:
-            print(repair.describe())
-    if args.trace and session is not None:
-        _chatter(args, session.tracer.render())
-
-    return 1 if result.fails(args.fail_on) else 0
+            output += "\n" + repair.describe()
+    return output, 1 if lint.fails(args.fail_on) else 0
 
 
-def _batch_main(args) -> int:
-    from .errors import ReproError as _ReproError
+def _batch_mode(args, _source):
+    """``--batch``: ``(payload or text, exit code)``."""
     from .farm.runner import collect_sources, run_batch
 
-    session = obs.enable() if (args.trace or args.metrics_out) else None
-    try:
-        pairs = collect_sources(args.sources)
-        report = run_batch(
-            pairs,
-            algorithm=args.algorithm,
-            state_limit=args.state_limit,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            cache=False if args.no_cache else (args.cache_dir or True),
-            lint=args.lint,
-            strategy=args.strategy,
-            beam_width=args.beam_width,
-        )
-    except _ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if session is not None:
-            obs.disable()
-
+    report = run_batch(
+        collect_sources(args.sources),
+        algorithm=args.algorithm,
+        state_limit=args.state_limit,
+        jobs=args.jobs,
+        timeout=args.timeout,
+        cache=False if args.no_cache else (args.cache_dir or True),
+        lint=args.lint,
+        strategy=args.strategy,
+        beam_width=args.beam_width,
+    )
     if args.jsonl_out:
         Path(args.jsonl_out).write_text(report.to_jsonl())
-
-    snapshot = _write_metrics(args, session)
-
-    if args.json:
-        payload = report.to_dict()
-        if snapshot is not None:
-            payload["metrics"] = snapshot
-        print(render_json(payload))
-    else:
-        print(report.describe())
-    if args.trace and session is not None:
-        _chatter(args, session.tracer.render())
-
-    return 0 if report.deadlock_free else 1
+    output = report.to_dict() if args.json else report.describe()
+    return output, 0 if report.deadlock_free else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -508,59 +505,39 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return serve_main(argv[1:])
     args = build_arg_parser().parse_args(argv)
-    strategy_error = _check_strategy(args)
-    if strategy_error is not None:
-        print(f"error: {strategy_error}", file=sys.stderr)
-        return 2
-    if args.batch:
-        return _batch_main(args)
-    if len(args.sources) > 1:
-        print(
-            "error: multiple sources require --batch", file=sys.stderr
-        )
-        return 2
-    source_path = args.sources[0]
-    if source_path == "-":
-        source = sys.stdin.read()
-    else:
-        path = Path(source_path)
-        if not path.exists():
-            print(f"error: no such file: {path}", file=sys.stderr)
-            return 2
-        source = path.read_text()
-
-    if args.lint:
-        return _lint_main(args, source, source_path)
-
-    session = (
-        obs.enable() if (args.trace or args.metrics_out) else None
-    )
+    # Checked up front so every mode rejects a bad strategy/beam-width
+    # combination with exit code 2 before any work runs.
     try:
-        # One parse and one front half serve analysis, repair and SARIF.
-        prepared = prepare(source)
-        result = analyze_prepared(
-            prepared,
-            algorithm=args.algorithm,
-            state_limit=args.state_limit,
-            strategy=args.strategy,
-            beam_width=args.beam_width,
-        )
-        simulation = (
-            sample_runs(result.program, runs=args.simulate)
-            if args.simulate
-            else None
-        )
-        confirmation = (
-            confirm_analysis(
-                result,
-                state_limit=args.state_limit,
-                    strategy=args.strategy,
-                beam_width=args.beam_width,
+        validate_strategy(args.strategy, args.beam_width)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    source = None
+    if not args.batch:
+        if len(args.sources) > 1:
+            print(
+                "error: multiple sources require --batch", file=sys.stderr
             )
-            if args.confirm
-            else None
-        )
-        repair = _suggest_fixes(args, result) if args.suggest_fixes else None
+            return 2
+        if args.sources[0] == "-":
+            source = sys.stdin.read()
+        else:
+            path = Path(args.sources[0])
+            if not path.exists():
+                print(f"error: no such file: {path}", file=sys.stderr)
+                return 2
+            source = path.read_text()
+
+    mode = (
+        _batch_mode
+        if args.batch
+        else _lint_mode if args.lint else _analysis_mode
+    )
+    # One observed window covers the whole request: analysis, lint,
+    # repair, SARIF and the other artifacts.
+    session = obs.enable() if (args.trace or args.metrics_out) else None
+    try:
+        output, code = mode(args, source)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -568,70 +545,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         if session is not None:
             obs.disable()
 
-    if args.dot:
-        Path(args.dot).write_text(sync_graph_to_dot(result.sync_graph))
-    if args.clg_dot:
-        clg = build_clg(result.sync_graph)
-        Path(args.clg_dot).write_text(clg_to_dot(clg))
-    if args.sarif:
-        from .lint import RepairAttachment, run_lint, sarif_report
+    if session is not None:
+        from .obs.export import session_to_dict, session_to_prometheus
 
-        lint_result = run_lint(
-            result.program,
-            source=source,
-            path=source_path if source_path != "-" else "stdin",
-            prepared=prepared,
-        )
-        repairs = None
-        if repair is not None and repair.fixed:
-            repairs = {
-                lint_result.path: RepairAttachment(
-                    program=result.program, report=repair, source=source
-                )
-            }
-        doc = sarif_report([lint_result], repairs=repairs)
-        Path(args.sarif).write_text(json.dumps(doc, indent=2) + "\n")
-
-    snapshot = _write_metrics(args, session)
-
-    if args.json:
-        print(
-            _report_json(
-                result, simulation, confirmation, args.stats, snapshot,
-                repair,
+        snapshot = session_to_dict(session)
+        if args.metrics_out:
+            out = Path(args.metrics_out)
+            out.write_text(
+                session_to_prometheus(session)
+                if out.suffix.lower() == ".prom"
+                else json.dumps(snapshot, indent=2) + "\n"
             )
-        )
-    else:
-        print(result.describe())
-        if args.stats:
-            from .syncgraph.metrics import compute_metrics
-
-            print(compute_metrics(result.sync_graph).describe())
-        if simulation is not None:
-            print(f"simulation: {simulation.describe()}")
-        if confirmation is not None:
-            print(f"confirmation: {confirmation.outcome}")
-            if confirmation.witness is not None:
-                print(confirmation.witness.describe())
-        if repair is not None:
-            from .repair import unified_fix_diff
-
-            print(repair.describe())
-            for fix in repair.fixes:
-                print()
-                diff = unified_fix_diff(
-                    result.program, fix, path=source_path
-                )
-                print(diff, end="" if diff.endswith("\n") else "\n")
-    if args.trace and session is not None:
+        if args.json:
+            # --stats graph metrics share the key; the sets are
+            # disjoint, and the snapshot's keys come first.
+            output["metrics"] = {**snapshot, **output.get("metrics", {})}
+    print(render_json(output) if args.json else output)
+    if args.trace:
         _chatter(args, session.tracer.render())
-
-    certified = (
-        confirmation.final_verdict == "certified-deadlock-free"
-        if confirmation is not None
-        else result.deadlock.deadlock_free
-    )
-    return 0 if certified else 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -78,7 +78,10 @@ __all__ = [
 # cannot read.
 # v9: SyncNode carries its AST statement as ``stmt`` instead of a
 # whole CFG node; v8 pickles carry a field the class no longer has.
-PIPELINE_VERSION = 9
+# v10: AnalysisResult lost the unread ``uri`` field, and the key lost
+# its ``exact=`` line: ``algorithm="exact"`` is the one spelling, so
+# one exact run is filed under one key.
+PIPELINE_VERSION = 10
 
 # On-disk envelope format, independent of analysis semantics.
 CACHE_FORMAT = 1
@@ -104,7 +107,6 @@ def cache_key(
     program: Union[str, "Program"],
     algorithm: str = "refined",
     state_limit: int = 200_000,
-    exact: bool = False,
     lint: bool = False,
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
@@ -130,7 +132,6 @@ def cache_key(
             f"pipeline={PIPELINE_VERSION}",
             f"algorithm={algorithm}",
             f"state_limit={state_limit}",
-            f"exact={exact}",
             f"lint={lint}",
             f"strategy={strategy}",
             f"beam_width={beam_width}",

@@ -77,7 +77,6 @@ class WorkItem:
     label: str
     source: str
     algorithm: str = "refined"
-    exact: bool = False
     state_limit: int = 200_000
     lint: bool = False
     strategy: str = "bfs"
@@ -132,7 +131,6 @@ def analyze_item(item: WorkItem) -> WorkOutcome:
         result = analyze_prepared(
             prepared,
             algorithm=item.algorithm,
-            exact=item.exact,
             state_limit=item.state_limit,
             strategy=item.strategy,
             beam_width=item.beam_width,

@@ -248,7 +248,6 @@ def collect_sources(
 def run_batch(
     programs: Iterable[Union[str, Program, Tuple[str, str]]],
     algorithm: str = "refined",
-    exact: bool = False,
     state_limit: int = 200_000,
     jobs: int = 1,
     timeout: Optional[float] = None,
@@ -293,7 +292,7 @@ def run_batch(
             if result_cache is not None:
                 try:
                     key = cache_key(
-                        source, algorithm, state_limit, exact, lint,
+                        source, algorithm, state_limit, lint,
                         strategy=strategy, beam_width=beam_width,
                     )
                 except ReproError:
@@ -321,7 +320,6 @@ def run_batch(
                         label=label,
                         source=source,
                         algorithm=algorithm,
-                        exact=exact,
                         state_limit=state_limit,
                         lint=lint,
                         strategy=strategy,

@@ -15,10 +15,12 @@ its memoized refined report (:attr:`repro.api.PreparedProgram.refined`),
 which ADL012 reads.  No CLG object is built.  A caller that already
 holds the prepared program (the CLI, a farm worker, the daemon's
 document) passes it to :func:`run_lint`, so lint and the analysis share
-one refined run; otherwise lint prepares the program lazily, at most
-once per run.  The layers degrade to ``None`` when the program is too
-broken to build them (e.g. duplicate task names), so structural rules
-still report on programs the analysis pipeline would reject outright.
+one refined run; a caller whose attempt failed passes its
+:class:`~repro.errors.ReproError` instead, and lint does not try
+again.  Otherwise lint prepares the program lazily, at most once per
+run.  The layers degrade to ``None`` when the program is too broken to
+build them (e.g. duplicate task names), so structural rules still
+report on programs the analysis pipeline would reject outright.
 
 Suppressions are pre-scanned from source comments::
 
@@ -45,6 +47,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from .. import obs
@@ -149,7 +152,8 @@ class LintContext:
     """Shared, lazily computed inputs for one lint run.
 
     ``prepared`` must be :func:`repro.api.prepare` of ``program``: rules
-    read nodes and spans off it.
+    read nodes and spans off it.  The error that call raised stands for
+    a program that cannot reach the front half.
     """
 
     def __init__(
@@ -157,12 +161,14 @@ class LintContext:
         program: Program,
         source: Optional[str] = None,
         path: str = "<source>",
-        prepared: Optional["PreparedProgram"] = None,
+        prepared: Union["PreparedProgram", ReproError, None] = None,
     ) -> None:
         self.program = program
         self.source = source
         self.path = path
-        self._prepared = prepared
+        self._prepared = (
+            None if isinstance(prepared, ReproError) else prepared
+        )
         self._prepared_built = prepared is not None
         self._fallback: Optional[Program] = None
         self._unmatched: Optional[Tuple[Diagnostic, ...]] = None
@@ -341,7 +347,7 @@ def run_lint(
     path: str = "<source>",
     disable: Sequence[str] = (),
     select: Optional[Sequence[str]] = None,
-    prepared: Optional["PreparedProgram"] = None,
+    prepared: Union["PreparedProgram", ReproError, None] = None,
 ) -> LintResult:
     """Run every (selected) registered rule over ``program``.
 
@@ -350,8 +356,9 @@ def run_lint(
     never mutated (statements are frozen dataclasses and rules only
     read).  A caller holding ``prepared = repro.api.prepare(program)``
     passes it in, so lint reuses the analysis's layers, its refined
-    report included (see :class:`LintContext`); the diagnostics are
-    the same either way.  Per-rule emission/suppression counters are
+    report included (see :class:`LintContext`), or passes the
+    :class:`~repro.errors.ReproError` that call raised; the diagnostics
+    are the same either way.  Per-rule emission/suppression counters are
     recorded in :mod:`repro.obs` when a session is active.
     """
     rules = _select_rules(disable, select)

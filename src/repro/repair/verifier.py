@@ -12,7 +12,7 @@ reuses the production analysis stack wholesale:
    under the requested polynomial detector is certified by that
    detector.
 3. A candidate the detector still convicts gets one escalation: exact
-   wave exploration (``repro.analyze(..., exact=True)`` on the
+   wave exploration (``repro.analyze(..., algorithm="exact")`` on the
    WaveIndex engine) under ``exact_budget`` states, optionally guided
    (``strategy="astar"``/``"beam"`` — see :mod:`repro.waves.guide`).
    The polynomial analyses are conservative, so this rescues
@@ -83,7 +83,7 @@ def _exact_escalation(
     try:
         result = analyze(
             candidate.program,
-            exact=True,
+            algorithm="exact",
             state_limit=exact_budget,
             strategy=strategy,
             beam_width=beam_width,

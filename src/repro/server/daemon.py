@@ -248,8 +248,12 @@ class AnalysisServer:
         payload, cache = self.session.analyze_document(
             uri=params.get("uri"),
             text=params.get("text"),
-            algorithm=params.get("algorithm", "refined"),
-            exact=bool(params.get("exact", False)),
+            # "exact": true is shorthand for "algorithm": "exact".
+            algorithm=(
+                "exact"
+                if params.get("exact")
+                else params.get("algorithm", "refined")
+            ),
             state_limit=_count_param(params, "state_limit", 200_000),
             timeout=_timeout_param(params),
             strategy=params.get("strategy", "bfs"),

@@ -128,7 +128,6 @@ class Document:
         self.uri = uri
         self.version = version
         self.source = text
-        self.opened_at = time.time()
         self.rebuilds = 0  # full pipeline invalidations survived
         # Held for the whole of any session operation on this document:
         # same-document requests serialize (lazy layers build once,
@@ -144,6 +143,8 @@ class Document:
         self._program: Optional[Program] = None
         self._canonical: Optional[str] = None
         self._prepared: Optional[PreparedProgram] = None
+        # Why this version cannot be prepared, once an attempt failed.
+        self._failed: Optional[ReproError] = None
         # The previous version's prepared program after a partial
         # invalidation: its kernels go to the next rebuild.
         self._earlier: Optional[PreparedProgram] = None
@@ -164,9 +165,19 @@ class Document:
 
     def prepared(self) -> PreparedProgram:
         """The algorithm-independent pipeline front half (cached), with
-        the kernels of the version before a comment edit."""
+        the kernels of the version before a comment edit.  A version
+        whose front half fails is prepared once: later calls raise the
+        same error until the next change."""
         if self._prepared is None:
-            prepared = prepare(self.program())
+            if self._failed is not None:
+                # A fresh traceback each time, so it does not grow.
+                raise self._failed.with_traceback(None)
+            program = self.program()
+            try:
+                prepared = prepare(program)
+            except ReproError as exc:
+                self._failed = exc
+                raise
             if self._earlier is not None:
                 prepared.adopt_kernels(self._earlier)
                 self._earlier = None
@@ -236,7 +247,7 @@ class Document:
             self._canonical = old_canonical
             if self._prepared is not None:
                 self._earlier = self._prepared
-            self._prepared = None
+            self._prepared = self._failed = None
             self._lint_cache = {}
             self._repair_cache = {}
             reason = (
@@ -461,7 +472,6 @@ class Session:
         uri: Optional[str] = None,
         text: Optional[str] = None,
         algorithm: str = "refined",
-        exact: bool = False,
         state_limit: int = 200_000,
         timeout: Optional[float] = None,
         strategy: str = "bfs",
@@ -488,7 +498,6 @@ class Session:
         result, payload, cache = self._analysis(
             self._resolve(uri, text, client),
             algorithm=algorithm,
-            exact=exact,
             state_limit=state_limit,
             timeout=timeout,
             strategy=strategy,
@@ -500,7 +509,6 @@ class Session:
         self,
         doc: Document,
         algorithm: str,
-        exact: bool,
         state_limit: int,
         timeout: Optional[float] = None,
         strategy: str = "bfs",
@@ -517,7 +525,6 @@ class Session:
                 doc.program(),
                 algorithm=algorithm,
                 state_limit=state_limit,
-                exact=exact,
                 strategy=strategy,
                 beam_width=beam_width,
             )
@@ -537,9 +544,7 @@ class Session:
                 result = analyze_prepared(
                     doc.prepared(),
                     algorithm=algorithm,
-                    exact=exact,
                     state_limit=state_limit,
-                    uri=doc.uri,
                     strategy=strategy,
                     beam_width=beam_width,
                 )
@@ -598,9 +603,10 @@ class Session:
                 program = doc.program()
                 try:
                     prepared = doc.prepared()
-                except ReproError:
-                    # Broken past parsing: lint degrades on its own.
-                    prepared = None
+                except ReproError as exc:
+                    # Broken past parsing: lint degrades on its own,
+                    # without preparing the program again.
+                    prepared = exc
                 result = run_lint(
                     program,
                     source=doc.source,
@@ -642,7 +648,6 @@ class Session:
             result, _, cache = self._analysis(
                 doc,
                 algorithm=algorithm,
-                exact=False,
                 state_limit=state_limit,
             )
             key = (algorithm, state_limit, max_fixes, strategy, beam_width)
@@ -656,7 +661,6 @@ class Session:
                         doc.prepared(),
                         algorithm=algorithm,
                         state_limit=state_limit,
-                        uri=doc.uri,
                     )
             report = suggest_repairs(
                 result=result,

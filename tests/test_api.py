@@ -117,7 +117,7 @@ class TestPreparedPipeline:
         monkeypatch.setattr(AnalysisIndex, "__init__", forbidden)
         monkeypatch.setattr(WaveIndex, "__init__", forbidden)
         static = analyze_prepared(prep)
-        exact = analyze_prepared(prep, exact=True)
+        exact = analyze_prepared(prep, algorithm="exact")
         assert static.deadlock.verdict == "possible-deadlock"
         assert exact.deadlock.verdict == "possible-deadlock"
         assert prep.index is index and prep.engine is engine
@@ -194,19 +194,6 @@ class TestPreparedPipeline:
         )
         assert payload["deadlock"]["verdict"] == "possible-deadlock"
         assert session.documents["mem:n"].artifacts()["index"] is False
-
-    def test_uri_is_provenance_only(self):
-        from repro.reporting import analysis_result_to_dict
-        from tests.conftest import CROSSED_SRC
-
-        tagged = analyze(CROSSED_SRC, uri="untitled:buffer-3")
-        plain = analyze(CROSSED_SRC)
-        assert tagged.uri == "untitled:buffer-3"
-        assert plain.uri is None
-        # Provenance never leaks into the serialized report.
-        assert analysis_result_to_dict(tagged) == analysis_result_to_dict(
-            plain
-        )
 
     def test_exact_graph_lazy_on_approximated_unroll(self):
         from repro.api import prepare

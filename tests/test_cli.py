@@ -400,6 +400,79 @@ class TestOneFrontHalfPerInput:
         assert validate_sarif_shape(json.loads(sarif.read_text())) == []
         assert counts() == (1, 1)
 
+    def test_failed_front_half_is_attempted_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.workloads.adl_corpus import load_lint_adl
+        from tests.conftest import front_half_counts
+
+        # A recursive call chain: the front half raises ValidationError.
+        source = load_lint_adl("structure_smells")
+        path = tmp_path / "structure_smells.adl"
+        path.write_text(source)
+        counts = front_half_counts(monkeypatch, source)
+        main([str(path), "--lint", "--suggest-fixes", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert "ADL006" in {d["rule"] for d in payload["diagnostics"]}
+        assert "repair" not in payload
+        assert counts() == (1, 1)
+
+
+class TestOneObservedWindow:
+    """One CLI run is one obs window: lint and SARIF are inside it, and
+    the SARIF lint reads the analysis's refined report."""
+
+    @pytest.fixture
+    def greeting_file(self, tmp_path):
+        from repro.workloads.adl_corpus import load_repair_adl
+
+        path = tmp_path / "crossed_greeting.adl"
+        path.write_text(load_repair_adl("crossed_greeting"))
+        return path
+
+    @pytest.fixture
+    def refined_calls(self, monkeypatch):
+        from tests.conftest import spy_calls
+
+        return spy_calls(
+            monkeypatch, "repro.analysis.refined:refined_deadlock_analysis"
+        )
+
+    def test_metrics_out_with_sarif(
+        self, greeting_file, refined_calls, tmp_path, capsys
+    ):
+        metrics = tmp_path / "m.json"
+        argv = [str(greeting_file), "--json", "--metrics-out", str(metrics)]
+        code = main(argv + ["--sarif", str(tmp_path / "s.sarif")])
+        payload = json.loads(capsys.readouterr().out)
+        snapshot = json.loads(metrics.read_text())
+        assert code == 1
+        assert len(refined_calls) == 1
+        assert snapshot["counters"]["lint.runs"] == 1
+        assert snapshot["counters"]["lint.diagnostics{rule=ADL012}"] == 1
+        assert "lint.run" in snapshot["span_seconds"]
+        assert payload["metrics"]["counters"] == snapshot["counters"]
+
+    def test_trace_with_sarif_shows_lint(
+        self, greeting_file, refined_calls, tmp_path, capsys
+    ):
+        main([str(greeting_file), "--trace", "--sarif", str(tmp_path / "s")])
+        assert "lint.run" in capsys.readouterr().out
+        assert len(refined_calls) == 1
+
+    def test_stats_metrics_follow_the_snapshot(
+        self, handshake_file, tmp_path, capsys
+    ):
+        main([str(handshake_file), "--json", "--stats"])
+        graph_keys = list(json.loads(capsys.readouterr().out)["metrics"])
+        metrics = tmp_path / "m.json"
+        argv = [str(handshake_file), "--json", "--stats", "--suggest-fixes"]
+        main(argv + ["--metrics-out", str(metrics)])
+        payload = json.loads(capsys.readouterr().out)
+        snapshot = json.loads(metrics.read_text())
+        assert list(payload)[-2:] == ["repair", "metrics"]
+        assert list(payload["metrics"]) == list(snapshot) + graph_keys
+
 
 class TestLintMode:
     def test_text_output_and_default_threshold(self, stally_file, capsys):

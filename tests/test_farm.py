@@ -69,7 +69,7 @@ class TestCacheKey:
     def test_state_limit_and_exact_change_key(self):
         base = cache_key(HANDSHAKE_SRC)
         assert cache_key(HANDSHAKE_SRC, state_limit=7) != base
-        assert cache_key(HANDSHAKE_SRC, exact=True) != base
+        assert cache_key(HANDSHAKE_SRC, algorithm="exact") != base
 
     def test_lint_changes_key(self):
         # Lint entries carry extra payload, so they must not shadow

@@ -28,6 +28,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 from pathlib import Path
 
 import pytest
@@ -334,17 +335,6 @@ class TestSession:
         assert cache2 == "memory"
         assert session.counters["lint_cache_hits"] == 1
 
-    def test_analysis_result_records_uri(self):
-        session = Session(store=None)
-        session.analyze_document(uri="untitled:buf", text=CROSSED_SRC)
-        result, _, _ = session._analysis(
-            session.documents["untitled:buf"],
-            algorithm="refined",
-            exact=False,
-            state_limit=200_000,
-        )
-        assert result.uri == "untitled:buf"
-
     def test_status_shape(self):
         session = Session(store=None)
         session.analyze_document(uri="mem:a", text=CROSSED_SRC)
@@ -520,22 +510,19 @@ class TestRepliesUseOwnSpans:
     EXACT_LIMIT = 20_000
 
     def _check(self, session, uri, text, tier):
-        for exact in (False, True):
-            limit = self.EXACT_LIMIT if exact else 200_000
+        for algorithm in ("refined", "exact"):
+            limit = self.EXACT_LIMIT if algorithm == "exact" else 200_000
+            args = dict(algorithm=algorithm, state_limit=limit)
             try:
-                expected = analysis_result_to_dict(
-                    repro.analyze(text, exact=exact, state_limit=limit)
-                )
+                expected = analysis_result_to_dict(repro.analyze(text, **args))
             except ReproError:
                 with pytest.raises(ReproError):
-                    session.analyze_document(
-                        uri=uri, text=text, exact=exact, state_limit=limit
-                    )
+                    session.analyze_document(uri=uri, text=text, **args)
                 continue
             payload, cache = session.analyze_document(
-                uri=uri, text=text, exact=exact, state_limit=limit
+                uri=uri, text=text, **args
             )
-            assert (cache, payload) == (tier, expected), (uri, exact)
+            assert (cache, payload) == (tier, expected), (uri, algorithm)
 
     def test_memory_store_and_restart_replies(self, tmp_path):
         corpus = _span_corpus()
@@ -585,6 +572,61 @@ class TestRepliesUseOwnSpans:
         session.analyze_document(uri="mem:c", text=CROSSED_SRC)
         session.lint_document(uri="mem:c")
         assert len(calls) == 1
+
+
+class TestOneFrontHalfAttemptPerVersion:
+    """A document version whose front half fails is prepared once: lint
+    and analyze read the failure, and analyze answers as before."""
+
+    @pytest.fixture
+    def smells(self):
+        from repro.workloads.adl_corpus import load_lint_adl
+
+        # A recursive call chain: the front half raises ValidationError.
+        return load_lint_adl("structure_smells")
+
+    def test_two_lints_and_three_analyzes_prepare_once(
+        self, smells, monkeypatch
+    ):
+        from tests.conftest import front_half_counts
+
+        with pytest.raises(ReproError) as one_shot:
+            repro.analyze(smells)
+        expected = {
+            "code": ANALYSIS_ERROR,
+            "message": f"{type(one_shot.value).__name__}: {one_shot.value}",
+        }
+        counts = front_half_counts(monkeypatch, smells)
+        server = make_server()
+        rpc(server, "didOpen", {"uri": "mem:s", "text": smells})
+        first = rpc(server, "lint", {"uri": "mem:s"})
+        assert "ADL006" in {
+            d["rule"] for d in first["result"]["report"]["diagnostics"]
+        }
+        assert counts()[1] == 1
+        rpc(server, "lint", {"uri": "mem:s", "disable": ["ADL007"]})
+        assert counts()[1] == 1
+        for _ in range(3):
+            reply = rpc(server, "analyze", {"uri": "mem:s"})
+            assert reply["error"] == expected
+        assert counts()[1] == 1
+
+    def test_failure_is_kept_until_the_next_change(self, smells, monkeypatch):
+        from tests.conftest import spy_calls
+
+        prepares = spy_calls(monkeypatch, "repro.api:prepare")
+        doc = Document("mem:s", smells)
+        depths = []
+        for _ in range(4):
+            with pytest.raises(ReproError) as raised:
+                doc.prepared()
+            depths.append(len(traceback.extract_tb(raised.tb)))
+        assert len(prepares) == 1
+        # Each raise starts a fresh traceback: it does not grow.
+        assert depths[1:] == [depths[1]] * 3
+        doc.apply_change(HANDSHAKE_SRC)
+        assert doc.prepared().sync_graph is not None
+        assert len(prepares) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -857,6 +899,18 @@ class TestDaemonDispatch:
         assert reply["result"]["cache"] == "computed"
         report = reply["result"]["report"]
         assert report["deadlock"]["verdict"] == "possible-deadlock"
+
+    def test_exact_shorthand_shares_the_exact_entry(self):
+        # "exact": true is "algorithm": "exact": one key, one run.
+        server = make_server()
+        first = rpc(
+            server,
+            "analyze",
+            {"uri": "mem:a", "text": CROSSED_SRC, "exact": True},
+        )
+        second = rpc(server, "analyze", {"uri": "mem:a", "algorithm": "exact"})
+        assert first["result"]["cache"] == "computed"
+        assert second["result"] == dict(first["result"], cache="memory")
 
     def test_retired_backend_param_is_ignored(self):
         # Clients that still send the removed "backend" param keep
