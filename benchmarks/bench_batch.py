@@ -77,7 +77,7 @@ def test_batch_throughput(benchmark, tmp_path):
 
     # Shape assertions: every configuration agrees on every verdict...
     verdicts = [
-        [item.result.deadlock.verdict for item in report.items]
+        [item.result["deadlock"]["verdict"] for item in report.items]
         for report in (serial_cold, parallel_cold, warm, serial_warm)
     ]
     assert all(v == verdicts[0] for v in verdicts[1:])

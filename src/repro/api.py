@@ -415,10 +415,11 @@ def analyze_many(
     ``programs`` may mix source strings, parsed
     :class:`~repro.lang.ast_nodes.Program` objects, and ``(label,
     source)`` pairs.  Returns a
-    :class:`~repro.farm.runner.BatchReport`; ``report.results`` is the
-    per-program :class:`AnalysisResult` list in input order (``None``
-    where an item failed), and verdicts match per-program
-    :func:`analyze` calls exactly.
+    :class:`~repro.farm.runner.BatchReport`; ``report.results`` lists
+    the per-program report payloads in input order (``None`` where an
+    item failed), each equal to
+    :func:`repro.reporting.analysis_result_to_dict` of a per-program
+    :func:`analyze` call, cache hits included.
     """
     from .farm.runner import run_batch
 

@@ -274,6 +274,27 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags each mode has no use for: a run that names one is refused
+# before any work runs, rather than dropping the flag in silence.
+_UNSUPPORTED = {
+    "batch": (
+        "dot", "clg_dot", "simulate", "stats", "confirm", "sarif",
+        "suggest_fixes",
+    ),
+    "lint": ("dot", "clg_dot", "simulate", "stats", "confirm"),
+}
+
+
+def _unsupported_flag(args) -> Optional[str]:
+    """The first flag given that the chosen mode would drop, if any."""
+    mode = "batch" if args.batch else "lint" if args.lint else None
+    for dest in _UNSUPPORTED.get(mode, ()):
+        value = getattr(args, dest)  # None or False when not given
+        if value is not None and value is not False:
+            return f"--{dest.replace('_', '-')} is not supported with --{mode}"
+    return None
+
+
 def _positive_int(text: str) -> int:
     """argparse type: an integer >= 1 (anything else exits 2)."""
     try:
@@ -506,11 +527,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return serve_main(argv[1:])
     args = build_arg_parser().parse_args(argv)
     # Checked up front so every mode rejects a bad strategy/beam-width
-    # combination with exit code 2 before any work runs.
+    # combination, or a flag it would drop, with exit code 2 before any
+    # work runs.
     try:
         validate_strategy(args.strategy, args.beam_width)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    unsupported = _unsupported_flag(args)
+    if unsupported is not None:
+        print(f"error: {unsupported}", file=sys.stderr)
         return 2
     source = None
     if not args.batch:
@@ -560,9 +586,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             # --stats graph metrics share the key; the sets are
             # disjoint, and the snapshot's keys come first.
             output["metrics"] = {**snapshot, **output.get("metrics", {})}
-    print(render_json(output) if args.json else output)
-    if args.trace:
-        _chatter(args, session.tracer.render())
+    try:
+        print(render_json(output) if args.json else output)
+        if args.trace:
+            _chatter(args, session.tracer.render())
+    except BrokenPipeError:
+        # The reader left (``| head``).  Point stdout at the null
+        # device, so the interpreter's exit flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

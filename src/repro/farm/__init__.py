@@ -3,9 +3,10 @@
 The farm turns the one-shot :func:`repro.analyze` pipeline into a
 corpus engine:
 
-* :mod:`repro.farm.cache` — results keyed by a canonical hash of the
-  parsed program, the algorithm, the state limit, and a bump-on-change
-  pipeline version stamp; memory LRU over a pickle-per-entry directory.
+* :mod:`repro.farm.cache` — report payloads keyed by a canonical hash
+  of the parsed program, the algorithm, the state limit, and a
+  pipeline version stamp, stored as checked JSON envelopes, one file
+  per key.
 * :mod:`repro.farm.pool` — fault-isolated
   :class:`~concurrent.futures.ProcessPoolExecutor` workers with
   per-item timeouts and crash containment, plus a serial fallback.
@@ -24,10 +25,12 @@ Typical use::
 
 Library users who already hold sources or parsed programs can instead
 call :func:`repro.analyze_many`, which routes through the same runner.
+Every tier carries one record per item, the report payload of
+:func:`repro.reporting.analysis_result_to_dict`: workers return it,
+the cache stores it, and ``BatchReport.results`` lists it.
 """
 
 from .cache import (
-    CACHE_FORMAT,
     PIPELINE_VERSION,
     CacheStats,
     LruFront,
@@ -55,7 +58,6 @@ from .runner import (
 
 __all__ = [
     "BATCH_SCHEMA_VERSION",
-    "CACHE_FORMAT",
     "PIPELINE_VERSION",
     "STATUS_CRASHED",
     "STATUS_FAILED",

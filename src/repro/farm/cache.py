@@ -1,50 +1,46 @@
 """Content-addressed result cache for the batch-analysis farm.
 
 An analysis run is a pure function of (canonical program, algorithm,
-state limit, pipeline version), so its :class:`~repro.api.AnalysisResult`
-can be keyed by a hash of those inputs and reused across runs and
-processes.  Keys hash the *parsed* program rendered back through the
-pretty-printer, not raw source bytes — comments and whitespace never
-reach the AST, so edits that cannot change the analysis cannot change
-the key either.
+state limit, pipeline version), so its report payload — what
+:func:`repro.reporting.analysis_result_to_dict` returns, ``--json``
+prints and the daemon replies with — can be keyed by a hash of those
+inputs and reused across runs and processes.  Keys hash the *parsed*
+program rendered back through the pretty-printer, not raw source
+bytes — comments and whitespace never reach the AST, so edits that
+cannot change the analysis cannot change the key either.  The
+payload's one located part, its validation diagnostics, is rendered
+from the requester's own text on a hit
+(:func:`repro.reporting.own_validation`).
 
-:data:`PIPELINE_VERSION` is a bump-on-change stamp folded into every
-key.  Any PR that changes analysis semantics (detector logic, the
-transforms, sync-graph construction, result dataclasses) must bump it;
-stale entries then simply stop being addressable and age out, so no
-explicit invalidation pass is needed.
-
-The cache is two-level: an in-memory LRU front (per
-:class:`ResultCache` instance) over a pickle-per-entry disk backend
-(shared across processes).  Disk entries that fail to load for any
-reason — truncated writes, unpickling errors, a key mismatch, an old
-format — are treated as misses and deleted, never raised.
-
-Entries are pickles: only point a cache at directories you trust, the
-same caveat as pytest's or mypy's cache.
+Entries are JSON envelopes, one file per key
+(``<dir>/<key[:2]>/<key>.json``): ``{"key", "payload"}``, plus
+``"lint_counts"`` under lint keys.  Loading one checks that it names
+its own key and that the payload has this schema's ``schema_version``
+and top-level keys; anything else at an entry's path — truncated
+writes, foreign files, records of another schema — is a miss that is
+counted in :attr:`CacheStats.errors` and deleted, never raised.
+Loading parses JSON and executes nothing, so a cache directory may be
+shared.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
-import pickle
 import threading
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Optional, OrderedDict as OrderedDictT, Union
 from collections import OrderedDict
+from dataclasses import asdict, dataclass
+from pathlib import Path
+from typing import Any, Dict, Optional, OrderedDict as OrderedDictT, Union
 
 from ..lang.ast_nodes import Program
 from ..lang.parser import parse_program
 from ..lang.pretty import pretty
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api -> farm)
-    from ..api import AnalysisResult
+from ..reporting import SCHEMA_VERSION
 
 __all__ = [
     "PIPELINE_VERSION",
-    "CACHE_FORMAT",
     "CacheStats",
     "LruFront",
     "ResultCache",
@@ -53,41 +49,26 @@ __all__ = [
     "default_cache_dir",
 ]
 
-# Bump whenever analysis semantics change: detector logic, transforms,
-# sync-graph construction, or the shape of AnalysisResult.  Old entries
-# become unaddressable (different key), so they are never served stale.
-# v3: budget-faithful exact exploration — analyze(exact=...) now returns
-# a partial possible-deadlock report with stats["exploration_limited"]
-# instead of raising on budget exhaustion (PR 5).
-# v4: exact exploration of loop programs walks the pre-unroll graph when
-# Lemma-1 only approximated (stats gain unroll_approximated /
-# explored_pre_unroll_graph), and lint-enabled batch entries store a
-# {"analysis", "lint_counts"} wrapper (PR 7).
-# v5: AnalysisResult gained the source-provenance ``uri`` field
-# (repro.server in-memory buffers); older pickles miss the attribute.
-# v6: guided exact search — exact reports gained stats["strategy"] (and
-# beam_width/beam_truncated for beam runs), and the search strategy /
-# beam width joined the cache key: budget-limited runs legitimately
-# differ by expansion order, so strategies must not share entries.
-# v7: the sync-graph builder emits control successors and initial
-# options in uid order, and the extension analyses visit candidate
-# tails in uid order; v6 entries of budget-limited exact runs, witness
-# choices and extension evidence followed the string hash seed.
-# v8: SyncGraph keeps uid-list adjacency (``_succ``/``_pred``/``_sync``)
-# built from the AST; v7 pickles carry node-keyed dicts the new class
-# cannot read.
-# v9: SyncNode carries its AST statement as ``stmt`` instead of a
-# whole CFG node; v8 pickles carry a field the class no longer has.
-# v10: AnalysisResult lost the unread ``uri`` field, and the key lost
-# its ``exact=`` line: ``algorithm="exact"`` is the one spelling, so
-# one exact run is filed under one key.
-PIPELINE_VERSION = 10
+# Folded into every key.  Bump it only when verdicts, evidence or stats
+# can change for some program: the payload's own ``schema_version``
+# covers the record's shape, and a record of another shape fails the
+# load check.  v11: entries are checked JSON payloads, not pickles.
+PIPELINE_VERSION = 11
 
-# On-disk envelope format, independent of analysis semantics.
-CACHE_FORMAT = 1
-
-# Distinguishes "key absent" from a legitimately cached None.
-_MISS = object()
+# The top-level keys every payload of this schema carries.
+_PAYLOAD_KEYS = frozenset(
+    (
+        "schema_version",
+        "program",
+        "tasks",
+        "procedures",
+        "loops_transformed",
+        "sync_graph",
+        "deadlock",
+        "stall",
+        "validation",
+    )
+)
 
 
 def canonical_source(program: Union[str, "Program"]) -> str:
@@ -159,27 +140,18 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    evictions: int = 0
-    errors: int = 0  # corrupted/unreadable disk entries, counted as misses
+    errors: int = 0  # unreadable or rejected entries, counted as misses
 
     def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "errors": self.errors,
-        }
+        return asdict(self)
 
 
 class LruFront:
     """A bounded, introspectable LRU map: the in-memory cache front.
 
-    Extracted from :class:`ResultCache` so any long-lived holder of hot
-    analysis state — the result cache, :class:`repro.server.Session` —
-    shares one LRU implementation with uniform size/hit/miss
-    introspection (:meth:`snapshot`), instead of each growing a private
-    ``OrderedDict`` with ad-hoc counters.
+    :class:`repro.server.Session` keeps its resident report payloads in
+    one, with size/hit/miss introspection (:meth:`snapshot`) for the
+    ``status`` method and the obs gauges.
 
     Thread-safe: the daemon's worker pool shares one front across
     workers, and both the ``OrderedDict`` reordering in :meth:`get` and
@@ -211,17 +183,15 @@ class LruFront:
             self.hits += 1
             return self._entries[key]
 
-    def put(self, key: str, value) -> int:
-        """Store ``key`` and return how many entries were evicted."""
+    def put(self, key: str, value) -> None:
+        """Store ``key``, evicting the least recently used beyond
+        ``max_entries``."""
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            evicted = 0
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-                evicted += 1
-            self.evictions += evicted
-            return evicted
+                self.evictions += 1
 
     def items(self):
         """Current ``(key, value)`` pairs, least recently used first."""
@@ -254,64 +224,51 @@ class LruFront:
 
 
 class ResultCache:
-    """Two-level cache: in-memory LRU over a pickle-per-entry directory.
+    """A directory of checked JSON envelopes, one file per key.
 
-    ``memory_entries`` bounds the LRU front only; the disk backend is
-    unbounded (entries are small and content-addressed, ``clear()``
-    wipes them).  Disk writes are atomic (temp file + ``os.replace``),
-    so a killed run never leaves a half-written entry that a later run
-    would trip over — and if anything else corrupts an entry, loading it
-    counts as a miss and deletes the file.
+    The directory is unbounded (entries are a few KiB and
+    content-addressed; :meth:`clear` wipes them).  Writes are atomic
+    (temp file + ``os.replace``), so a killed run never leaves a
+    half-written entry that a later run would trip over.
 
-    Safe to share across threads: the front is an internally locked
-    :class:`LruFront`, the stats counters are guarded here, temp-file
-    names include the thread id, and the content-addressed entries
-    themselves are immutable (racing writers of one key store identical
-    bytes).
+    Safe to share across threads: the stats counters are guarded,
+    temp-file names include the pid and thread id, and racing writers
+    of one key store the same report.
     """
 
-    def __init__(
-        self,
-        cache_dir: Union[str, Path, None] = None,
-        memory_entries: int = 256,
-    ) -> None:
+    def __init__(self, cache_dir: Union[str, Path, None] = None) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-        self.memory_entries = memory_entries
         self.stats = CacheStats()
-        self.front = LruFront(max_entries=memory_entries)
-        # Guards the bare CacheStats counters; the front locks itself.
         self._stats_lock = threading.Lock()
-
-    # -- paths -----------------------------------------------------------
 
     def _entry_path(self, key: str) -> Path:
         # Two-level fan-out keeps any one directory small.
-        return self.cache_dir / key[:2] / f"{key}.pkl"
+        return self.cache_dir / key[:2] / f"{key}.json"
 
-    # -- lookup ----------------------------------------------------------
-
-    def get(self, key: str) -> Optional["AnalysisResult"]:
-        """The cached result for ``key``, or None (miss)."""
-        cached = self.front.get(key, _MISS)
-        if cached is not _MISS:
-            with self._stats_lock:
-                self.stats.hits += 1
-            return cached
-        result = self._load_disk(key)
-        if result is None:
-            with self._stats_lock:
-                self.stats.misses += 1
-            return None
-        self._remember(key, result)
+    def _count(self, name: str) -> None:
         with self._stats_lock:
-            self.stats.hits += 1
-        return result
+            setattr(self.stats, name, getattr(self.stats, name) + 1)
 
-    def put(self, key: str, result: "AnalysisResult") -> None:
-        """Store ``result`` under ``key`` (memory + disk)."""
-        self._remember(key, result)
+    def get(self, key: str) -> Optional[Dict[str, Any]]:
+        """The checked envelope stored under ``key`` — ``{"key",
+        "payload"}`` plus ``"lint_counts"`` under lint keys — or None
+        (a miss)."""
+        envelope = self._load(key)
+        self._count("misses" if envelope is None else "hits")
+        return envelope
+
+    def put(
+        self,
+        key: str,
+        payload: Dict[str, Any],
+        lint_counts: Optional[Dict[str, int]] = None,
+    ) -> None:
+        """Store ``payload`` (and lint-enabled runs' ``lint_counts``)
+        under ``key``."""
+        envelope: Dict[str, Any] = {"key": key, "payload": payload}
+        if lint_counts is not None:
+            envelope["lint_counts"] = lint_counts
         path = self._entry_path(key)
-        envelope = {"format": CACHE_FORMAT, "key": key, "result": result}
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             # pid + thread id: concurrent daemon workers storing the
@@ -319,38 +276,21 @@ class ResultCache:
             tmp = path.with_suffix(
                 f".tmp.{os.getpid()}.{threading.get_ident()}"
             )
-            with open(tmp, "wb") as fh:
-                pickle.dump(envelope, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            tmp.write_text(json.dumps(envelope, separators=(",", ":")))
             os.replace(tmp, path)
-            with self._stats_lock:
-                self.stats.stores += 1
         except OSError:
-            # A read-only or full cache dir degrades to memory-only.
-            with self._stats_lock:
-                self.stats.errors += 1
-
-    def contains(self, key: str) -> bool:
-        """Whether ``key`` is resident (front or disk), without loading.
-
-        A pure probe: no stats churn, no LRU refresh, no unpickling —
-        used by flush paths that only need to know if a store round-trip
-        can be skipped.
-        """
-        return key in self.front or self.on_disk(key)
+            # A read-only or full cache dir degrades to no store.
+            self._count("errors")
+        else:
+            self._count("stores")
 
     def on_disk(self, key: str) -> bool:
-        """Whether ``key`` has a disk entry — i.e. survives this
-        process.  Flush paths use this rather than :meth:`contains`,
-        which the memory front would satisfy even after the file is
-        gone."""
+        """Whether ``key`` has an entry file, without loading it."""
         return self._entry_path(key).exists()
 
     def clear(self) -> None:
-        """Drop the memory front and delete every disk entry."""
-        self.front.clear()
-        if not self.cache_dir.exists():
-            return
-        for entry in self.cache_dir.glob("??/*.pkl"):
+        """Delete every file in the fan-out directories."""
+        for entry in self.cache_dir.glob("??/*"):
             try:
                 entry.unlink()
             except OSError:
@@ -358,36 +298,28 @@ class ResultCache:
 
     def __len__(self) -> int:
         """Number of entries on disk."""
-        if not self.cache_dir.exists():
-            return 0
-        return sum(1 for _ in self.cache_dir.glob("??/*.pkl"))
+        return sum(1 for _ in self.cache_dir.glob("??/*.json"))
 
-    # -- internals -------------------------------------------------------
-
-    def _remember(self, key: str, result: "AnalysisResult") -> None:
-        evicted = self.front.put(key, result)
-        with self._stats_lock:
-            self.stats.evictions += evicted
-
-    def _load_disk(self, key: str) -> Optional["AnalysisResult"]:
+    def _load(self, key: str) -> Optional[Dict[str, Any]]:
         path = self._entry_path(key)
         try:
-            with open(path, "rb") as fh:
-                envelope = pickle.load(fh)
+            envelope = json.loads(path.read_bytes())
+            payload = envelope["payload"]
             if (
-                not isinstance(envelope, dict)
-                or envelope.get("format") != CACHE_FORMAT
-                or envelope.get("key") != key
+                envelope["key"] != key
+                or payload["schema_version"] != SCHEMA_VERSION
+                or not _PAYLOAD_KEYS <= payload.keys()
+                or not isinstance(envelope.get("lint_counts", {}), dict)
             ):
-                raise ValueError("cache entry envelope mismatch")
-            return envelope["result"]
+                raise ValueError("not an entry of this key and schema")
+            return envelope
         except FileNotFoundError:
             return None
-        except Exception:
-            # Corrupted, truncated, or foreign entry: a miss, not a
-            # crash.  Delete it so the slot heals on the next store.
-            with self._stats_lock:
-                self.stats.errors += 1
+        except (OSError, ValueError, LookupError, TypeError, RecursionError):
+            # Unreadable, corrupted, truncated, or foreign entry: a
+            # miss, not a crash.  Delete it so the slot heals on the
+            # next store.
+            self._count("errors")
             try:
                 path.unlink()
             except OSError:

@@ -87,11 +87,12 @@ class WorkItem:
 class WorkOutcome:
     """What happened to one :class:`WorkItem`.
 
-    ``result`` is set only for ``ok``; ``error`` carries the worker
-    traceback for ``failed`` and a short description for
-    ``timeout``/``crashed``.  ``lint_counts`` maps rule id to
-    diagnostic count for lint-enabled items (``{}`` when the source
-    lints clean, ``None`` when linting was off or never ran).
+    ``result`` is set only for ``ok`` (:func:`analyze_item` sets the
+    report payload of :func:`repro.reporting.analysis_result_to_dict`);
+    ``error`` carries the worker traceback for ``failed`` and a short
+    description for ``timeout``/``crashed``.  ``lint_counts`` maps rule
+    id to diagnostic count for lint-enabled items (``{}`` when the
+    source lints clean, ``None`` when linting was off or never ran).
     """
 
     label: str
@@ -117,7 +118,8 @@ def _maybe_inject_fault(label: str) -> None:
 
 
 def analyze_item(item: WorkItem) -> WorkOutcome:
-    """Default worker: run the full pipeline on one item.
+    """Default worker: run the full pipeline on one item and return
+    its report payload.
 
     Module-level (hence picklable for spawn-based pools) and
     exception-total: every Python failure becomes a ``FAILED`` outcome.
@@ -126,6 +128,7 @@ def analyze_item(item: WorkItem) -> WorkOutcome:
     start = time.perf_counter()
     try:
         from ..api import analyze_prepared, prepare
+        from ..reporting import analysis_result_to_dict
 
         prepared = prepare(item.source)
         result = analyze_prepared(
@@ -151,7 +154,7 @@ def analyze_item(item: WorkItem) -> WorkOutcome:
         return WorkOutcome(
             label=item.label,
             status=STATUS_OK,
-            result=result,
+            result=analysis_result_to_dict(result),
             duration_s=time.perf_counter() - start,
             lint_counts=lint_counts,
         )

@@ -22,12 +22,14 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
+from ..api import prepare
 from ..errors import ReproError
 from ..lang.ast_nodes import Program
 from ..lang.pretty import pretty
+from ..reporting import own_validation, summary_result_to_dict
 from .cache import PIPELINE_VERSION, ResultCache, cache_key
 from .pool import (
     STATUS_FAILED,
@@ -63,23 +65,28 @@ CACHE_OFF = "off"
 
 @dataclass
 class ItemReport:
-    """Outcome of one batch item (see :data:`pool` statuses)."""
+    """Outcome of one batch item (see :data:`pool` statuses).
+
+    ``result`` is the item's report payload
+    (:func:`repro.reporting.analysis_result_to_dict`) when it is ``ok``.
+    """
 
     label: str
     status: str
     cache: str = CACHE_OFF  # "hit" | "miss" | "off"
     duration_s: float = 0.0
     error: Optional[str] = None
-    result: Optional[object] = field(default=None, repr=False)
+    result: Optional[Dict[str, Any]] = field(default=None, repr=False)
     lint_counts: Optional[Dict[str, int]] = None
+    # A hit's own text, for :attr:`BatchReport.results`: the payload
+    # may come from another layout of the same program.
+    _source: Optional[str] = field(default=None, init=False, repr=False)
 
     @property
     def ok(self) -> bool:
         return self.status == STATUS_OK
 
     def to_dict(self) -> dict:
-        from ..reporting import summary_result_to_dict
-
         payload: dict = {
             "label": self.label,
             "status": self.status,
@@ -110,10 +117,20 @@ class BatchReport:
     lint_enabled: bool = False
 
     @property
-    def results(self) -> List[Optional[object]]:
-        """Per-item :class:`~repro.api.AnalysisResult`, input order;
-        ``None`` for items that failed, timed out, or crashed."""
-        return [item.result for item in self.items]
+    def results(self) -> List[Optional[Dict[str, Any]]]:
+        """Per-item report payloads, input order, each equal to
+        :func:`repro.reporting.analysis_result_to_dict` of a one-shot
+        :func:`repro.analyze` of the item's text; ``None`` for items
+        that failed, timed out, or crashed."""
+        results = []
+        for item in self.items:
+            result, source = item.result, item._source
+            if source is not None:
+                result = own_validation(
+                    result, lambda: prepare(source).validation
+                )
+            results.append(result)
+        return results
 
     @property
     def ok(self) -> bool:
@@ -131,7 +148,7 @@ class BatchReport:
         """True iff every item analyzed clean: no failures and no
         possible-deadlock verdicts."""
         return self.ok and all(
-            item.result.deadlock.deadlock_free for item in self.items
+            item.result["deadlock"]["deadlock_free"] for item in self.items
         )
 
     def summary_dict(self) -> dict:
@@ -185,8 +202,8 @@ class BatchReport:
         lines = []
         for item in self.items:
             if item.ok:
-                verdict = item.result.deadlock.verdict
-                stall = item.result.stall.verdict
+                verdict = item.result["deadlock"]["verdict"]
+                stall = item.result["stall"]["verdict"]
                 detail = f"{verdict}; {stall}"
             else:
                 detail = (item.error or "").strip().splitlines()
@@ -263,9 +280,9 @@ def run_batch(
     :class:`~repro.lang.ast_nodes.Program` objects.  ``cache`` selects
     the result cache: an existing :class:`ResultCache`, a directory,
     ``True`` for the default directory, or ``None``/``False`` to
-    disable caching.  Verdicts are identical to calling
-    :func:`repro.api.analyze` per program — the farm only changes how
-    the work is scheduled and memoised.
+    disable caching.  Each item's ``result`` is the report payload of
+    :func:`repro.api.analyze` on that program — the farm only changes
+    how the work is scheduled and memoised.
 
     ``strategy``/``beam_width`` steer exact exploration (see
     :mod:`repro.waves.guide`) and are part of the cache key — a
@@ -274,7 +291,7 @@ def run_batch(
     ``lint`` additionally runs the lint rules over every item; each
     :class:`ItemReport` then carries ``lint_counts`` (rule id ->
     diagnostic count) and lint-enabled cache entries are stored under
-    their own keys with the counts alongside the analysis result.
+    their own keys with the counts alongside the payload.
     """
     started = time.perf_counter()
     result_cache = _coerce_cache(cache)
@@ -303,14 +320,14 @@ def run_batch(
                     hit = result_cache.get(key)
                     if hit is not None:
                         obs.counter("farm.cache.hits").inc()
-                        result, lint_counts = _unwrap_entry(hit, lint)
-                        reports[idx] = ItemReport(
+                        item = reports[idx] = ItemReport(
                             label=label,
                             status=STATUS_OK,
                             cache=CACHE_HIT,
-                            result=result,
-                            lint_counts=lint_counts,
+                            result=hit["payload"],
+                            lint_counts=hit.get("lint_counts"),
                         )
+                        item._source = source
                         continue
                     obs.counter("farm.cache.misses").inc()
             work.append(
@@ -335,9 +352,7 @@ def run_batch(
             )
 
         for (idx, _, key), outcome in zip(work, outcomes):
-            reports[idx] = _item_from_outcome(
-                outcome, result_cache, key, lint
-            )
+            reports[idx] = _item_from_outcome(outcome, result_cache, key)
 
         assert all(report is not None for report in reports)
         items: List[ItemReport] = reports  # type: ignore[assignment]
@@ -396,32 +411,13 @@ def _labelled_sources(
     return labelled
 
 
-def _unwrap_entry(entry: object, lint: bool):
-    """Split a cache entry into (analysis result, lint counts).
-
-    Lint-enabled runs store a ``{"analysis", "lint_counts"}`` wrapper
-    under their own keys; plain runs store the bare result.  A foreign
-    shape under a lint key (impossible via this module, cheap to guard)
-    degrades to no counts rather than crashing.
-    """
-    if lint and isinstance(entry, dict) and "analysis" in entry:
-        return entry["analysis"], entry.get("lint_counts")
-    return entry, None
-
-
 def _item_from_outcome(
     outcome: WorkOutcome,
     result_cache: Optional[ResultCache],
     key: Optional[str],
-    lint: bool,
 ) -> ItemReport:
     if outcome.ok and result_cache is not None and key is not None:
-        entry = (
-            {"analysis": outcome.result, "lint_counts": outcome.lint_counts}
-            if lint
-            else outcome.result
-        )
-        result_cache.put(key, entry)
+        result_cache.put(key, outcome.result, outcome.lint_counts)
     return ItemReport(
         label=outcome.label,
         status=outcome.status,

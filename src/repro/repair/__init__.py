@@ -2,7 +2,7 @@
 
 Given a program the static pipeline convicts, synthesize candidate
 edits from the deadlock evidence (:mod:`.generator`), certify each one
-by re-running the analysis pipeline — farm-batched polynomial
+by re-running the analysis pipeline — one farm batch of polynomial
 re-analysis with exact WaveIndex escalation (:mod:`.verifier`) — and
 rank the certified fixes by locality and safety (:mod:`.ranking`).
 
@@ -28,7 +28,6 @@ serialisation (:func:`repro.reporting.repair_report_to_dict`).
 from __future__ import annotations
 
 import time
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
 from .. import obs
@@ -47,7 +46,6 @@ from .verifier import verify_candidates
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..api import AnalysisResult
-    from ..farm.cache import ResultCache
 
 __all__ = [
     "CertifiedFix",
@@ -69,9 +67,6 @@ def suggest_repairs(
     exact_budget: int = 50_000,
     max_candidates: int = 64,
     max_fixes: int = 5,
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    cache: Union["ResultCache", str, Path, bool, None] = None,
     result: Optional["AnalysisResult"] = None,
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
@@ -87,9 +82,7 @@ def suggest_repairs(
     ``max_candidates`` bounds generation, ``max_fixes`` bounds how many
     ranked certified fixes the report keeps, ``exact_budget`` is the
     WaveIndex state budget for the exact escalation pass (0 disables
-    it).  ``jobs``/``timeout``/``cache`` configure the verification
-    farm batch exactly as in :func:`repro.analyze_many`.
-    ``strategy``/``beam_width`` steer the exact escalation's expansion
+    it).  ``strategy``/``beam_width`` steer the exact escalation's expansion
     order (see :mod:`repro.waves.guide`): a guided escalation can
     rescue — or reject with a concrete deadlock wave — candidates the
     same budget leaves inconclusive under BFS.
@@ -125,9 +118,6 @@ def suggest_repairs(
             algorithm=algorithm,
             state_limit=state_limit,
             exact_budget=exact_budget,
-            jobs=jobs,
-            timeout=timeout,
-            cache=cache,
             strategy=strategy,
             beam_width=beam_width,
         )

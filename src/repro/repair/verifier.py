@@ -3,14 +3,12 @@
 Verification is the certification step of the repair pipeline and it
 reuses the production analysis stack wholesale:
 
-1. Every candidate is pretty-printed and dispatched as one farm batch
-   (:func:`repro.farm.runner.run_batch`) — content-addressed caching
-   means re-running repair on an unchanged program re-verifies nothing,
-   and the crash-quarantined pool keeps one pathological candidate from
-   killing the sweep.
-2. A candidate whose batch item comes back ``certified-deadlock-free``
-   under the requested polynomial detector is certified by that
-   detector.
+1. Every candidate is pretty-printed and run as one serial, uncached
+   farm batch (:func:`repro.farm.runner.run_batch`), so a candidate
+   the pipeline rejects becomes a failed item, not an exception.
+2. A candidate whose report payload comes back
+   ``certified-deadlock-free`` under the requested polynomial detector
+   is certified by that detector.
 3. A candidate the detector still convicts gets one escalation: exact
    wave exploration (``repro.analyze(..., algorithm="exact")`` on the
    WaveIndex engine) under ``exact_budget`` states, optionally guided
@@ -32,8 +30,7 @@ filters rather than rubber-stamps.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..api import analyze
@@ -42,7 +39,6 @@ from .model import CertifiedFix, RepairCandidate
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..api import AnalysisResult
-    from ..farm.cache import ResultCache
 
 __all__ = ["verify_candidates"]
 
@@ -66,20 +62,19 @@ def _exact_escalation(
     exact_budget: int,
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
-) -> Tuple[Optional["AnalysisResult"], str]:
-    """Exact-search a still-convicted candidate: ``(result, outcome)``.
+) -> str:
+    """Exact-search a still-convicted candidate; return the outcome.
 
     ``analyze`` folds budget exhaustion into a conservative
     possible-deadlock verdict, so the grading reads the stats: a clean
-    unlimited run rescues (result returned), a run whose search
-    *found* a deadlock wave confirms the conviction (no rescue, and no
-    point retrying with a bigger budget), and a limited witnessless
-    run stays inconclusive.  A guided ``strategy`` changes only which
-    of those a given budget lands on — typically turning inconclusive
-    into rescued or confirmed.
+    unlimited run rescues, a run whose search *found* a deadlock wave
+    confirms the conviction (no point retrying with a bigger budget),
+    and a limited witnessless run stays inconclusive.  A guided
+    ``strategy`` changes only which of those a given budget lands on —
+    typically turning inconclusive into rescued or confirmed.
     """
     if exact_budget <= 0:
-        return None, _INCONCLUSIVE
+        return _INCONCLUSIVE
     try:
         result = analyze(
             candidate.program,
@@ -89,14 +84,14 @@ def _exact_escalation(
             beam_width=beam_width,
         )
     except Exception:
-        return None, _INCONCLUSIVE
+        return _INCONCLUSIVE
     if result.deadlock.deadlock_free:
-        return result, _RESCUED
+        return _RESCUED
     if result.deadlock.stats.get("deadlock_waves", 0) > 0:
         # A reachable deadlock wave is in hand — definite even when
         # the run was budget-limited (budget-faithful partial result).
-        return None, _CONFIRMED
-    return None, _INCONCLUSIVE
+        return _CONFIRMED
+    return _INCONCLUSIVE
 
 
 def verify_candidates(
@@ -105,9 +100,6 @@ def verify_candidates(
     algorithm: str = "refined",
     state_limit: int = 200_000,
     exact_budget: int = 50_000,
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    cache: Union["ResultCache", str, Path, bool, None] = None,
     strategy: str = "bfs",
     beam_width: Optional[int] = None,
 ) -> Tuple[List[CertifiedFix], Dict[str, int]]:
@@ -121,7 +113,7 @@ def verify_candidates(
     stands unsettled), plus ``certified_static`` / ``certified_exact``
     for the survivors.  ``strategy``/``beam_width`` steer the exact
     escalation's expansion order only — the static batch is
-    strategy-independent, so its cache entries stay shared.
+    strategy-independent.
     """
     if not candidates:
         return [], dict(_EMPTY_STATS)
@@ -133,45 +125,41 @@ def verify_candidates(
         ],
         algorithm=algorithm,
         state_limit=state_limit,
-        jobs=jobs,
-        timeout=timeout,
-        cache=cache,
     )
 
     original_stall_free = original.stall.stall_free
     fixes: List[CertifiedFix] = []
     stats = dict(_EMPTY_STATS)
     for cand, item in zip(candidates, batch.items):
-        if not item.ok or item.result is None:
+        if not item.ok:
             stats["rejected_failed"] += 1
             continue
-        result = item.result
-        certified_by: Optional[str] = None
-        if result.deadlock.deadlock_free:
+        if item.result["deadlock"]["deadlock_free"]:
             certified_by = algorithm
             stats["certified_static"] += 1
         else:
-            rescued, disposition = _exact_escalation(
+            disposition = _exact_escalation(
                 cand, exact_budget,
                 strategy=strategy, beam_width=beam_width,
             )
-            if rescued is not None:
-                result = rescued
-                certified_by = "exact-waves"
-                stats["certified_exact"] += 1
-        if certified_by is None:
             if disposition == _CONFIRMED:
                 stats["rejected_confirmed_deadlock"] += 1
-            else:
+                continue
+            if disposition == _INCONCLUSIVE:
                 stats["rejected_still_convicted"] += 1
-            continue
+                continue
+            certified_by = "exact-waves"
+            stats["certified_exact"] += 1
+        # The stall pass does not depend on the deadlock algorithm, so
+        # the batch's verdict is the rescued candidate's too.
+        stall = item.result["stall"]
         fixes.append(
             CertifiedFix(
                 candidate=cand,
                 certified_by=certified_by,
-                stall_verdict=result.stall.verdict,
+                stall_verdict=stall["verdict"],
                 introduced_stall=(
-                    original_stall_free and not result.stall.stall_free
+                    original_stall_free and not stall["stall_free"]
                 ),
             )
         )

@@ -8,7 +8,7 @@ The CLI's ``--json`` output is built from these functions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 import json
 
@@ -33,6 +33,7 @@ __all__ = [
     "confirmation_to_dict",
     "repair_report_to_dict",
     "analysis_result_to_dict",
+    "own_validation",
     "summary_result_to_dict",
 ]
 
@@ -244,26 +245,44 @@ def analysis_result_to_dict(
     return payload
 
 
-def summary_result_to_dict(result: AnalysisResult) -> Dict[str, Any]:
-    """Compact per-program payload for batch (JSONL) records.
+def own_validation(
+    payload: Dict[str, Any], validation: Callable[[], ValidationReport]
+) -> Dict[str, Any]:
+    """A cached ``payload`` with the requester's own validation.
 
-    A strict subset of :func:`analysis_result_to_dict`: program
-    identity and verdicts, without the validation/evidence detail —
-    small enough to emit once per line for thousands of items.
+    Cache keys hash the canonical program, so a cached payload may come
+    from another layout of the requesting text, and its validation
+    diagnostics are the one part of it that is located.  When there
+    are any, ``validation`` is called for the requester's own
+    :class:`ValidationReport` and renders that key; a payload without
+    them is returned as it is.
     """
+    if not payload["validation"]["diagnostics"]:
+        return payload
+    return dict(payload, validation=validation_to_dict(validation()))
+
+
+def summary_result_to_dict(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Compact per-program record for batch (JSONL) output.
+
+    A strict subset of an :func:`analysis_result_to_dict` ``payload``:
+    program identity and verdicts, without the validation/evidence
+    detail — small enough to emit once per line for thousands of items.
+    """
+    deadlock, stall = payload["deadlock"], payload["stall"]
     return {
-        "program": result.program.name,
-        "tasks": list(result.program.task_names),
-        "loops_transformed": result.loops_transformed,
+        "program": payload["program"],
+        "tasks": list(payload["tasks"]),
+        "loops_transformed": payload["loops_transformed"],
         "deadlock": {
-            "verdict": result.deadlock.verdict,
-            "algorithm": result.deadlock.algorithm,
-            "deadlock_free": result.deadlock.deadlock_free,
-            "evidence_count": len(result.deadlock.evidence),
+            "verdict": deadlock["verdict"],
+            "algorithm": deadlock["algorithm"],
+            "deadlock_free": deadlock["deadlock_free"],
+            "evidence_count": len(deadlock["evidence"]),
         },
         "stall": {
-            "verdict": result.stall.verdict,
-            "method": result.stall.method,
-            "stall_free": result.stall.stall_free,
+            "verdict": stall["verdict"],
+            "method": stall["method"],
+            "stall_free": stall["stall_free"],
         },
     }

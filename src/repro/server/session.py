@@ -10,11 +10,11 @@ A :class:`Session` is the daemon's memory.  It owns
   lazily and reuses them across requests;
 * a **resident result front** — one :class:`repro.farm.cache.LruFront`
   keyed by the farm's content-addressed :func:`cache_key`, holding
-  ``(AnalysisResult, report payload)`` pairs so a repeat ``analyze`` of
-  an unchanged document is answered without re-running anything;
-* an optional **disk store** (the farm :class:`ResultCache`) consulted
-  below the front, so a restarted daemon is warm for any program it —
-  or a batch run — has ever analyzed.
+  report payloads so a repeat ``analyze`` of an unchanged document is
+  answered without re-running anything;
+* an optional **disk store** (the farm :class:`ResultCache`, the same
+  payloads as JSON) consulted below the front, so a restarted daemon is
+  warm for any program it — or a batch run — has ever analyzed.
 
 Incremental invalidation lives in :meth:`Document.apply_change`: a
 ``didChange`` carries the new text and optionally the edited source
@@ -29,7 +29,8 @@ the canonical program is a *full* invalidation of that one document;
 other documents are never touched.  ``analyze``, ``lint`` and
 ``repair`` of one document version share its prepared program, so the
 refined analysis runs once for all three, and every reply carries the
-document's own spans, cache hits included (see :meth:`_own_spans`).
+document's own spans, cache hits included
+(:func:`repro.reporting.own_validation`).
 
 **Multi-client namespaces.**  Document tables are keyed per client
 (the ``client`` field on protocol requests; HTTP clients default to a
@@ -59,13 +60,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import budget, obs
-from ..api import (
-    ALGORITHMS,
-    AnalysisResult,
-    PreparedProgram,
-    analyze_prepared,
-    prepare,
-)
+from ..api import ALGORITHMS, PreparedProgram, analyze_prepared, prepare
 from ..errors import ReproError
 from ..farm.cache import LruFront, ResultCache, cache_key
 from ..lang.ast_nodes import Program
@@ -73,7 +68,7 @@ from ..lang.parser import parse_program
 from ..lang.pretty import pretty
 from ..obs.export import instrument_values
 from ..waves.guide import validate_strategy
-from ..reporting import analysis_result_to_dict, validation_to_dict
+from ..reporting import analysis_result_to_dict, own_validation
 from .protocol import PROTOCOL_VERSION
 from .scheduler import DEFAULT_CLIENT
 
@@ -495,7 +490,7 @@ class Session:
         :class:`~repro.errors.RequestTimeout` or
         :class:`~repro.errors.RequestCancelled` with nothing cached.
         """
-        result, payload, cache = self._analysis(
+        return self._analysis(
             self._resolve(uri, text, client),
             algorithm=algorithm,
             state_limit=state_limit,
@@ -503,7 +498,6 @@ class Session:
             strategy=strategy,
             beam_width=beam_width,
         )
-        return payload, cache
 
     def _analysis(
         self,
@@ -513,7 +507,7 @@ class Session:
         timeout: Optional[float] = None,
         strategy: str = "bfs",
         beam_width: Optional[int] = None,
-    ) -> Tuple[AnalysisResult, Dict[str, Any], str]:
+    ) -> Tuple[Dict[str, Any], str]:
         if algorithm != "exact" and algorithm not in ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {algorithm!r}; choose one of "
@@ -528,17 +522,19 @@ class Session:
                 strategy=strategy,
                 beam_width=beam_width,
             )
-            cached = self.lru.get(key)
-            if cached is not None:
+            payload, tier = self.lru.get(key), "memory"
+            if payload is not None:
                 self._count("cache_hits", "server.cache_hits")
-                return cached[0], self._own_spans(doc, cached[1]), "memory"
-            if self.store is not None:
-                result = self.store.get(key)
-                if result is not None:
-                    payload = analysis_result_to_dict(result)
-                    self.lru.put(key, (result, payload))
+            elif self.store is not None:
+                entry = self.store.get(key)
+                if entry is not None:
+                    payload, tier = entry["payload"], "store"
+                    self.lru.put(key, payload)
                     self._count("store_hits", "server.store_hits")
-                    return result, self._own_spans(doc, payload), "store"
+            if payload is not None:
+                # The entry may come from another layout of this program.
+                own = own_validation(payload, lambda: doc.prepared().validation)
+                return own, tier
 
             with budget.limit(timeout):
                 result = analyze_prepared(
@@ -549,22 +545,12 @@ class Session:
                     beam_width=beam_width,
                 )
             payload = analysis_result_to_dict(result)
-            self.lru.put(key, (result, payload))
+            self.lru.put(key, payload)
             if self.store is not None:
-                self.store.put(key, result)
+                self.store.put(key, payload)
             self._count("computed", "server.computed")
             self._update_gauges()
-            return result, payload, "computed"
-
-    @staticmethod
-    def _own_spans(doc: Document, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """A hit's payload with ``doc``'s own validation spans, the only
-        located part of it: the key is the canonical program, so the
-        entry may come from another comment variant of ``doc``."""
-        if not payload["validation"]["diagnostics"]:
-            return payload
-        own = validation_to_dict(doc.prepared().validation)
-        return dict(payload, validation=own)
+            return payload, "computed"
 
     # -- lint ------------------------------------------------------------
 
@@ -637,15 +623,15 @@ class Session:
         payload (analysis report + ``"repair"`` key), cache-aware.
 
         ``cache`` is the tier that answered the analysis.  Fixes must
-        carry the document's own spans, so a hit from another text (a
-        comment variant, or the store) is re-run on the document's
-        prepared program; payloads are cached per document.
+        carry the document's own spans, so synthesis reads the
+        document's own prepared program whichever tier answered;
+        payloads are cached per document.
         """
         from ..repair import suggest_repairs
 
         doc = self._resolve(uri, text, client)
         with doc.lock:
-            result, _, cache = self._analysis(
+            _, cache = self._analysis(
                 doc,
                 algorithm=algorithm,
                 state_limit=state_limit,
@@ -655,13 +641,12 @@ class Session:
             if full is not None:
                 self._count("cache_hits", "server.cache_hits")
                 return full, "memory"
-            if result.program is not doc.program():
-                with budget.limit():
-                    result = analyze_prepared(
-                        doc.prepared(),
-                        algorithm=algorithm,
-                        state_limit=state_limit,
-                    )
+            with budget.limit():
+                result = analyze_prepared(
+                    doc.prepared(),
+                    algorithm=algorithm,
+                    state_limit=state_limit,
+                )
             report = suggest_repairs(
                 result=result,
                 algorithm="refined" if algorithm == "exact" else algorithm,
@@ -750,7 +735,6 @@ class Session:
                 {
                     "dir": str(self.store.cache_dir),
                     "stats": self.store.stats.to_dict(),
-                    "front": self.store.front.snapshot(),
                 }
                 if self.store is not None
                 else None
@@ -774,8 +758,8 @@ class Session:
         if self.store is None:
             return 0
         written = 0
-        for key, (result, _) in self.lru.items():
+        for key, payload in self.lru.items():
             if not self.store.on_disk(key):
-                self.store.put(key, result)
+                self.store.put(key, payload)
                 written += 1
         return written

@@ -715,6 +715,77 @@ class TestBatchMode:
         assert summary["cache"]["hits"] == 2
 
 
+class TestModeFlags:
+    """A mode refuses, with exit code 2 and before any work runs, the
+    flags it would otherwise drop."""
+
+    ARGS = {"--dot": ["out.file"], "--clg-dot": ["out.file"],
+            "--sarif": ["out.file"], "--simulate": ["0"]}
+
+    @pytest.mark.parametrize(
+        "mode, flag",
+        [
+            (mode, flag)
+            for mode, flags in (
+                (
+                    "--batch",
+                    ("--dot", "--clg-dot", "--simulate", "--stats",
+                     "--confirm", "--sarif", "--suggest-fixes"),
+                ),
+                (
+                    "--lint",
+                    ("--dot", "--clg-dot", "--simulate", "--stats",
+                     "--confirm"),
+                ),
+            )
+            for flag in flags
+        ],
+    )
+    def test_flag_the_mode_would_drop_is_refused(
+        self, crossed_file, tmp_path, capsys, monkeypatch, mode, flag
+    ):
+        from tests.conftest import spy_calls
+
+        monkeypatch.chdir(tmp_path)
+        prepares = spy_calls(monkeypatch, "repro.api:prepare")
+        rc = main(
+            [str(crossed_file), mode, "--no-cache", flag,
+             *self.ARGS.get(flag, [])]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == (
+            f"error: {flag} is not supported with {mode}\n"
+        )
+        assert captured.out == ""
+        assert not prepares
+        assert not (tmp_path / "out.file").exists()
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_leaves_stderr_empty(self, tmp_path):
+        from repro.lang.pretty import pretty
+        from repro.workloads.patterns import dining_philosophers
+
+        # More than a pipe buffer of --json output, so the writer is
+        # still writing when the reader goes.
+        source = pretty(dining_philosophers(8, True))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "-", "--json"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdin.write(source.encode())
+        proc.stdin.close()
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1  # the deadlock verdict
+        assert stderr == b""
+
+
 class TestJsonStdoutPurity:
     """Under ``--json``, stdout is exactly one parseable JSON document.
 

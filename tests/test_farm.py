@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import json
 import os
 import pickle
 import signal
 import time
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,8 @@ from repro.farm import (
     run_pool,
 )
 from repro.farm import cache as cache_module
+from repro.reporting import analysis_result_to_dict
+from repro.server import Session
 from repro.workloads import adl_corpus
 from tests.conftest import CROSSED_SRC, HANDSHAKE_SRC
 
@@ -91,20 +96,23 @@ class TestCacheKey:
 # result cache
 
 
+def _payload(source):
+    return analysis_result_to_dict(analyze(source))
+
+
 class TestResultCache:
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache_key(HANDSHAKE_SRC)
         assert cache.get(key) is None
-        result = analyze(HANDSHAKE_SRC)
-        cache.put(key, result)
-        got = cache.get(key)
-        assert got is not None
-        assert got.deadlock.verdict == result.deadlock.verdict
+        payload = _payload(HANDSHAKE_SRC)
+        cache.put(key, payload)
+        assert cache.get(key) == {"key": key, "payload": payload}
+        assert cache._entry_path(key).name == f"{key}.json"
 
     def test_disk_persists_across_instances(self, tmp_path):
         key = cache_key(HANDSHAKE_SRC)
-        ResultCache(tmp_path).put(key, analyze(HANDSHAKE_SRC))
+        ResultCache(tmp_path).put(key, _payload(HANDSHAKE_SRC))
         fresh = ResultCache(tmp_path)
         assert fresh.get(key) is not None
         assert fresh.stats.hits == 1
@@ -112,9 +120,9 @@ class TestResultCache:
     def test_corrupted_entry_is_a_miss_not_a_crash(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache_key(HANDSHAKE_SRC)
-        cache.put(key, analyze(HANDSHAKE_SRC))
+        cache.put(key, _payload(HANDSHAKE_SRC))
         entry = cache._entry_path(key)
-        entry.write_bytes(b"not a pickle at all")
+        entry.write_bytes(b"not JSON at all")
         fresh = ResultCache(tmp_path)
         assert fresh.get(key) is None
         assert fresh.stats.errors == 1
@@ -124,7 +132,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key_a = cache_key(HANDSHAKE_SRC)
         key_b = cache_key(CROSSED_SRC)
-        cache.put(key_a, analyze(HANDSHAKE_SRC))
+        cache.put(key_a, _payload(HANDSHAKE_SRC))
         # Simulate a renamed/copied entry file.
         path_b = cache._entry_path(key_b)
         path_b.parent.mkdir(parents=True, exist_ok=True)
@@ -132,19 +140,17 @@ class TestResultCache:
         fresh = ResultCache(tmp_path)
         assert fresh.get(key_b) is None
 
-    def test_memory_lru_eviction_still_hits_disk(self, tmp_path):
-        cache = ResultCache(tmp_path, memory_entries=1)
-        key_a = cache_key(HANDSHAKE_SRC)
-        key_b = cache_key(CROSSED_SRC)
-        cache.put(key_a, analyze(HANDSHAKE_SRC))
-        cache.put(key_b, analyze(CROSSED_SRC))  # evicts key_a from memory
-        assert cache.stats.evictions == 1
-        assert cache.get(key_a) is not None  # reloaded from disk
+    def test_on_disk_follows_the_entry_file(self, tmp_path):
+        cache = ResultCache(cache_dir=tmp_path)
+        cache.put("k" * 64, _payload(CROSSED_SRC))
+        assert cache.on_disk("k" * 64)
+        cache._entry_path("k" * 64).unlink()
+        assert not cache.on_disk("k" * 64)
 
     def test_len_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put(cache_key(HANDSHAKE_SRC), analyze(HANDSHAKE_SRC))
-        cache.put(cache_key(CROSSED_SRC), analyze(CROSSED_SRC))
+        cache.put(cache_key(HANDSHAKE_SRC), _payload(HANDSHAKE_SRC))
+        cache.put(cache_key(CROSSED_SRC), _payload(CROSSED_SRC))
         assert len(cache) == 2
         cache.clear()
         assert len(cache) == 0
@@ -152,7 +158,106 @@ class TestResultCache:
 
 
 # ---------------------------------------------------------------------------
-# picklability (cached payloads and pool transport depend on it)
+# the store's trust boundary: loading a cache directory executes nothing
+
+
+class _Bait:
+    """Unpickling this calls ``open(marker, "w")``: a loader that ran it
+    would leave the marker file behind."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
+
+
+def _malformed_envelopes():
+    key = cache_key(HANDSHAKE_SRC)
+    payload = _payload(HANDSHAKE_SRC)
+    good = json.dumps({"key": key, "payload": payload})
+    without_deadlock = {k: v for k, v in payload.items() if k != "deadlock"}
+    return {
+        "not-json": b"\x80\x04 not JSON",
+        "truncated": good[: len(good) // 2].encode(),
+        "not-a-dict": json.dumps([key, payload]).encode(),
+        "another-key": json.dumps(
+            {"key": cache_key(CROSSED_SRC), "payload": payload}
+        ).encode(),
+        "another-schema": json.dumps(
+            {"key": key, "payload": dict(payload, schema_version=3)}
+        ).encode(),
+        "no-deadlock-key": json.dumps(
+            {"key": key, "payload": without_deadlock}
+        ).encode(),
+    }
+
+
+class TestStoreTrustBoundary:
+    def test_no_deserializer_that_runs_code_is_imported(self):
+        root = Path(repro.__file__).parent
+        banned = {"pickle", "_pickle", "marshal", "shelve"}
+        found = []
+        for package in ("farm", "server"):
+            for path in sorted((root / package).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Import):
+                        names = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        names = [node.module or ""]
+                    else:
+                        continue
+                    found += [
+                        f"{package}/{path.name}: {name}"
+                        for name in names
+                        if name.split(".")[0] in banned
+                    ]
+        assert found == []
+
+    def test_the_bait_is_live(self, tmp_path):
+        marker = tmp_path / "control"
+        pickle.loads(pickle.dumps(_Bait(marker))).close()
+        assert marker.exists()
+
+    @pytest.mark.parametrize("suffix", [".pkl", ".json"])
+    @pytest.mark.parametrize("reader", ["get", "run_batch", "session"])
+    def test_planted_pickle_is_never_loaded(self, tmp_path, suffix, reader):
+        store, marker = tmp_path / "store", tmp_path / "marker"
+        key = cache_key(HANDSHAKE_SRC)
+        planted = store / key[:2] / f"{key}{suffix}"
+        planted.parent.mkdir(parents=True)
+        planted.write_bytes(pickle.dumps(_Bait(marker)))
+
+        if reader == "get":
+            assert ResultCache(store).get(key) is None
+        elif reader == "run_batch":
+            item = run_batch([("h", HANDSHAKE_SRC)], cache=store).items[0]
+            assert (item.status, item.cache) == (STATUS_OK, "miss")
+        else:
+            restarted = Session(store=ResultCache(store))
+            _, tier = restarted.analyze_document(uri="mem:h", text=HANDSHAKE_SRC)
+            assert tier == "computed"
+        assert not marker.exists()
+        if reader != "get":  # recomputed and rewritten as JSON
+            entry = json.loads((store / key[:2] / f"{key}.json").read_text())
+            assert entry == {"key": key, "payload": _payload(HANDSHAKE_SRC)}
+
+    @pytest.mark.parametrize("name", sorted(_malformed_envelopes()))
+    def test_malformed_envelope_is_a_deleted_miss(self, tmp_path, name):
+        key = cache_key(HANDSHAKE_SRC)
+        cache = ResultCache(tmp_path)
+        path = cache._entry_path(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(_malformed_envelopes()[name])
+        assert cache.get(key) is None
+        assert cache.stats.to_dict() == {
+            "hits": 0, "misses": 1, "stores": 0, "errors": 1,
+        }
+        assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# picklability (results stay shippable between processes)
 
 
 class TestPicklability:
@@ -241,8 +346,7 @@ class TestPool:
         assert [o.label for o in parallel] == [o.label for o in serial]
         for p, s in zip(parallel, serial):
             assert p.ok and s.ok
-            assert p.result.deadlock.verdict == s.result.deadlock.verdict
-            assert p.result.stall.verdict == s.result.stall.verdict
+            assert p.result == s.result
 
     def test_parallel_unknown_algorithm_fails_only_that_item(self):
         items = [
@@ -326,9 +430,7 @@ class TestRunBatch:
         report = run_batch(pairs, jobs=4, cache=tmp_path / "cache")
         assert report.ok
         for (name, source), item in zip(pairs, report.items):
-            expected = analyze(source)
-            assert item.result.deadlock.verdict == expected.deadlock.verdict, name
-            assert item.result.stall.verdict == expected.stall.verdict, name
+            assert item.result == _payload(source), name
 
     def test_warm_cache_rerun_hits_and_is_faster(self, tmp_path):
         corpus = adl_corpus()
@@ -345,10 +447,7 @@ class TestRunBatch:
         assert session.registry.counter_value("farm.cache.misses") == len(pairs)
         for hit_item, cold_item in zip(warm.items, cold.items):
             assert hit_item.cache == "hit"
-            assert (
-                hit_item.result.deadlock.verdict
-                == cold_item.result.deadlock.verdict
-            )
+            assert hit_item.result == cold_item.result
 
     def test_cache_disabled_by_default(self):
         report = run_batch([("h", HANDSHAKE_SRC)])
@@ -376,8 +475,8 @@ class TestRunBatch:
     def test_accepts_programs_and_bare_sources(self, handshake):
         report = run_batch([handshake, CROSSED_SRC])
         assert report.items[0].label == "handshake"
-        assert report.items[0].result.deadlock.deadlock_free
-        assert not report.items[1].result.deadlock.deadlock_free
+        assert report.items[0].result["deadlock"]["deadlock_free"]
+        assert not report.items[1].result["deadlock"]["deadlock_free"]
 
     def test_injected_crash_is_contained(self, tmp_path, monkeypatch):
         """Acceptance: a crashing worker item is FAILED/CRASHED without
@@ -439,16 +538,14 @@ class TestLintBatch:
         second = run_batch([("crossed", CROSSED_SRC)], **args)
         assert second.items[0].cache == "hit"
         assert second.items[0].lint_counts == first.items[0].lint_counts
-        assert second.items[0].result.deadlock.verdict == (
-            first.items[0].result.deadlock.verdict
-        )
+        assert second.items[0].result == first.items[0].result
 
     def test_lint_entries_do_not_shadow_plain_runs(self, tmp_path):
         run_batch([("crossed", CROSSED_SRC)], cache=tmp_path, lint=True)
         plain = run_batch([("crossed", CROSSED_SRC)], cache=tmp_path)
         assert plain.items[0].cache == "miss"  # distinct key
         assert plain.items[0].lint_counts is None
-        assert not plain.items[0].result.deadlock.deadlock_free
+        assert not plain.items[0].result["deadlock"]["deadlock_free"]
 
     def test_jsonl_exposes_counts_and_summary(self, tmp_path):
         import json
@@ -558,8 +655,8 @@ class TestAnalyzeMany:
     def test_results_in_input_order(self):
         report = analyze_many([HANDSHAKE_SRC, CROSSED_SRC])
         results = report.results
-        assert results[0].deadlock.deadlock_free
-        assert not results[1].deadlock.deadlock_free
+        assert results[0]["deadlock"]["deadlock_free"]
+        assert not results[1]["deadlock"]["deadlock_free"]
 
     def test_exported_from_package_root(self):
         assert repro.analyze_many is analyze_many
@@ -570,14 +667,34 @@ class TestAnalyzeMany:
         second = analyze_many(sources, jobs=2, cache=tmp_path)
         assert first.cache_misses == 2
         assert second.cache_hits == 2
-        for a, b in zip(first.results, second.results):
-            assert a.deadlock.verdict == b.deadlock.verdict
+        assert first.results == second.results
 
     def test_matches_analyze_verdicts(self):
         entries = sorted(adl_corpus().values(), key=lambda e: e.name)
         report = analyze_many([e.source for e in entries], jobs=2)
         for entry, result in zip(entries, report.results):
-            assert result.deadlock.verdict == analyze(entry.source).deadlock.verdict
+            assert result == _payload(entry.source)
+
+    def test_hits_equal_one_shot_runs_of_every_layout(self, tmp_path):
+        # Keys hash the canonical program, so a warm hit may come from
+        # another layout of the same text: its validation spans must
+        # still be the item's own.
+        from tests.test_server import TWO_COMMENT_LINES, _span_corpus
+
+        texts, expected = [], []
+        for _, text in _span_corpus():
+            for variant in (text, TWO_COMMENT_LINES + text):
+                try:
+                    payload = _payload(variant)
+                except ReproError:
+                    continue
+                texts.append(variant)
+                expected.append(payload)
+        cold = analyze_many(texts, cache=tmp_path)
+        warm = analyze_many(texts, cache=tmp_path)
+        assert (cold.cache_misses, warm.cache_hits) == (len(texts),) * 2
+        assert cold.results == expected
+        assert warm.results == expected
 
 
 class TestLruFront:
@@ -648,30 +765,6 @@ class TestLruFront:
 
         with pytest.raises(ValueError):
             LruFront(max_entries=0)
-
-    def test_result_cache_front_is_lru_front(self, tmp_path):
-        from repro.farm.cache import LruFront, ResultCache
-
-        cache = ResultCache(cache_dir=tmp_path, memory_entries=7)
-        assert isinstance(cache.front, LruFront)
-        assert cache.front.max_entries == 7
-        snap = cache.front.snapshot()
-        assert set(snap) == {
-            "entries", "max_entries", "hits", "misses", "evictions",
-        }
-
-    def test_on_disk_vs_contains(self, tmp_path):
-        from repro.farm.cache import ResultCache
-        from tests.conftest import CROSSED_SRC
-
-        cache = ResultCache(cache_dir=tmp_path)
-        cache.put("k" * 64, analyze(CROSSED_SRC))
-        assert cache.contains("k" * 64)
-        assert cache.on_disk("k" * 64)
-        for entry in tmp_path.glob("??/*.pkl"):
-            entry.unlink()
-        assert not cache.on_disk("k" * 64)
-        assert cache.contains("k" * 64)  # the front still has it
 
 
 # ---------------------------------------------------------------------------

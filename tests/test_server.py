@@ -354,7 +354,7 @@ class TestSession:
         # Store writes are write-through, so flush finds nothing new.
         assert session.flush() == 0
         # Wipe the disk copies; flush restores them from the LRU.
-        for entry in tmp_path.glob("??/*.pkl"):
+        for entry in tmp_path.glob("??/*.json"):
             entry.unlink()
         assert session.flush() == 1
 
@@ -2045,4 +2045,4 @@ class TestHttpSigterm:
         assert out == ""
         assert "stopped" in err
         # Write-through store kept the analysis; a fresh daemon is warm.
-        assert list(tmp_path.glob("??/*.pkl"))
+        assert list(tmp_path.glob("??/*.json"))
