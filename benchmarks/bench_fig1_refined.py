@@ -12,11 +12,14 @@ from __future__ import annotations
 import pytest
 
 from _util import attach_metrics, print_pruning_summary, print_table
-from repro.analysis.index import project_ids
 from repro.analysis.naive import naive_deadlock_analysis
 from repro.analysis.refined import refined_deadlock_analysis
 from repro.syncgraph.build import build_sync_graph
-from repro.syncgraph.clg import clg_out_edges, cyclic_components
+from repro.syncgraph.clg import (
+    clg_out_edges,
+    cyclic_components,
+    rendezvous_uids,
+)
 from repro.waves.explore import explore
 from repro.workloads.corpus import paper_corpus
 
@@ -30,12 +33,12 @@ def test_fig1_naive_reports_spurious_cycles(fig1_graph, benchmark):
     report = benchmark(naive_deadlock_analysis, fig1_graph)
     assert not report.deadlock_free
     comps = cyclic_components(clg_out_edges(fig1_graph))
-    rendezvous = fig1_graph.rendezvous_nodes
+    labels = fig1_graph.labels()
     print_table(
         "E1: naive CLG cycles on fig1 (all spurious)",
         ["component", "sync nodes involved"],
         [
-            (i, ", ".join(sorted(map(str, project_ids(rendezvous, comp)))))
+            (i, ", ".join(sorted(labels[u] for u in rendezvous_uids(comp))))
             for i, comp in enumerate(comps)
         ],
     )

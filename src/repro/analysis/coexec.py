@@ -119,7 +119,7 @@ def compute_coexec(
 
     rows = [0] * n
     for task in graph.tasks:
-        members = [node.uid - 2 for node in graph.nodes_of_task(task)]
+        members = [u - 2 for u in graph.task_uids(task)]
         task_mask = 0
         for i in members:
             task_mask |= 1 << i

@@ -26,20 +26,33 @@ vectors memoized across the O(N²)–O(N^k) combination loops, the
 forward–backward component kernel.  The differential tests run the
 same loops on a set-based engine (``tests/oracles/extensions.py``).
 Candidate tails are visited in uid order, so reports do not depend on
-the string hash seed.
+the string hash seed.  Every hypothesis loop checks the active request
+budget (:mod:`repro.budget`) on entry and every
+:data:`~repro.budget.CHECK_EVERY` hypotheses, as the refined head loop
+does.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from .. import obs
+from ..budget import CHECK_EVERY, checkpoint
 from ..errors import AnalysisError
-from ..syncgraph.clg import in_id_of, out_id_of
+from ..syncgraph.clg import in_id_of, out_id_of, rendezvous_uids
 from ..syncgraph.model import SyncGraph, SyncNode
 from .coexec import CoExecInfo
-from .index import AnalysisIndex, coaccept_of, project_ids
+from .index import AnalysisIndex, coaccept_of
 from .refined import possible_heads
 from .results import DeadlockEvidence, DeadlockReport, Verdict
 
@@ -52,11 +65,31 @@ __all__ = [
 ]
 
 
+T = TypeVar("T")
+
+
+def _budgeted(items: Iterable[T]) -> Iterator[T]:
+    """``items``, with the active request budget checked before the
+    first and then every :data:`~repro.budget.CHECK_EVERY` items."""
+    budget = checkpoint()
+    if budget is None:
+        yield from items
+        return
+    countdown = CHECK_EVERY
+    for item in items:
+        countdown -= 1
+        if not countdown:
+            budget.check()
+            countdown = CHECK_EVERY
+        yield item
+
+
 class _IndexOps:
     """Bitset marking/search engine over a shared :class:`AnalysisIndex`.
 
-    Components come back as nodes of ``graph``, the graph under
-    analysis, which may be a uid-equal rebuild of ``index.graph``.
+    Components come back as sorted rendezvous uids; evidence resolves
+    them in ``graph``, the graph under analysis, which may be a
+    uid-equal rebuild of ``index.graph``.
     """
 
     empty: int = 0
@@ -64,7 +97,6 @@ class _IndexOps:
     def __init__(self, index: AnalysisIndex, graph: SyncGraph) -> None:
         self.index = index
         self.graph = graph
-        self.rendezvous = graph.rendezvous_nodes
         self.orderings = index.orderings
         self.coexec = index.coexec
 
@@ -87,7 +119,7 @@ class _IndexOps:
 
     def search(
         self, required: Tuple[int, ...], no_sync: int, do_not_enter: int
-    ) -> Optional[FrozenSet[SyncNode]]:
+    ) -> Optional[Tuple[int, ...]]:
         combined = no_sync | do_not_enter
         for r in required:
             if (combined >> r) & 1:
@@ -103,7 +135,7 @@ class _IndexOps:
             id_set = set(ids)
             if any(r not in id_set for r in required[1:]):
                 return None
-        return project_ids(self.rendezvous, ids)
+        return rendezvous_uids(ids)
 
 
 def _index_ops(
@@ -137,7 +169,7 @@ def _head_pairs(graph: SyncGraph, ops: _IndexOps) -> DeadlockReport:
     heads = possible_heads(graph)
     evidence: List[DeadlockEvidence] = []
     examined = 0
-    for h1, h2 in combinations(heads, 2):
+    for h1, h2 in _budgeted(combinations(heads, 2)):
         if h1.task == h2.task:
             continue
         if orderings.sequenceable(h1, h2):
@@ -149,15 +181,13 @@ def _head_pairs(graph: SyncGraph, ops: _IndexOps) -> DeadlockReport:
         examined += 1
         ns1, dne1 = ops.head_marks(h1)
         ns2, dne2 = ops.head_marks(h2)
-        component = ops.search(
+        uids = ops.search(
             (ops.in_ref(h1), ops.in_ref(h2)),
             ns1 | ns2,
             dne1 | dne2,
         )
-        if component is not None:
-            evidence.append(
-                DeadlockEvidence(component=component, head=h1, tail=h2)
-            )
+        if uids is not None:
+            evidence.append(DeadlockEvidence(graph, uids, head=h1, tail=h2))
     if obs.is_enabled():
         enumerated = len(heads) * (len(heads) - 1) // 2
         obs.counter(
@@ -226,22 +256,20 @@ def _head_tail(graph: SyncGraph, ops: _IndexOps) -> DeadlockReport:
     evidence: List[DeadlockEvidence] = []
     examined = 0
     for head in heads:
-        for tail in _candidate_tails(graph, head, coexec, nodes):
+        for tail in _budgeted(_candidate_tails(graph, head, coexec, nodes)):
             examined += 1
             # COACCEPT marking is unnecessary when the exit node is
             # hypothesized explicitly (paper, extensions discussion).
             no_sync, do_not_enter = ops.head_marks(head, use_coaccept=False)
             do_not_enter = do_not_enter | ops.tail_marks(tail)
-            component = ops.search(
+            uids = ops.search(
                 (ops.in_ref(head), ops.out_ref(tail)),
                 no_sync,
                 do_not_enter,
             )
-            if component is not None:
+            if uids is not None:
                 evidence.append(
-                    DeadlockEvidence(
-                        component=component, head=head, tail=tail
-                    )
+                    DeadlockEvidence(graph, uids, head=head, tail=tail)
                 )
                 break  # one surviving tail suffices to flag this head
     if obs.is_enabled():
@@ -296,7 +324,7 @@ def _combined_pairs(
             f"raise max_hypotheses to force the run"
         )
     examined = 0
-    for (h1, t1), (h2, t2) in combinations(pairs, 2):
+    for (h1, t1), (h2, t2) in _budgeted(combinations(pairs, 2)):
         if h1.task == h2.task:
             continue
         if orderings.sequenceable(h1, h2):
@@ -312,7 +340,7 @@ def _combined_pairs(
         do_not_enter = (
             dne1 | dne2 | ops.tail_marks(t1) | ops.tail_marks(t2)
         )
-        component = ops.search(
+        uids = ops.search(
             (
                 ops.in_ref(h1),
                 ops.out_ref(t1),
@@ -322,10 +350,8 @@ def _combined_pairs(
             no_sync,
             do_not_enter,
         )
-        if component is not None:
-            evidence.append(
-                DeadlockEvidence(component=component, head=h1, tail=h2)
-            )
+        if uids is not None:
+            evidence.append(DeadlockEvidence(graph, uids, head=h1, tail=h2))
     if obs.is_enabled():
         obs.counter(
             "extensions.pairs_enumerated", analysis="combined-pairs"
@@ -361,15 +387,11 @@ def _restricted_two_task_search(
     for a_idx, task_a in enumerate(tasks):
         for task_b in tasks[a_idx + 1 :]:
             restriction = ops.task_restriction({task_a, task_b})
-            for head in heads_by_task[task_a]:
+            for head in _budgeted(heads_by_task[task_a]):
                 ns, dne = ops.head_marks(head)
-                component = ops.search(
-                    (ops.in_ref(head),), ns, dne | restriction
-                )
-                if component is not None:
-                    evidence.append(
-                        DeadlockEvidence(component=component, head=head)
-                    )
+                uids = ops.search((ops.in_ref(head),), ns, dne | restriction)
+                if uids is not None:
+                    evidence.append(DeadlockEvidence(graph, uids, head=head))
                     break  # one witness per task pair suffices
     return evidence
 
@@ -432,7 +454,7 @@ def _k_pairs(
             "max_hypotheses to force the run"
         )
     examined = 0
-    for combo in combinations(pairs, k):
+    for combo in _budgeted(combinations(pairs, k)):
         tasks_used = {h.task for h, _ in combo}
         if len(tasks_used) != k:
             continue
@@ -457,13 +479,11 @@ def _k_pairs(
             do_not_enter = do_not_enter | dne | ops.tail_marks(tail)
             required.append(ops.in_ref(head))
             required.append(ops.out_ref(tail))
-        component = ops.search(tuple(required), no_sync, do_not_enter)
-        if component is not None:
+        uids = ops.search(tuple(required), no_sync, do_not_enter)
+        if uids is not None:
             evidence.append(
                 DeadlockEvidence(
-                    component=component,
-                    head=combo[0][0],
-                    tail=combo[1][0],
+                    graph, uids, head=combo[0][0], tail=combo[1][0]
                 )
             )
     if obs.is_enabled():

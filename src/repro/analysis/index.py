@@ -24,12 +24,15 @@ implementation behind :mod:`repro.analysis.refined` and
   applied as masks.  Nodes unreachable from ``h_i`` are never touched,
   and when no edge re-enters ``h_i`` the backward pass is skipped.
 
-No :class:`SyncNode` is hashed while the index is built or while a
-head hypothesis runs; ``SyncNode`` objects appear only at the evidence
-boundary (:func:`project_ids`), which takes the graph the caller
-analyzes rather than the one the index was built from: the index holds
-only uids, so one index serves every uid-equal graph — a comment edit
-rebuilds the sync graph with new spans but the same uids.  Mark vectors
+No :class:`SyncNode` is hashed while the index is built, while a
+head hypothesis runs or when its evidence is made: a component's ids
+become sorted rendezvous uids
+(:func:`~repro.syncgraph.clg.rendezvous_uids`), and the
+:class:`~repro.analysis.results.DeadlockEvidence` resolves them in the
+graph the caller analyzes rather than the one the index was built
+from: the index holds only uids, so one index serves every uid-equal
+graph — a comment edit rebuilds the sync graph with new spans but the
+same uids.  Mark vectors
 are memoized per ``(head, use_coaccept)`` so the extension analyses
 stop recomputing them inside their O(N²)–O(N^k) combination loops.
 
@@ -43,7 +46,7 @@ differential tests in ``tests/test_index.py`` enforce that, and
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .. import obs
 from ..syncgraph.clg import EdgeKind, clg_out_edges, in_id_of
@@ -54,7 +57,6 @@ from .orderings import OrderingInfo, compute_orderings
 __all__ = [
     "AnalysisIndex",
     "coaccept_of",
-    "project_ids",
 ]
 
 
@@ -69,19 +71,6 @@ def coaccept_of(graph: SyncGraph, node: SyncNode) -> Tuple[SyncNode, ...]:
     return tuple(
         other for other in graph.accepters_of(node.signal) if other is not node
     )
-
-
-def project_ids(
-    rendezvous: Sequence[SyncNode], ids: Iterable[int]
-) -> FrozenSet[SyncNode]:
-    """CLG ids → sync-graph nodes; ``b``/``e`` drop out.
-
-    ``rendezvous`` is ``graph.rendezvous_nodes`` of the graph under
-    analysis: ids ``2·uid − 2`` and ``2·uid − 1`` both map to its node
-    of that uid, so an index built on any uid-equal graph will do, and
-    the nodes returned carry the analyzed graph's source spans.
-    """
-    return frozenset(rendezvous[(i >> 1) - 1] for i in ids if i >= 2)
 
 
 def _spread(row: int) -> int:
@@ -170,7 +159,7 @@ class AnalysisIndex:
         same_task_bits = [0] * count
         task_bits: Dict[str, int] = {}
         for task in graph.tasks:
-            members = [node.uid - 2 for node in graph.nodes_of_task(task)]
+            members = [u - 2 for u in graph.task_uids(task)]
             t_in = 0
             for p in members:
                 t_in |= 1 << (2 * p + 2)

@@ -21,9 +21,12 @@ from typing import List
 
 from .. import obs
 from ..errors import AnalysisError
-from ..syncgraph.clg import clg_out_edges, cyclic_components
+from ..syncgraph.clg import (
+    clg_out_edges,
+    cyclic_components,
+    rendezvous_uids,
+)
 from ..syncgraph.model import SyncGraph
-from .index import project_ids
 from .results import DeadlockEvidence, DeadlockReport, Verdict
 
 __all__ = ["naive_deadlock_analysis"]
@@ -47,10 +50,8 @@ def naive_deadlock_analysis(graph: SyncGraph) -> DeadlockReport:
     if obs.is_enabled():
         obs.counter("naive.scc_passes").inc()
         obs.counter("naive.cyclic_components").inc(len(components))
-    rendezvous = graph.rendezvous_nodes
     evidence: List[DeadlockEvidence] = [
-        DeadlockEvidence(component=project_ids(rendezvous, ids))
-        for ids in components
+        DeadlockEvidence(graph, rendezvous_uids(ids)) for ids in components
     ]
     verdict = Verdict.CERTIFIED_FREE if not evidence else Verdict.POSSIBLE_DEADLOCK
     return DeadlockReport(

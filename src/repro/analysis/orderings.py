@@ -301,7 +301,7 @@ def compute_orderings(
     acyclic = not graph.has_control_cycle()
 
     partner_ids: List[Tuple[int, ...]] = [
-        tuple(position[p.uid] for p in graph.sync_neighbors(x)) for x in nodes
+        tuple(position[p] for p in graph.partner_uids(x.uid)) for x in nodes
     ]
     # partner_readers[y]: nodes whose all-partners clause reads rel[y].
     partner_readers = [0] * n

@@ -40,9 +40,9 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .. import obs
 from ..budget import CHECK_EVERY, checkpoint
 from ..errors import AnalysisError
-from ..syncgraph.clg import in_id_of
+from ..syncgraph.clg import in_id_of, rendezvous_uids
 from ..syncgraph.model import SyncGraph, SyncNode
-from .index import AnalysisIndex, coaccept_of, project_ids
+from .index import AnalysisIndex, coaccept_of
 from .results import DeadlockEvidence, DeadlockReport, Verdict
 
 __all__ = [
@@ -72,15 +72,13 @@ def possible_heads(graph: SyncGraph) -> Tuple[SyncNode, ...]:
     one control edge to a tail node (which exits via a sync edge), so a
     node with no rendezvous control successor cannot head a cycle.
     """
-    heads = []
-    for node in graph.rendezvous_nodes:
-        if not graph.sync_neighbors(node):
-            continue
-        if any(
-            succ.is_rendezvous for succ in graph.control_successors(node)
-        ):
-            heads.append(node)
-    return tuple(heads)
+    # uids 0 and 1 are b and e: a successor uid >= 2 is a rendezvous.
+    return tuple(
+        node
+        for node in graph.rendezvous_nodes
+        if graph.partner_uids(node.uid)
+        and any(s >= 2 for s in graph.successor_uids(node.uid))
+    )
 
 
 def refined_deadlock_analysis(
@@ -97,7 +95,9 @@ def refined_deadlock_analysis(
     across analyses, and carries any precomputed or external
     orderings/co-executability facts; it may come from another graph
     with the same uids (a comment edit's rebuild): evidence nodes are
-    always ``graph``'s own.
+    always ``graph``'s own.  With obs on, the per-rule pruning totals
+    go to the ``refined.pruned_nodes`` / ``refined.pruned_edges``
+    counters; the report is the same with obs on or off.
     """
     if graph.has_control_cycle():
         raise AnalysisError(
@@ -111,7 +111,6 @@ def refined_deadlock_analysis(
     observing = obs.is_enabled()
     prune_counts: Optional[Dict[str, int]] = {} if observing else None
     heads = possible_heads(graph)
-    rendezvous = graph.rendezvous_nodes
     evidence: List[DeadlockEvidence] = []
     reached_total = 0
     with obs.span("refined.heads", heads=len(heads)):
@@ -139,9 +138,7 @@ def refined_deadlock_analysis(
             reached_total += reached
             if ids is not None:
                 evidence.append(
-                    DeadlockEvidence(
-                        component=project_ids(rendezvous, ids), head=head
-                    )
+                    DeadlockEvidence(graph, rendezvous_uids(ids), head=head)
                 )
     verdict = Verdict.CERTIFIED_FREE if not evidence else Verdict.POSSIBLE_DEADLOCK
     stats = {
@@ -169,7 +166,6 @@ def refined_deadlock_analysis(
             obs.counter("refined.pruned_edges", rule=rule).inc(
                 prune_counts.get(edge_key, 0)
             )
-        stats["pruning"] = dict(sorted(prune_counts.items()))
     return DeadlockReport(
         verdict=verdict,
         algorithm="refined",

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..lang.ast_nodes import Signal
-from ..syncgraph.model import SyncNode
+from ..syncgraph.model import SyncGraph, SyncNode
 
 __all__ = [
     "Verdict",
@@ -32,22 +32,35 @@ class Verdict:
 class DeadlockEvidence:
     """One possible deadlock found by a detector.
 
-    ``head`` is the hypothesized head node (None for the naive
-    algorithm, which reports whole components).  ``component`` is the
-    strongly connected CLG component, projected back to sync-graph
-    nodes.
+    ``uids`` are the sorted uids of the rendezvous nodes of the
+    strongly connected CLG component, in ``graph``, the graph under
+    analysis.  ``head`` is the hypothesized head node (None for the
+    naive algorithm, which reports whole components).  ``nodes``,
+    ``component`` and ``tasks`` are views of ``uids`` built when read.
     """
 
-    component: FrozenSet[SyncNode]
+    graph: SyncGraph = field(compare=False, repr=False)
+    uids: Tuple[int, ...]
     head: Optional[SyncNode] = None
     tail: Optional[SyncNode] = None
 
     @property
+    def nodes(self) -> Tuple[SyncNode, ...]:
+        """The component's nodes in uid order."""
+        node = self.graph.node
+        return tuple([node(u) for u in self.uids])
+
+    @property
+    def component(self) -> FrozenSet[SyncNode]:
+        return frozenset(self.nodes)
+
+    @property
     def tasks(self) -> FrozenSet[str]:
-        return frozenset(n.task for n in self.component if n.is_rendezvous)
+        node = self.graph.node
+        return frozenset([node(u).task for u in self.uids])
 
     def describe(self) -> str:
-        members = ", ".join(sorted(str(n) for n in self.component))
+        members = ", ".join(sorted(str(n) for n in self.nodes))
         prefix = f"head {self.head}: " if self.head is not None else ""
         return f"{prefix}cycle through {{{members}}}"
 

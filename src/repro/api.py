@@ -137,10 +137,7 @@ class PreparedProgram:
     _exact_graph: Optional[SyncGraph] = None
     _index: Optional[AnalysisIndex] = field(default=None, init=False)
     _engine: Optional[WaveIndex] = field(default=None, init=False)
-    # (whether obs was on, report): see `refined`.
-    _refined: Optional[Tuple[bool, DeadlockReport]] = field(
-        default=None, init=False
-    )
+    _refined: Optional[DeadlockReport] = field(default=None, init=False)
 
     @property
     def exact_graph(self) -> SyncGraph:
@@ -175,16 +172,12 @@ class PreparedProgram:
     @property
     def refined(self) -> DeadlockReport:
         """The refined report of :attr:`sync_graph`: the
-        ``algorithm="refined"`` answer and what lint's ADL012 reads.
-        Built again when the obs state differs from its run's, since
-        ``stats["pruning"]`` exists only for runs made with obs on."""
-        observing = obs.is_enabled()
-        if self._refined is None or self._refined[0] != observing:
-            report = refined_deadlock_analysis(
+        ``algorithm="refined"`` answer and what lint's ADL012 reads."""
+        if self._refined is None:
+            self._refined = refined_deadlock_analysis(
                 self.sync_graph, index=self.index
             )
-            self._refined = (observing, report)
-        return self._refined[1]
+        return self._refined
 
     def built(self, layer: str) -> bool:
         """Whether the lazy ``index`` or ``engine`` exists."""

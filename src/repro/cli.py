@@ -123,7 +123,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-fixes",
         type=int,
-        default=5,
         metavar="N",
         help=(
             "with --suggest-fixes, keep at most N ranked certified "
@@ -174,7 +173,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--fail-on",
-        default="error",
         choices=["error", "warning", "note"],
         help=(
             "lint severity threshold for a non-zero exit code "
@@ -193,7 +191,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--disable",
         metavar="RULES",
-        default="",
         help=(
             "with --lint, comma-separated rule ids or names to skip "
             "(e.g. ADL009,coupling-cycle)"
@@ -202,7 +199,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select",
         metavar="RULES",
-        default="",
         help="with --lint, run only these comma-separated rules",
     )
     parser.add_argument(
@@ -216,7 +212,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=os.cpu_count() or 1,
         metavar="N",
         help=(
             "with --batch, worker processes to run (default: CPU "
@@ -276,22 +271,48 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 # The flags each mode has no use for: a run that names one is refused
 # before any work runs, rather than dropping the flag in silence.
+_BATCH_ONLY = ("jobs", "cache_dir", "no_cache", "timeout", "jsonl_out")
+_LINT_ONLY = ("disable", "select", "fail_on")
 _UNSUPPORTED = {
     "batch": (
         "dot", "clg_dot", "simulate", "stats", "confirm", "sarif",
-        "suggest_fixes",
+        "suggest_fixes", *_LINT_ONLY,
     ),
-    "lint": ("dot", "clg_dot", "simulate", "stats", "confirm"),
+    "lint": ("dot", "clg_dot", "simulate", "stats", "confirm", *_BATCH_ONLY),
 }
+# Flags read only with another flag: (that flag, the flags it enables).
+_NEEDS = (
+    ("batch", _BATCH_ONLY),
+    ("lint", _LINT_ONLY),
+    ("suggest_fixes", ("max_fixes",)),
+)
 
 
 def _unsupported_flag(args) -> Optional[str]:
-    """The first flag given that the chosen mode would drop, if any."""
+    """The first flag given that the chosen mode would drop, if any.
+
+    Every flag a mode may drop defaults to ``None`` (or ``False``), so
+    any other value means it was given."""
+
+    def given(dest: str) -> bool:
+        value = getattr(args, dest)
+        return value is not None and value is not False
+
+    def flag(dest: str) -> str:
+        return "--" + dest.replace("_", "-")
+
     mode = "batch" if args.batch else "lint" if args.lint else None
     for dest in _UNSUPPORTED.get(mode, ()):
-        value = getattr(args, dest)  # None or False when not given
-        if value is not None and value is not False:
-            return f"--{dest.replace('_', '-')} is not supported with --{mode}"
+        if given(dest):
+            return f"{flag(dest)} is not supported with --{mode}"
+    for owner, dests in _NEEDS:
+        if not getattr(args, owner):
+            for dest in dests:
+                if given(dest):
+                    return (
+                        f"{flag(dest)} is not supported without "
+                        f"{flag(owner)}"
+                    )
     return None
 
 
@@ -341,7 +362,7 @@ def _suggest_fixes(args, result: AnalysisResult):
         return suggest_repairs(
             algorithm=_repair_algorithm(args),
             state_limit=args.state_limit,
-            max_fixes=args.max_fixes,
+            max_fixes=5 if args.max_fixes is None else args.max_fixes,
             result=result,
             strategy=args.strategy,
             beam_width=args.beam_width,
@@ -471,8 +492,8 @@ def _lint_mode(args, source: str):
             program,
             source=source,
             path=_lint_path(args),
-            disable=_split_rules(args.disable),
-            select=_split_rules(args.select) or None,
+            disable=_split_rules(args.disable or ""),
+            select=_split_rules(args.select or "") or None,
             prepared=prepared,
         )
     except KeyError as exc:  # an unknown rule in --disable/--select
@@ -492,7 +513,7 @@ def _lint_mode(args, source: str):
         output = render_text(lint)
         if repair is not None:
             output += "\n" + repair.describe()
-    return output, 1 if lint.fails(args.fail_on) else 0
+    return output, 1 if lint.fails(args.fail_on or "error") else 0
 
 
 def _batch_mode(args, _source):
@@ -503,7 +524,7 @@ def _batch_mode(args, _source):
         collect_sources(args.sources),
         algorithm=args.algorithm,
         state_limit=args.state_limit,
-        jobs=args.jobs,
+        jobs=(os.cpu_count() or 1) if args.jobs is None else args.jobs,
         timeout=args.timeout,
         cache=False if args.no_cache else (args.cache_dir or True),
         lint=args.lint,

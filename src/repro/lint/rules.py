@@ -54,7 +54,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
-from ..analysis.index import project_ids
 from ..diagnostics import Diagnostic, Related
 from ..lang.ast_nodes import (
     Accept,
@@ -68,7 +67,11 @@ from ..lang.ast_nodes import (
     While,
     walk_statements,
 )
-from ..syncgraph.clg import clg_out_edges, cyclic_components
+from ..syncgraph.clg import (
+    clg_out_edges,
+    cyclic_components,
+    rendezvous_uids,
+)
 from ..transforms.inline import call_graph
 from .engine import LintContext, LintRule, lint_rule
 
@@ -356,11 +359,8 @@ def check_coupling_cycle(
     graph = ctx.analysis_graph
     if graph is None:
         return
-    rendezvous = graph.rendezvous_nodes
     for ids in cyclic_components(clg_out_edges(graph)):
-        sync_nodes = sorted(
-            project_ids(rendezvous, ids), key=lambda n: n.uid
-        )
+        sync_nodes = [graph.node(u) for u in rendezvous_uids(ids)]
         if not sync_nodes:
             continue
         tasks = sorted({n.task for n in sync_nodes})
@@ -468,16 +468,16 @@ def check_possible_deadlock(
     if report is None or report.deadlock_free:
         return
     emitted = False
-    seen_components: Set[frozenset] = set()
+    seen_components: Set[Tuple[int, ...]] = set()
     for evidence in report.evidence:
         # Several heads can convict the same cycle component; one
         # diagnostic per component is enough.
-        if evidence.component in seen_components:
+        if evidence.uids in seen_components:
             continue
-        seen_components.add(evidence.component)
+        seen_components.add(evidence.uids)
         spans = []
         seen = set()
-        for node in sorted(evidence.component, key=lambda n: n.uid):
+        for node in evidence.nodes:
             loc = getattr(node.stmt, "loc", None)
             if loc is not None and loc not in seen:
                 seen.add(loc)

@@ -90,8 +90,8 @@ def _evidence_tasks_and_signals(
     signals: Set[Signal] = set()
     for ev in result.deadlock.evidence:
         tasks |= ev.tasks
-        for node in ev.component:
-            if node.is_rendezvous and node.signal is not None:
+        for node in ev.nodes:
+            if node.signal is not None:
                 signals.add(node.signal)
     if not tasks:
         tasks = set(result.program.task_names)

@@ -8,9 +8,8 @@ The CLI's ``--json`` output is built from these functions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
-
-import json
+from json.encoder import encode_basestring_ascii as _quote
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
 
 from .analysis.confirm import ConfirmedReport
 from .analysis.results import DeadlockEvidence, DeadlockReport, StallReport
@@ -60,16 +59,78 @@ def render_json(payload: Dict[str, Any]) -> str:
     tests, and clients of :mod:`repro.server` — the daemon ships the
     same payload dicts compactly, and re-rendering them through this
     function reproduces the one-shot CLI's stdout byte for byte.
+
+    The bytes are exactly ``json.dumps(payload, indent=2)``'s, which
+    CPython serves with its pure-Python encoder; this writer joins
+    strings quoted by the C ``encode_basestring_ascii`` instead.
     """
-    return json.dumps(payload, indent=2)
+    return _dump(payload, "\n")
 
 
-def _evidence_to_dict(evidence: DeadlockEvidence) -> Dict[str, Any]:
+def _dump(value: Any, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it at the
+    nesting level whose line break (with indent) is ``newline``."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (_INF, -_INF):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            _key(k) + ": " + (
+                _quote(v) if type(v) is str else _dump(v, inner)
+            )
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [
+            _quote(v) if type(v) is str else _dump(v, inner) for v in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
+
+
+def _key(key: Any) -> str:
+    """A dict key as ``json.dumps`` writes it: a string, or a number,
+    bool or None written as a string."""
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _dump(key, "") + '"'
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not "
+        f"{type(key).__name__}"
+    )
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_INF = float("inf")
+
+
+def _evidence_to_dict(
+    evidence: DeadlockEvidence, labels: Sequence[str]
+) -> Dict[str, Any]:
+    head, tail = evidence.head, evidence.tail
     return {
-        "head": str(evidence.head) if evidence.head is not None else None,
-        "tail": str(evidence.tail) if evidence.tail is not None else None,
+        "head": labels[head.uid] if head is not None else None,
+        "tail": labels[tail.uid] if tail is not None else None,
         "tasks": sorted(evidence.tasks),
-        "component": sorted(str(n) for n in evidence.component),
+        "component": sorted([labels[u] for u in evidence.uids]),
     }
 
 
@@ -80,7 +141,9 @@ def deadlock_report_to_dict(report: DeadlockReport) -> Dict[str, Any]:
         "deadlock_free": report.deadlock_free,
         "loops_transformed": report.loops_transformed,
         "heads_examined": report.heads_examined,
-        "evidence": [_evidence_to_dict(ev) for ev in report.evidence],
+        "evidence": [
+            _evidence_to_dict(ev, ev.graph.labels()) for ev in report.evidence
+        ],
         "stats": dict(report.stats),
     }
 

@@ -33,7 +33,7 @@ edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .. import obs
 from .model import SyncGraph, SyncNode
@@ -48,6 +48,7 @@ __all__ = [
     "cyclic_components",
     "in_id_of",
     "out_id_of",
+    "rendezvous_uids",
 ]
 
 
@@ -65,6 +66,12 @@ def in_id_of(node: SyncNode) -> int:
 def out_id_of(node: SyncNode) -> int:
     """CLG id of rendezvous node ``r``'s ``r_o``: ``2·uid − 1``."""
     return 2 * node.uid - 1
+
+
+def rendezvous_uids(ids: Iterable[int]) -> Tuple[int, ...]:
+    """CLG ids → the sorted uids of their rendezvous nodes; ``b`` and
+    ``e`` drop out, and ``r_i``/``r_o`` give one uid."""
+    return tuple(sorted({(i >> 1) + 1 for i in ids if i >= 2}))
 
 
 def clg_out_edges(graph: SyncGraph) -> List[List[Tuple[int, str]]]:

@@ -17,7 +17,7 @@ signaling (send) point and ``-`` for an accepting point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import UnknownTaskError
 from ..lang.ast_nodes import Signal, Statement
@@ -89,7 +89,9 @@ class SyncGraph:
     analyses (orderings, coexec, :class:`~repro.analysis.index.
     AnalysisIndex`) index their rows by it.  The adjacency itself is
     uid lists indexed by uid, so no query hashes or compares a
-    :class:`SyncNode`.
+    :class:`SyncNode`; the ``*_uids`` accessors hand those lists out as
+    tuples, and :meth:`descendant_row` and :meth:`labels` are computed
+    on first use and kept until the graph changes.
     """
 
     def __init__(self, tasks: Sequence[str]) -> None:
@@ -103,13 +105,17 @@ class SyncGraph:
         self._succ: List[List[int]] = []
         self._pred: List[List[int]] = []
         self._sync: List[List[int]] = []
-        self._by_task: Dict[str, List[SyncNode]] = {t: [] for t in tasks}
+        self._by_task: Dict[str, List[int]] = {t: [] for t in tasks}
         self._initial: Dict[str, List[int]] = {t: [] for t in tasks}
         # (task, message) -> the signal, its senders and its accepters.
         self._by_signal: Dict[
             Tuple[str, str], Tuple[Signal, List[SyncNode], List[SyncNode]]
         ] = {}
         self._cyclic: Optional[bool] = None  # has_control_cycle, cached
+        # descendant_row per uid (None: not computed yet) and labels,
+        # cached until the next node or control edge.
+        self._desc: Optional[List[Optional[int]]] = None
+        self._labels: Optional[Tuple[str, ...]] = None
         self.b = self._make_node("b", label="b")
         self.e = self._make_node("e", label="e")
 
@@ -135,6 +141,7 @@ class SyncGraph:
         self._succ.append([])
         self._pred.append([])
         self._sync.append([])
+        self._desc = self._labels = None
         return node
 
     def add_rendezvous(
@@ -150,7 +157,7 @@ class SyncGraph:
         sign = SIGN_SEND if kind == "send" else SIGN_ACCEPT
         label = f"({signal.task},{signal.message},{sign})"
         node = self._make_node(kind, task, signal, label, stmt)
-        self._by_task[task].append(node)
+        self._by_task[task].append(node.uid)
         key = (signal.task, signal.message)
         entry = self._by_signal.get(key)
         if entry is None:
@@ -163,7 +170,7 @@ class SyncGraph:
         if dst.uid not in succ:
             succ.append(dst.uid)
             self._pred[dst.uid].append(src.uid)
-            self._cyclic = None
+            self._cyclic = self._desc = None
         if src is self.b and dst.is_rendezvous:
             initial = self._initial[dst.task]
             if dst.uid not in initial:
@@ -231,7 +238,7 @@ class SyncGraph:
             raise UnknownTaskError(task, self.tasks) from None
 
     def nodes_of_task(self, task: str) -> Tuple[SyncNode, ...]:
-        return tuple(self._by_task[task])
+        return self._node_tuple(self._by_task[task])
 
     def _node_tuple(self, uids: List[int]) -> Tuple[SyncNode, ...]:
         nodes = self._nodes
@@ -243,9 +250,6 @@ class SyncGraph:
 
     def control_successors(self, node: SyncNode) -> Tuple[SyncNode, ...]:
         return self._node_tuple(self._succ[node.uid])
-
-    def control_predecessors(self, node: SyncNode) -> Tuple[SyncNode, ...]:
-        return self._node_tuple(self._pred[node.uid])
 
     def control_edges(self) -> Iterator[Tuple[SyncNode, SyncNode]]:
         nodes = self._nodes
@@ -281,32 +285,69 @@ class SyncGraph:
             self._by_signal[key][0] for key in sorted(self._by_signal)
         )
 
-    # -- reachability -----------------------------------------------------
+    # -- uid views -----------------------------------------------------------
 
-    def control_descendants(
-        self, node: SyncNode, strict: bool = True
-    ) -> FrozenSet[SyncNode]:
-        """Nodes reachable from ``node`` along control edges.
+    def node(self, uid: int) -> SyncNode:
+        return self._nodes[uid]
 
-        With ``strict=True`` the node itself is excluded unless it lies
-        on a control cycle through itself.
+    def successor_uids(self, uid: int) -> Tuple[int, ...]:
+        """Control successor uids of ``uid``, in insertion order."""
+        return tuple(self._succ[uid])
+
+    def predecessor_uids(self, uid: int) -> Tuple[int, ...]:
+        return tuple(self._pred[uid])
+
+    def partner_uids(self, uid: int) -> Tuple[int, ...]:
+        """Sync partner uids of ``uid``, in insertion order."""
+        return tuple(self._sync[uid])
+
+    def task_uids(self, task: str) -> Tuple[int, ...]:
+        """Uids of ``task``'s rendezvous nodes, ascending."""
+        return tuple(self._by_task[task])
+
+    def initial_uids(self, task: str) -> Tuple[int, ...]:
+        """Uids of :meth:`initial_options`, in the same order."""
+        return tuple(self._initial[task])
+
+    def descendant_row(self, uid: int) -> int:
+        """Bitset over uids of the nodes reachable from ``uid`` along
+        one or more control edges: ``uid`` itself only when it lies on
+        a control cycle.
+
+        Computed on first use per uid and kept until the next
+        :meth:`add_control_edge`; a walk that meets a node whose row is
+        known takes that row whole instead of walking it again.
         """
-        succ = self._succ
-        seen = [False] * len(succ)
-        stack = list(succ[node.uid])
-        while stack:
-            u = stack.pop()
-            if not seen[u]:
-                seen[u] = True
-                stack.extend(succ[u])
-        if not strict:
-            seen[node.uid] = True
-        nodes = self._nodes
-        return frozenset([nodes[u] for u, hit in enumerate(seen) if hit])
+        rows = self._desc
+        if rows is None:
+            rows = self._desc = [None] * len(self._nodes)
+        row = rows[uid]
+        if row is None:
+            succ = self._succ
+            row = 0
+            stack = list(succ[uid])
+            while stack:
+                u = stack.pop()
+                bit = 1 << u
+                if row & bit:
+                    continue
+                known = rows[u]
+                if known is None:
+                    row |= bit
+                    stack.extend(succ[u])
+                else:
+                    row |= bit | known
+            rows[uid] = row
+        return row
 
-    def control_reaches(self, src: SyncNode, dst: SyncNode) -> bool:
-        """True iff ``dst`` is reachable from ``src`` (reflexively)."""
-        return src is dst or dst in self.control_descendants(src)
+    def labels(self) -> Tuple[str, ...]:
+        """``str(node)`` per uid: the one rendering of a node in
+        reports, computed once per graph."""
+        if self._labels is None:
+            self._labels = tuple([str(node) for node in self._nodes])
+        return self._labels
+
+    # -- reachability -----------------------------------------------------
 
     def has_control_cycle(self) -> bool:
         """True iff the control edges contain a directed cycle.

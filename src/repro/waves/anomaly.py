@@ -19,11 +19,16 @@ participant, or transitively coupled to one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Tuple
 
-from ..syncgraph.model import SyncGraph, SyncNode
-from .coupling import coupling_graph, transitively_coupled_sets
+from ..syncgraph.model import SyncGraph, SyncNode, bit_ids
+from .coupling import (
+    coupling_rows,
+    cyclic_sets,
+    entry_rows,
+    transitively_coupled_sets,
+)
 from .wave import Wave, ready_pairs
 
 __all__ = ["WaveClassification", "is_anomalous", "stall_nodes", "deadlock_sets",
@@ -37,6 +42,20 @@ def is_anomalous(graph: SyncGraph, wave: Wave) -> bool:
     return not ready_pairs(graph, wave)
 
 
+def _stall_bits(
+    uids: List[int], partners: List[int], descendants: List[int]
+) -> int:
+    """Bitmask of the entries none of whose partners is reachable."""
+    reachable = 0
+    for u, row in zip(uids, descendants):
+        reachable |= (1 << u) | row
+    stalled = 0
+    for i, row in enumerate(partners):
+        if not row & reachable:
+            stalled |= 1 << i
+    return stalled
+
+
 def stall_nodes(graph: SyncGraph, wave: Wave) -> Tuple[SyncNode, ...]:
     """Wave entries that are stall nodes of the (anomalous) wave.
 
@@ -45,19 +64,9 @@ def stall_nodes(graph: SyncGraph, wave: Wave) -> Tuple[SyncNode, ...]:
     *on* the wave would contradict anomaly, so reflexive reachability
     is safe.
     """
-    stalled: List[SyncNode] = []
-    reachable: Set[SyncNode] = set()
-    for pos in wave.positions:
-        if pos.is_rendezvous:
-            reachable.add(pos)
-            reachable.update(graph.control_descendants(pos, strict=True))
-    for r in wave.positions:
-        if not r.is_rendezvous:
-            continue
-        partners = set(graph.sync_neighbors(r))
-        if not (partners & reachable):
-            stalled.append(r)
-    return tuple(stalled)
+    entries = wave.real_nodes()
+    stalled = _stall_bits(*entry_rows(graph, entries))
+    return tuple(entries[i] for i in bit_ids(stalled))
 
 
 def deadlock_sets(graph: SyncGraph, wave: Wave) -> List[FrozenSet[SyncNode]]:
@@ -94,31 +103,38 @@ class WaveClassification:
 def classify_wave(graph: SyncGraph, wave: Wave) -> WaveClassification:
     """Classify an anomalous wave into stalls, deadlocks and coupled nodes.
 
-    Raises ``ValueError`` if the wave is not anomalous.
+    Works on the rendezvous entries' uid rows (partner rows, and
+    :meth:`~repro.syncgraph.model.SyncGraph.descendant_row`); nodes are
+    hashed only to build the returned deadlock sets.  Stalls and
+    coupled nodes are listed in wave order.  Raises ``ValueError`` if
+    the wave is not anomalous.
     """
     if not is_anomalous(graph, wave):
         raise ValueError(f"wave {wave} is not anomalous")
-    stalls = stall_nodes(graph, wave)
-    deadlocks = tuple(deadlock_sets(graph, wave))
-    anchor: Set[SyncNode] = set(stalls)
-    for d in deadlocks:
-        anchor |= d
+    entries = wave.real_nodes()
+    uids, partners, descendants = entry_rows(graph, entries)
+    stalled = _stall_bits(uids, partners, descendants)
+    rows = coupling_rows(uids, partners, descendants)
+    cycles = cyclic_sets(rows)
+    anchor = stalled
+    for comp in cycles:
+        anchor |= comp
 
     # Transitive closure of the depends-on relation into the anchor set.
-    adj = coupling_graph(graph, wave)
-    coupled: Set[SyncNode] = set()
+    coupled = 0
     changed = True
     while changed:
         changed = False
-        for r, deps in adj.items():
-            if r in anchor or r in coupled:
-                continue
-            if deps & (anchor | coupled):
-                coupled.add(r)
+        for i, row in enumerate(rows):
+            held = anchor | coupled
+            if not (held >> i) & 1 and row & held:
+                coupled |= 1 << i
                 changed = True
     return WaveClassification(
         wave=wave,
-        stalls=stalls,
-        deadlocks=deadlocks,
-        coupled_to_anomaly=tuple(coupled),
+        stalls=tuple(entries[i] for i in bit_ids(stalled)),
+        deadlocks=tuple(
+            frozenset([entries[i] for i in bit_ids(comp)]) for comp in cycles
+        ),
+        coupled_to_anomaly=tuple(entries[i] for i in bit_ids(coupled)),
     )

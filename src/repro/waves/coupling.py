@@ -6,16 +6,110 @@ task, then across exactly one sync edge, arriving at ``r`` — i.e. ``r``
 may rendezvous with a node that executes after ``s``.  Transitive
 coupling chains tasks together; Theorem 1 uses them to show deadlocks
 and stalls cover all infinite waits.
+
+The relation is computed on uid bit rows: ``r`` is coupled to ``s``
+iff ``r``'s partner row meets ``s``'s strict descendant row
+(:meth:`~repro.syncgraph.model.SyncGraph.descendant_row`).  The kernels
+take a wave's rendezvous entries as index lists, so no
+:class:`SyncNode` is hashed; the public functions build node sets only
+for what they return.  ``tests/oracles/anomaly.py`` keeps the
+node-keyed reading they are tested against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from ..syncgraph.model import SyncGraph, SyncNode
+from ..syncgraph.model import SyncGraph, SyncNode, bit_ids
 from .wave import Wave
 
 __all__ = ["coupled_to", "coupling_graph", "transitively_coupled_sets"]
+
+
+def partner_row(graph: SyncGraph, uid: int) -> int:
+    """Bitset over uids of the sync partners of ``uid``."""
+    row = 0
+    for p in graph.partner_uids(uid):
+        row |= 1 << p
+    return row
+
+
+def entry_rows(
+    graph: SyncGraph, entries: Sequence[SyncNode]
+) -> Tuple[List[int], List[int], List[int]]:
+    """The uids of a wave's rendezvous ``entries``, their partner rows
+    and their strict descendant rows."""
+    uids = [n.uid for n in entries]
+    return (
+        uids,
+        [partner_row(graph, u) for u in uids],
+        [graph.descendant_row(u) for u in uids],
+    )
+
+
+def coupling_rows(
+    uids: Sequence[int], partners: Sequence[int], descendants: Sequence[int]
+) -> List[int]:
+    """The coupling relation over a wave's rendezvous entries: per
+    entry ``i``, the bitmask of the entries ``j != i`` that entry ``i``
+    is coupled to.  ``partners`` and ``descendants`` are the entries'
+    partner and strict descendant rows."""
+    rows = []
+    for u, mine in zip(uids, partners):
+        m = 0
+        if mine:
+            for j, row in enumerate(descendants):
+                if mine & row and uids[j] != u:
+                    m |= 1 << j
+        rows.append(m)
+    return rows
+
+
+def cyclic_sets(rows: Sequence[int]) -> List[int]:
+    """Tarjan over entry indices: the strongly connected components of
+    ``rows`` that contain a cycle, as bitmasks of entry indices, in the
+    order they complete (roots and successors taken in wave order).
+    Recursion depth is bounded by the number of tasks."""
+    n = len(rows)
+    index = [-1] * n
+    low = [0] * n
+    stack: List[int] = []
+    on_stack = 0
+    counter = 0
+    out: List[int] = []
+
+    def strongconnect(v: int) -> None:
+        nonlocal counter, on_stack
+        index[v] = low[v] = counter
+        counter += 1
+        stack.append(v)
+        on_stack |= 1 << v
+        m = rows[v]
+        while m:
+            bit = m & -m
+            m ^= bit
+            w = bit.bit_length() - 1
+            if index[w] < 0:
+                strongconnect(w)
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            elif on_stack & bit and index[w] < low[v]:
+                low[v] = index[w]
+        if low[v] == index[v]:
+            comp = 0
+            while True:
+                w = stack.pop()
+                on_stack &= ~(1 << w)
+                comp |= 1 << w
+                if w == v:
+                    break
+            if comp & (comp - 1) or (rows[v] >> v) & 1:
+                out.append(comp)
+
+    for v in range(n):
+        if index[v] < 0:
+            strongconnect(v)
+    return out
 
 
 def coupled_to(graph: SyncGraph, wave: Wave, r: SyncNode) -> FrozenSet[SyncNode]:
@@ -24,16 +118,13 @@ def coupled_to(graph: SyncGraph, wave: Wave, r: SyncNode) -> FrozenSet[SyncNode]
     ``r`` is coupled to ``s`` iff some strict control descendant of ``s``
     is a sync neighbor of ``r``.
     """
-    result: Set[SyncNode] = set()
-    partners = set(graph.sync_neighbors(r))
-    if not partners:
+    mine = partner_row(graph, r.uid)
+    if not mine:
         return frozenset()
-    for s in wave.positions:
-        if s is r or not s.is_rendezvous:
-            continue
-        if partners & set(graph.control_descendants(s, strict=True)):
-            result.add(s)
-    return frozenset(result)
+    return frozenset(
+        s for s in wave.real_nodes()
+        if s.uid != r.uid and mine & graph.descendant_row(s.uid)
+    )
 
 
 def coupling_graph(
@@ -44,10 +135,10 @@ def coupling_graph(
     An edge ``r → s`` means ``r`` can only proceed after ``s``'s task
     executes past ``s``.
     """
+    entries = wave.real_nodes()
     return {
-        r: coupled_to(graph, wave, r)
-        for r in wave.positions
-        if r.is_rendezvous
+        r: frozenset(entries[j] for j in bit_ids(m))
+        for r, m in zip(entries, coupling_rows(*entry_rows(graph, entries)))
     }
 
 
@@ -60,39 +151,8 @@ def transitively_coupled_sets(
     graph that contains a cycle — on an anomalous wave, exactly the
     deadlock sets ``D`` of the paper's deadlock-anomaly definition.
     """
-    adj = coupling_graph(graph, wave)
-    # Tarjan on the tiny per-wave graph; recursion depth is bounded by
-    # the number of tasks so plain recursion is safe.
-    index: Dict[SyncNode, int] = {}
-    lowlink: Dict[SyncNode, int] = {}
-    on_stack: Set[SyncNode] = set()
-    stack: List[SyncNode] = []
-    counter = [0]
-    out: List[FrozenSet[SyncNode]] = []
-
-    def strongconnect(node: SyncNode) -> None:
-        index[node] = lowlink[node] = counter[0]
-        counter[0] += 1
-        stack.append(node)
-        on_stack.add(node)
-        for nxt in adj.get(node, ()):  # type: ignore[call-overload]
-            if nxt not in index:
-                strongconnect(nxt)
-                lowlink[node] = min(lowlink[node], lowlink[nxt])
-            elif nxt in on_stack:
-                lowlink[node] = min(lowlink[node], index[nxt])
-        if lowlink[node] == index[node]:
-            comp: Set[SyncNode] = set()
-            while True:
-                member = stack.pop()
-                on_stack.discard(member)
-                comp.add(member)
-                if member is node:
-                    break
-            if len(comp) > 1 or node in adj.get(node, frozenset()):
-                out.append(frozenset(comp))
-
-    for node in adj:
-        if node not in index:
-            strongconnect(node)
-    return out
+    entries = wave.real_nodes()
+    return [
+        frozenset(entries[j] for j in bit_ids(comp))
+        for comp in cyclic_sets(coupling_rows(*entry_rows(graph, entries)))
+    ]

@@ -2,18 +2,19 @@
 
 A literal search over the wave space walks tuples of
 :class:`~repro.syncgraph.model.SyncNode` — every step allocates `Wave`
-objects, hashes node tuples, and re-queries sync adjacency through
-per-node dict lookups.  That is the right shape for an oracle (the
-tests keep one in ``tests/oracles/``) but pays large constant factors
-in the innermost loop of what is already an exponential search.
+objects, hashes node tuples, and re-queries sync adjacency node by
+node.  That is the right shape for an oracle (the tests keep one in
+``tests/oracles/``) but pays large constant factors in the innermost
+loop of what is already an exponential search.
 
 :class:`WaveIndex` is the wave-space analogue of
-:class:`repro.analysis.index.AnalysisIndex`: built once per sync graph,
-it
+:class:`repro.analysis.index.AnalysisIndex`: built once per sync graph
+from its uid lists (no node is hashed), it
 
 * assigns each task a *dense local position id* for every node that can
   appear as that task's wave entry (the task's rendezvous nodes plus the
-  shared ``e``), and packs a whole wave into a single mixed-radix
+  shared ``e``, last), kept in uid-indexed ``task_of`` / ``local_of``
+  lists, and packs a whole wave into a single mixed-radix
   integer (one bit-field per task) — the seen set holds ints, the
   terminal test is one equality, and successor keys are computed by
   adding precomputed deltas;
@@ -87,10 +88,11 @@ slots partner only each other's task is a closed set on its own and is
 taken at once, the general closure runs only with two or more pairs
 ready, and it stops as soon as a closure covers every ready task.
 
-Anomalous waves are rare relative to the space walked, so their
-classification is delegated to the reference
-:func:`~repro.waves.anomaly.classify_wave` on the unpacked wave —
-parity of stalls/deadlocks/coupling is inherited rather than re-proved.
+Anomalous waves are rare relative to the space walked, so they are
+unpacked and handed to :func:`~repro.waves.anomaly.classify_wave`,
+which reads the graph's partner and descendant bit rows; the
+differential tests hold it to the node-keyed oracle of
+``tests/oracles/anomaly.py``.
 
 The search is *budget-faithful*: the ``state_limit`` is enforced
 during seeding as well as expansion, and once the budget is hit the
@@ -166,27 +168,37 @@ class WaveIndex:
         tasks = graph.tasks
         n = len(tasks)
         self.task_count = n
+        nodes = graph.nodes
+        e_uid = graph.e.uid
 
         # Per-task position universes: every rendezvous node of the
-        # task plus the shared `e`, each with a dense local id.
+        # task plus the shared `e`, each with a dense local id.  A
+        # rendezvous uid's task and local id are read from uid-indexed
+        # lists; `e` is last in every task, at `e_local[i]`.
+        task_uids = [graph.task_uids(task) for task in tasks]
+        task_of = [-1] * len(nodes)
+        local_of = [-1] * len(nodes)
         shift: List[int] = []
         mask: List[int] = []
         base: List[int] = []
-        node_of_slot: List[SyncNode] = []
-        local_maps: List[Dict[SyncNode, int]] = []
         e_local: List[int] = []
+        node_of_slot: List[SyncNode] = []
         bit = 0
-        for task in tasks:
-            positions = list(graph.nodes_of_task(task)) + [graph.e]
-            local = {node: idx for idx, node in enumerate(positions)}
-            width = max(1, (len(positions) - 1).bit_length())
+        for i, uids in enumerate(task_uids):
+            for l, u in enumerate(uids):
+                task_of[u] = i
+                local_of[u] = l
+            width = max(1, len(uids).bit_length())
             shift.append(bit)
             mask.append((1 << width) - 1)
             base.append(len(node_of_slot))
-            node_of_slot.extend(positions)
-            local_maps.append(local)
-            e_local.append(local[graph.e])
+            node_of_slot.extend([nodes[u] for u in uids])
+            node_of_slot.append(graph.e)
+            e_local.append(len(uids))
             bit += width
+        self.task_of = task_of
+        self.local_of = local_of
+        self.e_local = e_local
         self.shift = shift
         self.mask = mask
         self.slot_base = base
@@ -200,7 +212,6 @@ class WaveIndex:
         # slots of other tasks), the tasks owning those partners (as a
         # bitmask, and as the one such task's index or -1), successor
         # (key_delta, occ_delta) pairs.
-        task_idx = {t: i for i, t in enumerate(tasks)}
         rdv_mask = 0
         partner_mask: List[int] = [0] * self.slot_count
         partner_tasks: List[int] = [0] * self.slot_count
@@ -208,31 +219,28 @@ class WaveIndex:
         succ_deltas: List[Tuple[Tuple[int, int], ...]] = (
             [()] * self.slot_count
         )
-        for i, task in enumerate(tasks):
-            local = local_maps[i]
-            for node, l in local.items():
+        for i, uids in enumerate(task_uids):
+            for l, u in enumerate(uids):
                 slot = base[i] + l
-                if not node.is_rendezvous:
-                    continue
                 rdv_mask |= 1 << slot
                 pm = pt = 0
-                for p in graph.sync_neighbors(node):
-                    j = task_idx[p.task]
-                    pm |= 1 << (base[j] + local_maps[j][p])
+                for p in graph.partner_uids(u):
+                    j = task_of[p]
+                    pm |= 1 << (base[j] + local_of[p])
                     if j != i:
                         pt |= 1 << j
                 partner_mask[slot] = pm
                 partner_tasks[slot] = pt
                 if pt and not pt & (pt - 1):
                     sole_partner[slot] = pt.bit_length() - 1
-                succs = graph.control_successors(node)
+                succs = graph.successor_uids(u)
                 if len(set(succs)) != len(succs):
                     # mirror wave._advance_options: hand-built graphs
                     # may register a successor twice
                     succs = tuple(dict.fromkeys(succs))
                 deltas = []
                 for s in succs:
-                    m = local[s]
+                    m = e_local[i] if s == e_uid else local_of[s]
                     deltas.append(
                         (
                             (m - l) << shift[i],
@@ -249,14 +257,14 @@ class WaveIndex:
         # Initial options per task, as locals in graph order.
         self.initial_locals: List[Tuple[int, ...]] = []
         for i, task in enumerate(tasks):
-            opts = graph.initial_options(task)
+            opts = graph.initial_uids(task)
             if not opts:
                 raise ValueError(
                     f"task {task!r} has no initial wave options; "
                     "sync graph construction is incomplete"
                 )
             self.initial_locals.append(
-                tuple(local_maps[i][node] for node in opts)
+                tuple(e_local[i] if u == e_uid else local_of[u] for u in opts)
             )
 
         if obs.is_enabled():

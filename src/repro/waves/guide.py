@@ -14,6 +14,16 @@ beam cuts each depth layer to the states with the lowest ``h``.  BFS,
 the layered frontier with no cut, never consults it.  Only the A\\*
 witness search reopens a key reached by a strictly shorter path.
 
+The table is built from uids alone: positions are the engine's local
+ids (``WaveIndex.task_of`` / ``local_of``), each task's local
+predecessor lists are built once from
+:meth:`~repro.syncgraph.model.SyncGraph.successor_uids` and shared by
+every distance BFS, evidence groups come from
+:attr:`~repro.analysis.results.DeadlockEvidence.uids`, and the
+always-ready chains are uid lists and bitsets, so no
+:class:`~repro.syncgraph.model.SyncNode` is hashed.  The node-keyed
+build it is tested against is ``tests/oracles/guide.py``.
+
 Admissibility argument (the heuristic never overestimates)
 ----------------------------------------------------------
 
@@ -86,11 +96,18 @@ stops at a loop.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .. import obs
-from ..syncgraph.model import SyncGraph, SyncNode
+from ..syncgraph.model import SyncGraph
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (engine -> guide)
     from ..analysis.results import DeadlockReport
@@ -152,41 +169,34 @@ def validate_strategy(strategy: str, beam_width: Optional[int]) -> int:
     return beam_width if beam_width is not None else DEFAULT_BEAM_WIDTH
 
 
-def _task_distances(
-    graph: SyncGraph,
-    task: str,
-    positions: Sequence[SyncNode],
-    targets: Sequence[SyncNode],
+def _distances(
+    preds: List[List[int]], targets: Iterable[int]
 ) -> Tuple[int, ...]:
-    """Shortest control distance from each of ``task``'s wave positions
-    to the nearest node of ``targets`` (``SATURATED`` when unreachable).
+    """Shortest control distance from each of a task's wave positions
+    to the nearest local position in ``targets`` (``SATURATED`` when
+    unreachable).
 
-    Distances count control edges, i.e. rendezvous the task itself must
-    fire to stand at the target; reverse BFS from the target set.
+    ``preds`` are the task's local predecessor lists.  Distances count
+    control edges, i.e. rendezvous the task itself must fire to stand
+    at the target; reverse BFS from the target set, one layer at a
+    time.
     """
-    local = {node: idx for idx, node in enumerate(positions)}
-    preds: List[List[int]] = [[] for _ in positions]
-    for node, idx in local.items():
-        if not node.is_rendezvous:
-            continue
-        for succ in graph.control_successors(node):
-            j = local.get(succ)
-            if j is not None:
-                preds[j].append(idx)
-    dist = [SATURATED] * len(positions)
-    queue: deque = deque()
-    for target in targets:
-        idx = local.get(target)
-        if idx is not None and dist[idx] != 0:
-            dist[idx] = 0
-            queue.append(idx)
-    while queue:
-        cur = queue.popleft()
-        d = dist[cur] + 1
-        for prev in preds[cur]:
-            if d < dist[prev]:
-                dist[prev] = d
-                queue.append(prev)
+    dist = [SATURATED] * len(preds)
+    layer = []
+    for t in targets:
+        if dist[t]:
+            dist[t] = 0
+            layer.append(t)
+    d = 0
+    while layer:
+        d += 1
+        nxt = []
+        for cur in layer:
+            for prev in preds[cur]:
+                if d < dist[prev]:
+                    dist[prev] = d
+                    nxt.append(prev)
+        layer = nxt
     return tuple(dist)
 
 
@@ -214,37 +224,38 @@ class FutureCostTable:
         # needs acyclic control flow, so the cycle term is dropped.
         self.report = report
 
-        # Per-task position universes, read straight off the engine's
-        # slot tables so local ids line up with its shift/mask fields
-        # by construction.
-        self._task_positions = [
-            engine.node_of_slot[
-                engine.slot_base[i]:
-                engine.slot_base[i + 1]
-                if i + 1 < engine.task_count
-                else engine.slot_count
-            ]
-            for i in range(engine.task_count)
-        ]
-        self._task_idx = {t: i for i, t in enumerate(graph.tasks)}
+        # Per task, the local predecessor lists of its positions (the
+        # engine's local ids: its rendezvous uids in order, then `e`),
+        # built once and read by every distance BFS below.
+        task_of, local_of, e_local = (
+            engine.task_of, engine.local_of, engine.e_local
+        )
+        e_uid = graph.e.uid
+        preds: List[List[List[int]]] = []
+        for i, task in enumerate(graph.tasks):
+            p: List[List[int]] = [[] for _ in range(e_local[i] + 1)]
+            for l, u in enumerate(graph.task_uids(task)):
+                for s in graph.successor_uids(u):
+                    if s == e_uid:
+                        p[e_local[i]].append(l)
+                    elif task_of[s] == i:
+                        p[local_of[s]].append(l)
+            preds.append(p)
 
         groups: List[_Group] = []
         seen: set = set()
         for ev in report.evidence if report is not None else ():
-            members = tuple(
-                sorted(
-                    (n for n in ev.component if n.is_rendezvous),
-                    key=lambda n: n.uid,
-                )
-            )
+            members = ev.uids
             head = ev.head
-            sig = (head.uid if head is not None else None, members)
+            head_uid = head.uid if head is not None else -1
+            sig = (head_uid, members)
             if sig in seen or not members:
                 continue
             seen.add(sig)
-            by_task: Dict[str, List[SyncNode]] = {}
-            for node in members:
-                by_task.setdefault(node.task, []).append(node)
+            # task index -> the members' local ids, in uid order
+            by_task: Dict[int, List[int]] = {}
+            for u in members:
+                by_task.setdefault(task_of[u], []).append(local_of[u])
             if len(by_task) < 2:
                 continue  # a one-task component cannot deadlock a wave
             if head is None:
@@ -254,32 +265,38 @@ class FutureCostTable:
                 # the resulting min over groups is the second-smallest
                 # per-task distance, which is the admissible bound for
                 # "some >=2 tasks of the component stand at targets".
-                for head_task, head_nodes in by_task.items():
+                for head_task, head_locals in by_task.items():
                     groups.append(
-                        self._compile_group(head_task, head_nodes, by_task)
+                        self._compile_group(
+                            preds, head_task, head_locals, by_task
+                        )
                     )
             else:
                 groups.append(
-                    self._compile_group(head.task, [head], by_task)
+                    self._compile_group(
+                        preds, task_of[head_uid], [local_of[head_uid]],
+                        by_task,
+                    )
                 )
         self._groups: Tuple[_Group, ...] = tuple(groups)
 
         # Quiescence distances: per task, the control distance to the
         # nearest position that is not certified always-ready (the
-        # positions an anomalous wave could actually hold the task at).
-        safe = _always_ready_nodes(graph)
+        # positions an anomalous wave could actually hold the task at,
+        # `e` always among them).
+        safe = _always_ready_uids(graph)
         quiet = []
         for i, task in enumerate(graph.tasks):
-            positions = self._task_positions[i]
             targets = [
-                n for n in positions
-                if not (n.is_rendezvous and n in safe)
+                l for l, u in enumerate(graph.task_uids(task))
+                if not (safe >> u) & 1
             ]
+            targets.append(e_local[i])
             quiet.append(
                 (
                     engine.shift[i],
                     engine.mask[i],
-                    _task_distances(graph, task, positions, targets),
+                    _distances(preds[i], targets),
                 )
             )
         self._quiet = tuple(quiet)
@@ -290,31 +307,32 @@ class FutureCostTable:
 
     def _compile_group(
         self,
-        head_task: str,
-        head_nodes: Sequence[SyncNode],
-        by_task: Dict[str, List[SyncNode]],
+        preds: List[List[List[int]]],
+        head_task: int,
+        head_locals: Sequence[int],
+        by_task: Dict[int, List[int]],
     ) -> _Group:
         engine = self.engine
-        graph = engine.graph
-        hi = self._task_idx[head_task]
-        head_dists = _task_distances(
-            graph, head_task, self._task_positions[hi], head_nodes
-        )
+        tasks = engine.graph.tasks
         others = []
-        for task, nodes in sorted(by_task.items()):
-            if task == head_task:
-                continue
-            ti = self._task_idx[task]
-            others.append(
-                (
-                    engine.shift[ti],
-                    engine.mask[ti],
-                    _task_distances(
-                        graph, task, self._task_positions[ti], nodes
-                    ),
+        # the other tasks in name order (their minimum is what counts)
+        for task, locals_ in sorted(
+            by_task.items(), key=lambda item: tasks[item[0]]
+        ):
+            if task != head_task:
+                others.append(
+                    (
+                        engine.shift[task],
+                        engine.mask[task],
+                        _distances(preds[task], locals_),
+                    )
                 )
-            )
-        return (engine.shift[hi], engine.mask[hi], head_dists, tuple(others))
+        return (
+            engine.shift[head_task],
+            engine.mask[head_task],
+            _distances(preds[head_task], head_locals),
+            tuple(others),
+        )
 
     @property
     def group_count(self) -> int:
@@ -377,43 +395,43 @@ class FutureCostTable:
         return self._quiescence(key)
 
 
-def _straight_chain(graph: SyncGraph, task: str) -> List[SyncNode]:
-    """The task's leading straight-line rendezvous chain.
+def _straight_chain(graph: SyncGraph, task: str) -> List[int]:
+    """The uids of the task's leading straight-line rendezvous chain.
 
     Nodes the task *must* traverse in order, each reachable only from
     its predecessor: a unique initial option, then unique control
     successors, with every chain node's control in-degree 1 (so the
     position index always equals the number of rendezvous fired).
-    Stops at the first branch, join, loop, or non-rendezvous node.
+    Stops at the first branch, join, loop, or non-rendezvous node
+    (uids 0 and 1 are ``b`` and ``e``).
     """
-    options = graph.initial_options(task)
+    options = graph.initial_uids(task)
     if len(options) != 1:
         return []
-    chain: List[SyncNode] = []
-    seen: set = set()
-    node = options[0]
-    prev: Optional[SyncNode] = None
-    while node.is_rendezvous and node not in seen:
-        preds = [
-            p for p in graph.control_predecessors(node) if p.is_rendezvous
-        ]
-        if prev is None:
+    chain: List[int] = []
+    seen = 0
+    u = options[0]
+    prev = -1
+    while u >= 2 and not (seen >> u) & 1:
+        preds = [p for p in graph.predecessor_uids(u) if p >= 2]
+        if prev < 0:
             if preds:
                 break  # joinable entry: index no longer forced
-        elif set(preds) != {prev}:
+        elif not preds or any(p != prev for p in preds):
             break
-        seen.add(node)
-        chain.append(node)
-        succs = list(dict.fromkeys(graph.control_successors(node)))
+        seen |= 1 << u
+        chain.append(u)
+        succs = list(dict.fromkeys(graph.successor_uids(u)))
         if len(succs) != 1:
             break
-        prev = node
-        node = succs[0]
+        prev = u
+        u = succs[0]
     return chain
 
 
-def _always_ready_nodes(graph: SyncGraph) -> set:
-    """Rendezvous certified never to block, by lockstep prefixes.
+def _always_ready_uids(graph: SyncGraph) -> int:
+    """Bitset over uids of the rendezvous certified never to block, by
+    lockstep prefixes.
 
     For a pair of tasks whose straight-line chains partner each other
     exclusively, one-to-one and in matching order, position ``i`` of
@@ -423,26 +441,24 @@ def _always_ready_nodes(graph: SyncGraph) -> set:
     the induction.
     """
     chains = {task: _straight_chain(graph, task) for task in graph.tasks}
-    safe: set = set()
+    safe = 0
     done: set = set()
     for task, chain in chains.items():
         if not chain:
             continue
-        partners = graph.sync_neighbors(chain[0])
+        partners = graph.partner_uids(chain[0])
         if len(set(partners)) != 1:
             continue
-        other = partners[0].task
+        other = graph.node(partners[0]).task
         pair = tuple(sorted((task, other)))
         if other == task or pair in done:
             continue
         done.add(pair)
         for r, s in zip(chain, chains.get(other, [])):
-            if (
-                set(graph.sync_neighbors(r)) == {s}
-                and set(graph.sync_neighbors(s)) == {r}
-            ):
-                safe.add(r)
-                safe.add(s)
+            if set(graph.partner_uids(r)) == {s} and set(
+                graph.partner_uids(s)
+            ) == {r}:
+                safe |= (1 << r) | (1 << s)
             else:
                 break
     return safe

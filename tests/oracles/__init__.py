@@ -13,7 +13,14 @@ literal implementations the differential tests compare it against:
 * ``extensions`` — the set-based marking/search engine, plugged into
   the product's own extension loops;
 * ``explore`` / ``witness`` — breadth-first search over tuple-of-nodes
-  waves (vs the packed-integer :class:`~repro.waves.engine.WaveIndex`);
+  waves (vs the packed-integer :class:`~repro.waves.engine.WaveIndex`),
+  classifying with ``anomaly``;
+* ``anomaly`` — ``control_descendants`` frozensets, node-set coupling
+  and a node-keyed Tarjan (vs the uid bit rows of
+  :mod:`repro.waves.anomaly` and :mod:`repro.waves.coupling`);
+* ``guide`` — the future-cost tables from per-query ``SyncNode``-keyed
+  maps and node-set lockstep chains (vs the uid lists of
+  :class:`~repro.waves.guide.FutureCostTable`);
 * ``lexer`` / ``parser`` — a character loop making frozen-dataclass
   tokens and a token-cursor parser that attaches each statement's span
   with ``dataclasses.replace`` (vs the regex lexer and build-once
@@ -25,7 +32,8 @@ literal implementations the differential tests compare it against:
 Every analysis entry point takes the product's arguments and returns
 the product's result type, so a test can swap one for the other.  The
 comparing tests are ``tests/test_index.py``, ``tests/test_index_rows.py``,
-``tests/test_engine.py`` and ``tests/test_frontend_oracles.py``;
+``tests/test_engine.py``, ``tests/test_wave_rows.py`` and
+``tests/test_frontend_oracles.py``;
 ``benchmarks/bench_refined_kernel.py`` and ``benchmarks/bench_explore.py``
 time the same pairs.
 """

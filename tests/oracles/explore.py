@@ -15,7 +15,7 @@ from typing import List, Set, Tuple
 
 from repro.errors import ExplorationLimitError
 from repro.syncgraph.model import SyncGraph
-from repro.waves.anomaly import WaveClassification, classify_wave
+from repro.waves.anomaly import WaveClassification
 from repro.waves.explore import DEFAULT_STATE_LIMIT, ExplorationResult
 from repro.waves.wave import (
     Wave,
@@ -23,6 +23,8 @@ from repro.waves.wave import (
     iter_initial_waves,
     ready_pairs,
 )
+
+from .anomaly import classify_wave
 
 
 def explore_reference(

@@ -78,8 +78,9 @@ class SetOps:
         required: Tuple[CLGNode, ...],
         no_sync: Set[CLGNode],
         do_not_enter: Set[CLGNode],
-    ) -> Optional[FrozenSet[SyncNode]]:
-        """Cyclic component containing all ``required``, projected."""
+    ) -> Optional[Tuple[int, ...]]:
+        """Cyclic component containing all ``required``, as sorted
+        rendezvous uids."""
         if any(n in do_not_enter or n in no_sync for n in required):
             return None
 

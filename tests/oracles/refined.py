@@ -10,14 +10,14 @@ identical reports, down to the per-rule pruning counters.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.analysis.coexec import CoExecInfo, compute_coexec
 from repro.analysis.constraint4 import breakable_nodes
 from repro.analysis.index import AnalysisIndex, coaccept_of
 from repro.analysis.orderings import OrderingInfo, compute_orderings
-from repro.analysis.refined import possible_heads
+from repro.analysis.refined import PRUNE_RULES, possible_heads
 from repro.analysis.results import DeadlockEvidence, DeadlockReport, Verdict
 from repro.errors import AnalysisError
 from repro.syncgraph.clg import CLGEdge, CLGNode, EdgeKind
@@ -26,10 +26,10 @@ from repro.syncgraph.model import SyncGraph, SyncNode
 from .clg import CLG, build_clg
 
 
-def project_component(component: FrozenSet[CLGNode]) -> FrozenSet[SyncNode]:
-    """Map a CLG component back to its sync-graph nodes."""
-    return frozenset(
-        node.sync for node in component if node.sync is not None
+def project_component(component: FrozenSet[CLGNode]) -> Tuple[int, ...]:
+    """A CLG component's sync-graph nodes, as sorted uids."""
+    return tuple(
+        sorted({node.sync.uid for node in component if node.sync is not None})
     )
 
 
@@ -191,8 +191,8 @@ def refined_deadlock_analysis(
 
     A prebuilt ``index`` only contributes its ``orderings`` /
     ``coexec``; the hypotheses themselves never touch its bitsets.
-    ``stats["pruning"]`` appears when observability is enabled, as in
-    the product.
+    With observability on it adds the product's per-rule
+    ``refined.pruned_nodes`` / ``refined.pruned_edges`` counters.
     """
     if graph.has_control_cycle():
         raise AnalysisError(
@@ -227,7 +227,7 @@ def refined_deadlock_analysis(
         if component is not None:
             evidence.append(
                 DeadlockEvidence(
-                    component=project_component(component), head=head
+                    graph, project_component(component), head=head
                 )
             )
     stats = {
@@ -238,7 +238,18 @@ def refined_deadlock_analysis(
         "not_coexec_pairs": coexec.pair_count,
     }
     if prune_counts is not None:
-        stats["pruning"] = dict(sorted(prune_counts.items()))
+        for rule in PRUNE_RULES:
+            obs.counter("refined.pruned_nodes", rule=rule).inc(
+                prune_counts.get(f"{rule}_nodes", 0)
+            )
+            edge_key = (
+                "not_coexec_edges"
+                if rule == "not_coexec"
+                else f"{rule}_sync_edges"
+            )
+            obs.counter("refined.pruned_edges", rule=rule).inc(
+                prune_counts.get(edge_key, 0)
+            )
     verdict = Verdict.CERTIFIED_FREE if not evidence else Verdict.POSSIBLE_DEADLOCK
     return DeadlockReport(
         verdict=verdict,

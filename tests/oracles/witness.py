@@ -14,9 +14,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ExplorationLimitError
 from repro.syncgraph.model import SyncGraph
-from repro.waves.anomaly import WaveClassification, classify_wave, is_anomalous
+from repro.waves.anomaly import WaveClassification
 from repro.waves.wave import Wave, iter_initial_waves, next_waves_with_events
 from repro.waves.witness import AnomalyWitness, Rendezvous
+
+from .anomaly import classify_wave, is_anomalous
 
 
 def find_witness_reference(

@@ -174,7 +174,7 @@ class TestConstraint4:
             n
             for n in sg.nodes_of_task("b")
             if n.kind == "accept"
-            and not list(sg.control_predecessors(n))[0].is_rendezvous
+            and not sg.node(sg.predecessor_uids(n.uid)[0]).is_rendezvous
         )
         w = find_breaker(sg, t, orderings)
         assert w is not None

@@ -166,23 +166,32 @@ class TestPreparedPipeline:
 
         alone = payload(lint_first=False)
         assert payload(lint_first=True) == alone
-        assert ("pruning" in alone["deadlock"]["stats"]) == observing
+        assert "pruning" not in alone["deadlock"]["stats"]
 
     def test_refined_memo_follows_the_obs_state(self):
         from repro import obs
         from repro.api import analyze_prepared, prepare
         from repro.lint import run_lint
+        from repro.reporting import analysis_result_to_dict
         from tests.test_obs import PRUNING_SRC
 
-        # stats["pruning"] belongs to runs made with obs on, only.
-        prep = prepare(PRUNING_SRC)
-        with obs.observed():
-            run_lint(prep.source_program, prepared=prep)
-        assert "pruning" not in analyze_prepared(prep).deadlock.stats
-        prep = prepare(PRUNING_SRC)
-        run_lint(prep.source_program, prepared=prep)
-        with obs.observed():
-            assert "pruning" in analyze_prepared(prep).deadlock.stats
+        # One report per prepared program, whatever the obs state of
+        # the run that built it: the payload does not depend on it.
+        payloads = []
+        for lint_observed in (True, False):
+            prep = prepare(PRUNING_SRC)
+            if lint_observed:
+                with obs.observed():
+                    run_lint(prep.source_program, prepared=prep)
+            else:
+                run_lint(prep.source_program, prepared=prep)
+            report = prep.refined
+            with obs.observed():
+                result = analyze_prepared(prep)
+            assert result.deadlock is report
+            payloads.append(analysis_result_to_dict(result))
+        assert payloads[0] == payloads[1]
+        assert "pruning" not in payloads[0]["deadlock"]["stats"]
 
     def test_daemon_naive_builds_no_index(self):
         from repro.server import Session

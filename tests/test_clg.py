@@ -1,6 +1,5 @@
 """Cycle location graph tests (paper, Section 3.1)."""
 
-from repro.analysis.index import project_ids
 from repro.lang.parser import parse_program
 from repro.syncgraph.build import build_sync_graph
 from repro.syncgraph.clg import (
@@ -8,6 +7,7 @@ from repro.syncgraph.clg import (
     build_clg,
     clg_out_edges,
     cyclic_components,
+    rendezvous_uids,
 )
 from repro.syncgraph.dot import clg_to_dot
 from tests.oracles import clg as oracle
@@ -93,7 +93,7 @@ class TestCycleDetection:
         # the cycle r1_i -> s1_o -> r2_i -> s2_o touches all four
         # rendezvous nodes, one split node each
         assert len(comps[0]) == 4
-        members = project_ids(sg.rendezvous_nodes, comps[0])
+        members = [sg.node(u) for u in rendezvous_uids(comps[0])]
         assert {n.label for n in members} == {
             "(t2,a,+)",
             "(t1,x,-)",

@@ -538,10 +538,17 @@ class TestLintMode:
     def test_analysis_output_unchanged_without_lint(
         self, handshake_file, capsys
     ):
-        # the lint flags must not perturb the analysis path
+        # the lint flags must not perturb the analysis path: it refuses
+        # them before any output, and prints as before without them
         main([str(handshake_file)])
         baseline = capsys.readouterr().out
-        main([str(handshake_file), "--fail-on", "note"])
+        assert main([str(handshake_file), "--fail-on", "note"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --fail-on is not supported without --lint\n"
+        )
+        main([str(handshake_file)])
         assert capsys.readouterr().out == baseline
 
     def test_lint_smoke_subprocess(self, stally_file, tmp_path):
@@ -720,46 +727,80 @@ class TestModeFlags:
     flags it would otherwise drop."""
 
     ARGS = {"--dot": ["out.file"], "--clg-dot": ["out.file"],
-            "--sarif": ["out.file"], "--simulate": ["0"]}
+            "--sarif": ["out.file"], "--simulate": ["0"],
+            "--jobs": ["1"], "--cache-dir": ["cache"], "--timeout": ["3"],
+            "--jsonl-out": ["out.file"], "--max-fixes": ["3"],
+            "--disable": ["ADL009"], "--select": ["ADL009"],
+            "--fail-on": ["note"]}
+    # The mode's own flags (a batch without the cache, so that nothing
+    # is written), and the flags the mode never reads.
+    MODES = {"--batch": ["--batch", "--no-cache"], "--lint": ["--lint"],
+             "analysis": [], "--lint --suggest-fixes": [
+                 "--lint", "--suggest-fixes"]}
+    BATCH_ONLY = ("--jobs", "--cache-dir", "--no-cache", "--timeout",
+                  "--jsonl-out")
+    LINT_ONLY = ("--disable", "--select", "--fail-on")
 
     @pytest.mark.parametrize(
-        "mode, flag",
+        "mode, flag, why",
         [
-            (mode, flag)
-            for mode, flags in (
+            pytest.param(mode, flag, why, id=f"{mode}-{flag}")
+            for mode, why, flags in (
                 (
-                    "--batch",
+                    "--batch", "with --batch",
                     ("--dot", "--clg-dot", "--simulate", "--stats",
-                     "--confirm", "--sarif", "--suggest-fixes"),
+                     "--confirm", "--sarif", "--suggest-fixes",
+                     *LINT_ONLY),
                 ),
                 (
-                    "--lint",
+                    "--lint", "with --lint",
                     ("--dot", "--clg-dot", "--simulate", "--stats",
-                     "--confirm"),
+                     "--confirm", *BATCH_ONLY),
                 ),
+                ("analysis", "without --batch", BATCH_ONLY),
+                ("analysis", "without --lint", LINT_ONLY),
+                ("analysis", "without --suggest-fixes", ("--max-fixes",)),
+                ("--lint", "without --suggest-fixes", ("--max-fixes",)),
+                ("--batch", "without --suggest-fixes", ("--max-fixes",)),
+                ("--lint --suggest-fixes", "with --lint", BATCH_ONLY),
             )
             for flag in flags
         ],
     )
     def test_flag_the_mode_would_drop_is_refused(
-        self, crossed_file, tmp_path, capsys, monkeypatch, mode, flag
+        self, crossed_file, tmp_path, capsys, monkeypatch, mode, flag, why
     ):
         from tests.conftest import spy_calls
 
         monkeypatch.chdir(tmp_path)
         prepares = spy_calls(monkeypatch, "repro.api:prepare")
         rc = main(
-            [str(crossed_file), mode, "--no-cache", flag,
+            [str(crossed_file), *self.MODES[mode], flag,
              *self.ARGS.get(flag, [])]
         )
         captured = capsys.readouterr()
         assert rc == 2
-        assert captured.err == (
-            f"error: {flag} is not supported with {mode}\n"
-        )
+        assert captured.err == f"error: {flag} is not supported {why}\n"
         assert captured.out == ""
         assert not prepares
         assert not (tmp_path / "out.file").exists()
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--suggest-fixes", "--max-fixes", "1"],
+            ["--lint", "--suggest-fixes", "--max-fixes", "1"],
+            ["--lint", "--disable", "ADL009", "--select", "ADL012",
+             "--fail-on", "note"],
+        ],
+    )
+    def test_flag_the_mode_reads_is_accepted(
+        self, crossed_file, tmp_path, capsys, monkeypatch, args
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main([str(crossed_file), *args]) in (0, 1)
+        assert "not supported" not in capsys.readouterr().err
 
 
 class TestClosedPipe:

@@ -60,10 +60,14 @@ WITNESS_FINDERS = [
 
 
 def _classification_fingerprint(classification):
+    # The oracle classifies with tests/oracles/anomaly.py, which lists
+    # a wave's deadlock sets in set-iteration order: compare them as a
+    # set (they are disjoint components, so the count is kept too).
     return (
         classification.wave,
         classification.stalls,
-        classification.deadlocks,
+        frozenset(classification.deadlocks),
+        len(classification.deadlocks),
     )
 
 

@@ -675,6 +675,22 @@ class TestAnalyzeMany:
         for entry, result in zip(entries, report.results):
             assert result == _payload(entry.source)
 
+    def test_serial_equals_pooled_under_obs(self, tmp_path):
+        # Pool workers run with obs off; the payloads may not show it,
+        # and a store written under obs serves runs without it.
+        from tests.test_obs import PRUNING_SRC
+
+        sources = [CROSSED_SRC, PRUNING_SRC]
+        with obs.observed():
+            serial = analyze_many(sources, jobs=1)
+            pooled = analyze_many(sources, jobs=2)
+            stored = analyze_many(sources, jobs=1, cache=tmp_path)
+        plain = analyze_many(sources, jobs=1, cache=tmp_path)
+        assert plain.cache_hits == 2
+        assert serial.results == pooled.results == stored.results
+        assert plain.results == serial.results
+        assert serial.results == [_payload(text) for text in sources]
+
     def test_hits_equal_one_shot_runs_of_every_layout(self, tmp_path):
         # Keys hash the canonical program, so a warm hit may come from
         # another layout of the same text: its validation spans must

@@ -231,7 +231,7 @@ def _graph_shape(graph):
             for node in nodes
         ],
         "succ": [_uids(graph.control_successors(x)) for x in nodes],
-        "pred": [_uids(graph.control_predecessors(x)) for x in nodes],
+        "pred": [list(graph.predecessor_uids(x.uid)) for x in nodes],
         "sync": [_uids(graph.sync_neighbors(x)) for x in nodes],
         "initial": [_uids(graph.initial_options(t)) for t in graph.tasks],
         "edges": [(a.uid, b.uid) for a, b in graph.control_edges()],

@@ -26,12 +26,12 @@ from repro.analysis.extensions import (
     head_tail_analysis,
     k_pairs_analysis,
 )
-from repro.analysis.index import AnalysisIndex, project_ids
+from repro.analysis.index import AnalysisIndex
 from repro.analysis.orderings import compute_orderings
 from repro.analysis.refined import possible_heads, refined_deadlock_analysis
 from repro.lang.parser import parse_program
 from repro.syncgraph.build import build_sync_graph
-from repro.syncgraph.clg import in_id_of
+from repro.syncgraph.clg import in_id_of, rendezvous_uids
 from repro.transforms.unroll import remove_loops
 from tests import oracles
 from tests.oracles.clg import build_clg
@@ -58,19 +58,28 @@ def _report_fingerprint(report):
     )
 
 
+def _pruning_counters(session):
+    return {
+        key: counter.value
+        for key, counter in session.registry.counters.items()
+        if key[0] in ("refined.pruned_nodes", "refined.pruned_edges")
+    }
+
+
 class TestDifferentialEquivalence:
     @FAST
     @given(small_programs())
     def test_refined_backends_agree(self, program):
-        """Verdict, evidence AND stats — including the pruning counters,
-        which only appear under observability — must match exactly."""
+        """Verdict, evidence AND stats — and the per-rule pruning
+        counters, which only observability records — must match
+        exactly."""
         graph = graph_of(program)
-        with obs.observed():
+        with obs.observed() as product:
             indexed = refined_deadlock_analysis(graph)
-        with obs.observed():
+        with obs.observed() as oracle:
             reference = oracles.refined_deadlock_analysis(graph)
-        assert "pruning" in indexed.stats
         assert _report_fingerprint(indexed) == _report_fingerprint(reference)
+        assert _pruning_counters(product) == _pruning_counters(oracle)
 
     @FAST
     @given(small_programs())
@@ -98,13 +107,17 @@ class TestDifferentialEquivalence:
             graph = graph_of(entry.program)
             index = AnalysisIndex(graph)
             for detector, oracle in DETECTOR_PAIRS:
-                with obs.observed():
+                with obs.observed() as product:
                     indexed = detector(graph, index=index)
-                with obs.observed():
+                with obs.observed() as reference_session:
                     reference = oracle(graph, index=index)
+                where = f"{name}/{detector.__name__}"
                 assert _report_fingerprint(indexed) == _report_fingerprint(
                     reference
-                ), f"{name}/{detector.__name__}"
+                ), where
+                assert _pruning_counters(product) == _pruning_counters(
+                    reference_session
+                ), where
 
     @FAST
     @given(small_programs())
@@ -148,8 +161,8 @@ class TestEarlyExitTarjan:
         # The rooted walk never reaches the t3/t4 half of the CLG, let
         # alone b/e — strictly fewer nodes than a full enumeration.
         assert visited < index.node_count
-        projected = project_ids(graph.rendezvous_nodes, ids)
-        assert {n.task for n in projected} == {"t1", "t2"}
+        tasks = {graph.node(u).task for u in rendezvous_uids(ids)}
+        assert tasks == {"t1", "t2"}
 
     def test_component_matches_reference_search(self):
         graph = self._graph()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 
-from repro.analysis.index import AnalysisIndex, project_ids
+from repro.analysis.index import AnalysisIndex
 from repro.lang.compose import parallel_compose, prefix_program
 from repro.lang.parser import parse_program
 from repro.reductions.cnf import random_cnf
@@ -33,6 +33,7 @@ from repro.syncgraph.clg import (
     cyclic_components,
     in_id_of,
     out_id_of,
+    rendezvous_uids,
 )
 from repro.transforms.inline import inline_procedures
 from repro.workloads.adl_corpus import adl_corpus, repair_corpus
@@ -80,7 +81,7 @@ def assert_rows_match_clg(graph):
         assert in_id_of(s) == node_index[clg.in_node(s)]
         assert out_id_of(s) == node_index[clg.out_node(s)]
     assert node_index[clg.b] == 0 and node_index[clg.e] == 1
-    assert project_ids(rendezvous, range(n)) == frozenset(rendezvous)
+    assert rendezvous_uids(range(n)) == tuple(s.uid for s in rendezvous)
     assert_cycles_match_clg(graph, clg)
     assert_export_matches_clg(graph, clg)
 
@@ -145,9 +146,8 @@ task t5 is begin send t2.v; accept u; end;
 def test_cyclic_components_follow_clg_successor_order():
     graph = graph_of(parse_program(SUCCESSOR_ORDER_SRC))
     assert_cycles_match_clg(graph, oracle.build_clg(graph))
-    rendezvous = graph.rendezvous_nodes
     tasks = [
-        sorted({n.task for n in project_ids(rendezvous, ids)})
+        sorted({graph.node(u).task for u in rendezvous_uids(ids)})
         for ids in cyclic_components(clg_out_edges(graph))
     ]
     assert tasks == [["t3", "t4"], ["t2", "t5"]]

@@ -22,9 +22,11 @@ width and at a width that truncates; state limits 3, 7, 20, 1,000 and
 schedules as digests.
 
 Each graph's adjacency lists are put in node-uid order before the
-search: the sync-graph builder adds the rendezvous after a branch in
-set order, which follows the string hash (its seed and the Python
-version's algorithm), and the search visits successors in list order.
+search, which visits successors in list order.  The goldens were
+recorded in that order.  The first/follow builder's own order no
+longer depends on the string hash (CI's hash-seed step pins that), but
+it is not uid order: it lists ``e`` last, so without the sort 8 of the
+43 programs would be searched in another order.
 
 Regenerate (only after an intended behaviour change) with::
 
@@ -120,8 +122,9 @@ def _uids(nodes):
 
 
 def _classification(c):
-    # classify_wave's set-derived orders vary with the hash seed; the
-    # search decides only which waves get classified, and in what order.
+    # Recorded sorted by uid: the deadlock sets are frozensets, and the
+    # search decides only which waves get classified, and in what
+    # order, not how classify_wave lists a wave's nodes.
     return [
         _uids(c.wave.positions),
         sorted(_uids(c.stalls)),

@@ -654,10 +654,10 @@ class TestCliParity:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_analyze_payload_matches_cli_with_metrics(self, workers):
-        # Under --metrics a refined report carries stats.pruning, so a
-        # cold analyze must run where the obs session records, whatever
-        # the worker count.
-        with obs.observed():
+        # Under --metrics a cold analyze runs where the obs session
+        # records, whatever the worker count, and answers the payload
+        # of a run with obs off.
+        with obs.observed() as session:
             server = AnalysisServer(workers=workers)
             server.start()
             try:
@@ -667,8 +667,8 @@ class TestCliParity:
                 assert box["done"].wait(timeout=60)
             finally:
                 server.drain()
-            expected = analysis_result_to_dict(repro.analyze(CROSSED_SRC))
-        assert "pruning" in expected["deadlock"]["stats"]
+        expected = analysis_result_to_dict(repro.analyze(CROSSED_SRC))
+        assert session.registry.counter_value("refined.heads_examined") > 0
         assert box["reply"]["result"]["cache"] == "computed"
         assert box["reply"]["result"]["report"] == expected
 
@@ -1803,6 +1803,39 @@ class TestTimeoutHonored:
         assert doc.artifacts()["index"] is False
         reply = rpc(server, "analyze", {"uri": "mem:a", "state_limit": 100})
         assert reply["result"]["cache"] == "computed"
+
+    # Each program keeps its algorithm's hypothesis loop busy for at
+    # least 10x the 0.05 s timeout (2-vCPU host, Python 3.11: 0.85,
+    # 0.82, 0.73 and 1.07 s), while parse, sync graph, orderings and
+    # index take at most 0.02 s.  One check interval, CHECK_EVERY
+    # hypotheses, takes at most 30 ms of it there; the bound allows 0.1 s.
+    @pytest.mark.parametrize(
+        "algorithm, program",
+        [
+            ("head-pairs", ("pipeline", 70)),
+            ("head-tail", ("client_server", 30, 2)),
+            ("combined-pairs", ("pipeline", 50)),
+            ("k-pairs-3", ("dining_philosophers", 6, True)),
+        ],
+        ids=["head-pairs", "head-tail", "combined-pairs", "k-pairs-3"],
+    )
+    def test_extension_loops_answer_1001_in_time(self, algorithm, program):
+        from repro.workloads import patterns
+
+        factory, *args = program
+        text = pretty(getattr(patterns, factory)(*args))
+        server = make_server()
+        started = time.perf_counter()
+        reply = rpc(
+            server,
+            "analyze",
+            {"uri": "mem:a", "text": text, "algorithm": algorithm,
+             "timeout": 0.05},
+        )
+        elapsed = time.perf_counter() - started
+        assert reply["error"]["code"] == REQUEST_TIMEOUT, reply
+        assert elapsed < 0.05 + 0.1
+        assert len(server.session.lru) == 0
 
     @pytest.mark.parametrize("method", ["analyze", "batch"])
     @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ from repro.lang.ast_nodes import Signal
 from repro.lang.parser import parse_program
 from repro.syncgraph.build import build_sync_graph
 from repro.syncgraph.dot import sync_graph_to_dot
+from repro.syncgraph.model import bit_ids
+from tests.oracles import anomaly as oracle
 
 
 def graph_for(src):
@@ -147,14 +149,42 @@ class TestReachability:
         first = next(
             n for n in sg.nodes_of_task("t1") if n.signal.message == "sig1"
         )
-        desc = sg.control_descendants(first)
-        assert sg.e in desc
-        assert len([n for n in desc if n.is_rendezvous]) == 1
+        desc = bit_ids(sg.descendant_row(first.uid))
+        assert sg.e.uid in desc
+        assert len([u for u in desc if sg.node(u).is_rendezvous]) == 1
+        assert oracle.control_descendants(sg, first) == frozenset(
+            sg.node(u) for u in desc
+        )
 
-    def test_control_reaches_is_reflexive(self, handshake):
+    def test_descendant_row_is_strict(self, handshake):
         sg = build_sync_graph(handshake)
         node = sg.rendezvous_nodes[0]
-        assert sg.control_reaches(node, node)
+        assert not (sg.descendant_row(node.uid) >> node.uid) & 1
+
+    def test_descendant_row_on_a_control_cycle(self):
+        sg = build_sync_graph(
+            parse_program(
+                "program cyc; "
+                "task a is begin while c loop send b.x; end loop; end; "
+                "task b is begin while c loop accept x; end loop; end;"
+            )
+        )
+        assert sg.has_control_cycle()
+        for node in sg.nodes:
+            row = sg.descendant_row(node.uid)
+            assert oracle.control_descendants(sg, node) == frozenset(
+                sg.node(u) for u in bit_ids(row)
+            )
+        send = sg.nodes_of_task("a")[0]
+        assert (sg.descendant_row(send.uid) >> send.uid) & 1
+
+    def test_descendant_rows_reset_by_a_new_edge(self, handshake):
+        sg = build_sync_graph(handshake)
+        first, second = sg.nodes_of_task("t1")
+        before = sg.descendant_row(second.uid)
+        assert not (before >> first.uid) & 1
+        sg.add_control_edge(second, first)
+        assert (sg.descendant_row(second.uid) >> first.uid) & 1
 
 
 class TestExport:
